@@ -28,7 +28,7 @@ WORK_ROOT = ROOT / ".perfbench_work"
 #: fixed rather than recomputed per run, so that a faster program (more
 #: samples per run) does not move it; each workload yields enough samples
 #: per run for at least ten beyond it (at least 50 walks for the analysis
-#: workloads, at least 100 submissions for served-corpus, where p90 falls
+#: workloads, at least 160 submissions for served-corpus, where p90 falls
 #: among the large traces, one submission in eight).
 TAIL_PERCENTILE = {"hb-star": 80, "access-detect": 80, "served-corpus": 90}
 TAIL_MIN_BEYOND = 10

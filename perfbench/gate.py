@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from common import BENCH_DIR
@@ -56,11 +55,10 @@ def session_fingerprints(session, result) -> Dict[str, Dict[str, object]]:
     }
 
 
-def load_reference(path: Optional[Path] = None) -> Dict[str, object]:
-    target = path or REFERENCE_PATH
-    if not target.is_file():
+def load_reference() -> Dict[str, object]:
+    if not REFERENCE_PATH.is_file():
         return {}
-    return json.loads(target.read_text())
+    return json.loads(REFERENCE_PATH.read_text())
 
 
 def pinned(reference: Dict[str, object], workload: str, seed: int) -> Optional[Dict[str, object]]:

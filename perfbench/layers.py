@@ -28,7 +28,7 @@ import inspect
 import statistics
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from common import calibration_ns, log, speed
 from gate import Gate, check_walks, pinned, session_fingerprints
@@ -182,24 +182,26 @@ def walk_layers(files, tc_specs, vc_specs, budget_s: float) -> Dict[str, object]
             "iso_events": iso_events, "per_file_po": per_file_po, "walks": walks}
 
 
-def work_counts(path: str, gate: Gate, want: Optional[Dict[str, object]],
-                repeats: int = 2) -> Dict[str, Dict[str, int]]:
-    """The paper's work counters from ``+work`` walks (repeated: must not change)."""
+def work_counts(path: str, gate: Gate, repeats: int = 2) -> Dict[str, Dict[str, int]]:
+    """The paper's work counters from ``+work`` walks.
+
+    The counters are performance figures, not outcomes, so they are not
+    pinned: a change may lower them.  They must repeat exactly within a
+    run, and TC and VC must update the same entries.
+    """
     from repro.api import Session
 
     counts: Dict[str, Dict[str, int]] = {}
     for order in ORDERS:
         for clock in CLOCKS:
             key = f"{order}+{clock}+work"
-            pin = want.get(f"{order}.{clock}") if want is not None else None
             for _ in range(repeats):
                 work = Session([key]).run(path).primary.work
                 got = {"entries_processed": work.entries_processed,
                        "entries_updated": work.entries_updated}
                 first = counts.setdefault(f"{order}.{clock}", got)
                 gate.attempted += 1
-                gate.check(got == first and pin in (None, got),
-                           f"{key}: work {got} != first walk {first} or pinned {pin}")
+                gate.check(got == first, f"{key}: work {got} != first walk {first}")
         gate.attempted += 1
         gate.check(
             counts[f"{order}.tc"]["entries_updated"] == counts[f"{order}.vc"]["entries_updated"],
@@ -297,31 +299,20 @@ def served_round(workload: str, files, specs, seconds: float, work: Path, gate: 
         )
     finally:
         stop_server(server)
+    figures = loop.tally(gate)
     subs = loop.submissions
-    for sub in subs:
-        gate.attempted += sub.jobs
-        gate.failed += sub.failed
-        gate.problems.extend(sub.problems[:5])
-    jobs = sum(sub.jobs for sub in subs)
     phases = span_phases(obs_dir, [sub.trace_id for sub in subs])
-    latencies = [sub.latency_ns / 1e9 for sub in subs]
-    events = {"tc": 0, "vc": 0}
-    elapsed = {"tc": 0, "vc": 0}
-    for sub in subs:
-        for payload in sub.payloads:
-            clock = "tc" if "+tc" in str(payload["spec"]) else "vc"
-            events[clock] += int(payload["events"])
-            elapsed[clock] += int(payload["elapsed_ns"])
+    jobs = sum(sub.jobs for sub in subs)
     return {
-        "tc_events_per_s": events["tc"] / (elapsed["tc"] / 1e9),
-        "vc_events_per_s": events["vc"] / (elapsed["vc"] / 1e9),
-        "submit_ms": statistics.median(sub.submit_ns / 1e6 for sub in subs),
+        "tc_events_per_s": figures["tc_events_per_s"],
+        "vc_events_per_s": figures["vc_events_per_s"],
+        "jobs_per_s": figures["jobs_per_s"],
+        "latency_p50_s": statistics.median(figures["latencies_s"]),
+        "submit_ms": statistics.median(figures["submit_ms"]),
         "queue_wait_ms": phases["queue"] / 1e6 / max(jobs, 1),
         "persist_ms": phases["persist"] / 1e6 / max(jobs, 1),
         "analyze_ms": phases["analyze"] / 1e6 / max(jobs, 1),
         "span_traces": phases["traces"],
-        "jobs_per_s": jobs / ((loop.ended_ns - loop.started_ns) / 1e9),
-        "latency_p50_s": statistics.median(latencies),
         "submissions": len(subs),
     }
 
@@ -362,7 +353,7 @@ def traced(workload: str, seed: int, seconds: float, work: Path,
         metrics[f"analysis.tc_vc_ratio.{order}.po"] = (po["vc"] / po["tc"], "x")
         metrics[f"analysis.tc_vc_ratio.{order}.detect"] = (full["vc"] / full["tc"], "x")
 
-    counts = work_counts(files[0].path, gate, (expected or {}).get("work"))  # type: ignore[arg-type]
+    counts = work_counts(files[0].path, gate)
     for order in ORDERS:
         metrics[f"clocks.entries_updated.{order}"] = (counts[f"{order}.tc"]["entries_updated"], "count")
         for clock in CLOCKS:

@@ -1,32 +1,24 @@
 """Regenerate ``reference.json``: the counts the gate pins per workload and seed.
 
-    python3 perfbench/pin.py --seeds 0-19
+    python3 perfbench/pin.py
 
-For every seed it walks each workload's files with TC and VC (they must
-agree before anything is pinned), checks TC and VC against the graph
-oracle on a prefix of the first file, and records the fingerprints, the
-``+work`` counters of the first file and, for ``served-corpus``, the
-in-process result of every pool trace under serve's default specs.
-Run it only when the workload generators or the analyses' documented
-outputs change on purpose.
+For every pinned seed it walks each workload's files with TC and VC (they
+must agree before anything is pinned), checks TC and VC against the graph
+oracle on a prefix of the first file, and records the fingerprints and,
+for ``served-corpus``, the in-process result of every pool trace under
+serve's default specs.  Run it only when the workload generators or the
+analyses' documented outputs change on purpose.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from typing import Dict, List
+from typing import Dict
 
 from common import BenchError, log, make_workdir, remove_workdir, require_program
 
-
-def _seeds(text: str) -> List[int]:
-    seeds: List[int] = []
-    for part in text.split(","):
-        low, _, high = part.partition("-")
-        seeds.extend(range(int(low), int(high or low) + 1))
-    return seeds
+PINNED_SEEDS = range(40)
 
 
 def pin_seed(workload: str, seed: int, work) -> Dict[str, object]:
@@ -35,13 +27,12 @@ def pin_seed(workload: str, seed: int, work) -> Dict[str, object]:
 
     from gate import Gate, check_oracle_prefix, session_fingerprints
     from inputs import WALK_SPECS, write_workload
-    from layers import work_counts
     from served import expected_results
 
     files = write_workload(workload, seed, work)
     gate = Gate()
     check_oracle_prefix(gate, load_trace(files[0].path, fmt=infer_format(files[0].path)))
-    pinned: Dict[str, object] = {"work": work_counts(files[0].path, gate, None, repeats=1)}
+    pinned: Dict[str, object] = {}
     tc_specs, vc_specs = WALK_SPECS[workload]
     if workload == "served-corpus":
         pinned["pool"] = {
@@ -67,27 +58,22 @@ def pin_seed(workload: str, seed: int, work) -> Dict[str, object]:
     return pinned
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", default="0-39", help="seed list, e.g. 0-39 or 1,4,9")
-    parser.add_argument("--workload", action="append", default=None,
-                        help="re-pin only this workload (repeatable); others are kept")
-    args = parser.parse_args(argv)
+def main() -> int:
     require_program()
-    from gate import REFERENCE_PATH, load_reference
+    from gate import REFERENCE_PATH
     from run import WORKLOADS
 
-    reference = load_reference() or {
+    reference: Dict[str, object] = {
         "about": "Counts pinned per workload and seed by perfbench/pin.py; "
                  "checked against the graph oracle on a 2000-event prefix of each first file.",
         "workloads": {},
     }
-    for workload in args.workload or WORKLOADS:
-        reference["workloads"][workload] = {}
-        for seed in _seeds(args.seeds):
+    for workload in WORKLOADS:
+        reference["workloads"][workload] = {}  # type: ignore[index]
+        for seed in PINNED_SEEDS:
             work = make_workdir(f"pin-{workload}")
             try:
-                reference["workloads"][workload][str(seed)] = pin_seed(workload, seed, work)
+                reference["workloads"][workload][str(seed)] = pin_seed(workload, seed, work)  # type: ignore[index]
             finally:
                 remove_workdir(work)
             log(f"pinned {workload} seed {seed}")

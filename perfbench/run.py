@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import resource
 import statistics
 import sys
 from dataclasses import asdict
@@ -45,8 +44,9 @@ WORKLOADS = ("hb-star", "access-detect", "served-corpus")
 SETUP_REPEATS = 5
 SERVED_SETUP_PROBES = 4
 #: served-corpus keeps submitting past --seconds until it has this many
-#: samples, so that its p90 tail always has ten beyond it.
-SERVED_MIN_SUBMISSIONS = 100
+#: samples (20 rounds of the eight-trace pool): enough for ten beyond its
+#: p90 tail, and enough run time to average over the host's speed swings.
+SERVED_MIN_SUBMISSIONS = 160
 
 Metrics = Dict[str, Tuple[float, str]]
 
@@ -119,7 +119,7 @@ def timed_served(seed: int, seconds: float, work: Path, reference):
     from gate import Gate, pinned
     from inputs import WALK_SPECS, write_workload
     from served import (
-        closed_loop, expected_results, load_texts, start_server, stop_server, warm_up,
+        closed_loop, expected_results, load_texts, peak_rss_kb, start_server, stop_server, warm_up,
     )
 
     files = write_workload("served-corpus", seed, work)
@@ -140,8 +140,8 @@ def timed_served(seed: int, seconds: float, work: Path, reference):
 
     # Served timings stay raw wall-clock: unlike a single-threaded walk,
     # the served loop keeps both cores busy with the server and its
-    # workers, and its throughput did not follow the calibration kernel
-    # (scaling made the spread between runs worse, not better).
+    # workers, and the calibration kernel, timed before, during or after
+    # the loop, did not track its speed (scaling widened the spread).
     setup = []
     for probe in range(SERVED_SETUP_PROBES + 1):
         server = start_server(work / f"corpus-{probe}", work / f"server-{probe}.log")
@@ -152,41 +152,22 @@ def timed_served(seed: int, seconds: float, work: Path, reference):
         warm_up(server, texts[0], specs)
         loop = closed_loop(server, texts, [entry.events for entry in files], expected, specs,
                            seconds, min_submissions=SERVED_MIN_SUBMISSIONS)
+        peaks = peak_rss_kb(server)
     finally:
         stop_server(server)
-    # Peak RSS of the largest reaped descendant, i.e. of the server process
-    # (the probe servers before it stay idle and smaller; the workers are
-    # forked by multiprocessing's forkserver, not reaped by the server).
-    peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
 
+    figures = loop.tally(gate)
     subs = loop.submissions
-    for sub in subs:
-        gate.attempted += sub.jobs
-        gate.failed += sub.failed
-        gate.problems.extend(sub.problems[:5])
-    metrics: Metrics = {}
+    metrics: Metrics = {name: (figures[name], "1/s")
+                        for name in ("tc_events_per_s", "vc_events_per_s", "jobs_per_s")}
     details: Dict[str, object] = {"pinned_reference": pinned_pool is not None}
-    # Events analysed per second of analysis time, as the workers report
-    # it in the result payloads, over all TC (VC) jobs of the run.
-    events = {"tc": 0, "vc": 0}
-    elapsed = {"tc": 0, "vc": 0}
-    for sub in subs:
-        for payload in sub.payloads:
-            clock = "tc" if "+tc" in str(payload["spec"]) else "vc"
-            events[clock] += int(payload["events"])
-            elapsed[clock] += int(payload["elapsed_ns"])
-    jobs = sum(sub.jobs - sub.failed for sub in subs)
-    wall_s = (loop.ended_ns - loop.started_ns) / 1e9
-    metrics["tc_events_per_s"] = (events["tc"] / (elapsed["tc"] / 1e9), "1/s")
-    metrics["vc_events_per_s"] = (events["vc"] / (elapsed["vc"] / 1e9), "1/s")
-    metrics["jobs_per_s"] = (jobs / wall_s, "1/s")
-    _latency_metrics(metrics, details, "served-corpus", [sub.latency_ns / 1e9 for sub in subs])
+    _latency_metrics(metrics, details, "served-corpus", figures["latencies_s"])
     metrics["setup_s"] = (statistics.median(setup), "s")
-    metrics["peak_rss_mb"] = (peak_kb / 1024.0, "MB")
+    metrics["peak_rss_mb"] = (max(peaks.values()) / 1024.0, "MB")
     big = [sub for sub in subs if sub.events >= 100_000]
     details.update(
-        setup_s=setup, submissions=len(subs), jobs=jobs,
-        submit_ms=summary([sub.submit_ns / 1e6 for sub in subs]),
+        setup_s=setup, submissions=len(subs), peak_rss_kb=peaks,
+        submit_ms=summary(figures["submit_ms"]),
         large_traces={"submitted": len(big), "jobs": sum(sub.jobs for sub in big),
                       "took_parallel": sum(sub.parallel for sub in big)},
     )
@@ -199,8 +180,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--reference", type=Path, default=None,
-                        help="pinned reference counts (default: perfbench/reference.json)")
     args = parser.parse_args(argv)
     try:
         require_program()
@@ -209,7 +188,7 @@ def main(argv=None) -> int:
         return 2
     from gate import load_reference
 
-    reference = load_reference(args.reference)
+    reference = load_reference()
     work = make_workdir(args.workload)
     try:
         if args.trace:

@@ -1,7 +1,11 @@
 """The served path: a ``repro serve`` subprocess driven by a closed loop of clients.
 
 Each client submits one STD trace with ``ServeClient.submit_text``, polls
-its jobs every 5 ms until all are terminal, then submits the next.  Every
+its jobs every 5 ms until all are terminal, then submits the next.  The
+time from the start of the submit to the poll that first sees a job
+terminal is that job's latency; every rate and latency of the served
+workload is computed from these times, taken by the benchmark, never from
+the timings the server writes into its result payloads.  Every
 submission is made distinct by prefixing the trace's lock and variable
 names with the submission number, so each one is ingested and analysed
 afresh (nothing is served from the idempotent results store) while its
@@ -18,13 +22,17 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from common import BenchError, ROOT, child_env, log, now_ns
 
 WORKERS = 2
 CLIENTS = 2
 POLL_SECONDS = 0.005
+WAIT_SECONDS = 120
+#: Job states after which a job never runs again; ``unknown`` is a job the
+#: server no longer lists, as in ``ServeClient.wait_for_jobs``.
+TERMINAL = ("done", "failed", "quarantined", "unknown")
 
 
 @dataclass
@@ -109,6 +117,34 @@ def stop_server(server: ServerHandle) -> None:
     stop_process(server.proc)
 
 
+def _peak_rss_kb(pid: int) -> int:
+    try:
+        with open(f"/proc/{pid}/status", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError as error:
+        raise BenchError(f"cannot read the peak RSS of pid {pid}: {error}") from error
+    raise BenchError(f"no VmHWM line for pid {pid}")
+
+
+def peak_rss_kb(server: ServerHandle) -> Dict[str, int]:
+    """Peak RSS (``VmHWM``) of the server and of each live worker, in KiB.
+
+    The worker pids come from the ``stats`` op, so call this before the
+    server stops.
+    """
+    from repro.serve.client import ServeClient
+
+    with ServeClient(server.host, server.port, timeout=10) as client:
+        stats = client.stats(metrics=False)
+    peaks = {"server": _peak_rss_kb(int(stats["pid"]))}  # type: ignore[arg-type]
+    for row in stats["workers"]:  # type: ignore[union-attr]
+        if row.get("alive") and row.get("pid"):
+            peaks[f"worker-{row['worker_id']}"] = _peak_rss_kb(int(row["pid"]))
+    return peaks
+
+
 # -- expected results ------------------------------------------------------------------
 
 
@@ -172,7 +208,8 @@ class Submission:
     jobs: int = 0
     failed: int = 0
     parallel: int = 0
-    payloads: List[Dict[str, object]] = field(default_factory=list)
+    #: (analysis key, events, latency ns) of every job served correctly.
+    served: List[Tuple[str, int, int]] = field(default_factory=list)
     problems: List[str] = field(default_factory=list)
 
 
@@ -181,6 +218,61 @@ class LoopResult:
     submissions: List[Submission]
     started_ns: int
     ended_ns: int
+
+    def tally(self, gate) -> Dict[str, object]:
+        """Count every job into ``gate``; return the loop's end-to-end figures.
+
+        ``<clock>_events_per_s`` is the events of the clock's correctly
+        served jobs over the sum of those jobs' latencies.
+        """
+        events = {"tc": 0, "vc": 0}
+        waited = {"tc": 0, "vc": 0}
+        for sub in self.submissions:
+            gate.attempted += sub.jobs
+            gate.failed += sub.failed
+            gate.problems.extend(sub.problems[:5])
+            for key, count, latency_ns in sub.served:
+                clock = "tc" if "+tc" in key else "vc"
+                events[clock] += count
+                waited[clock] += latency_ns
+        if not (waited["tc"] and waited["vc"]):
+            raise BenchError("no TC or no VC job was served correctly")
+        served = sum(len(sub.served) for sub in self.submissions)
+        return {
+            "tc_events_per_s": events["tc"] / (waited["tc"] / 1e9),
+            "vc_events_per_s": events["vc"] / (waited["vc"] / 1e9),
+            "jobs_per_s": served / ((self.ended_ns - self.started_ns) / 1e9),
+            "latencies_s": [sub.latency_ns / 1e9 for sub in self.submissions],
+            "submit_ms": [sub.submit_ns / 1e6 for sub in self.submissions],
+        }
+
+
+def wait_terminal(client, job_ids: Sequence[str],
+                  started_ns: int) -> Tuple[Dict[str, Dict[str, object]], Dict[str, int]]:
+    """Poll every POLL_SECONDS until every job is terminal.
+
+    Returns the final job rows and, per job, the time from ``started_ns``
+    to the poll that first saw it terminal (``ServeClient.wait_for_jobs``
+    returns only once all are).
+    """
+    from repro.serve.client import ServeClientError
+
+    rows: Dict[str, Dict[str, object]] = {}
+    latency: Dict[str, int] = {}
+    deadline = time.monotonic() + WAIT_SECONDS
+    while True:
+        listed = client.status(jobs=list(job_ids))["scheduler"]["job_list"]
+        seen = now_ns()
+        rows.update((str(row["job_id"]), row) for row in listed)
+        for job_id in job_ids:
+            row = rows.setdefault(job_id, {"job_id": job_id, "status": "unknown"})
+            if row.get("status") in TERMINAL:
+                latency.setdefault(job_id, seen - started_ns)
+        if len(latency) == len(job_ids):
+            return rows, latency
+        if time.monotonic() > deadline:
+            raise ServeClientError(f"jobs still unfinished after {WAIT_SECONDS}s")
+        time.sleep(POLL_SECONDS)
 
 
 def closed_loop(
@@ -231,9 +323,9 @@ def closed_loop(
                     response = client.submit_text(text, list(specs), name=f"{prefix}-{base}")
                     sub.submit_ns = now_ns() - t0
                     job_ids = [str(job) for job in response["jobs"]]  # type: ignore[union-attr]
-                    rows = client.wait_for_jobs(job_ids, timeout=120, poll=POLL_SECONDS)
-                    sub.done_ns = now_ns()
-                    sub.latency_ns = sub.done_ns - t0
+                    rows, job_latency = wait_terminal(client, job_ids, t0)
+                    sub.latency_ns = max(job_latency.values(), default=now_ns() - t0)
+                    sub.done_ns = t0 + sub.latency_ns
                     sub.trace_id = str(response.get("trace_id", ""))
                     sub.jobs = len(list(specs))
                     if response.get("cached") or len(job_ids) != sub.jobs:
@@ -242,21 +334,19 @@ def closed_loop(
                     for spec in specs:
                         key = analysis_key(spec)
                         payload = results.get(key)
-                        row = next(
-                            (r for r in rows if str(r.get("job_id", "")).endswith(f":{key}")), None
-                        )
-                        status = row.get("status") if row else None
+                        job_id = next((j for j in job_ids if j.endswith(f":{key}")), None)
+                        status = rows[job_id].get("status") if job_id else None
                         if payload is None or status != "done":
                             sub.failed += 1
                             sub.problems.append(f"#{number} {key}: status {status}")
                             continue
                         if "parallel" in payload:
                             sub.parallel += 1
-                        sub.payloads.append({"spec": key, "events": payload.get("events"),
-                                             "elapsed_ns": payload.get("elapsed_ns")})
                         if not served_matches(payload, expected[base][key], prefix):
                             sub.failed += 1
                             sub.problems.append(f"#{number} {key}: served result != in-process result")
+                            continue
+                        sub.served.append((key, int(payload["events"]), job_latency[job_id]))  # type: ignore[arg-type]
                     with lock:
                         done.append(sub)
         except (OSError, ServeClientError) as error:
@@ -286,5 +376,5 @@ def warm_up(server: ServerHandle, text: str, specs: Sequence[str]) -> None:
 
     with ServeClient(server.host, server.port, timeout=120) as client:
         response = client.submit_text(relabel(text, "warm"), list(specs), name="warm-up")
-        client.wait_for_jobs([str(job) for job in response["jobs"]], timeout=120, poll=POLL_SECONDS)  # type: ignore[union-attr]
+        wait_terminal(client, [str(job) for job in response["jobs"]], now_ns())  # type: ignore[union-attr]
     log(f"warm-up submission done on {server.address}")
