@@ -15,14 +15,14 @@ of the paper: running the *same* algorithm with ``VectorClock`` and with
 The driver is exposed at three granularities:
 
 * :meth:`PartialOrderAnalysis.run` — the classic whole-trace entry point;
-* :meth:`begin` / :meth:`feed_batch` / :meth:`finish` — the batched
-  incremental API every bulk consumer uses: a whole list of events is
+* :meth:`begin` / :meth:`feed_batch` / :meth:`finish` — the incremental
+  API, and the engine's one per-event walk: a whole list of events is
   processed per call with the per-kind handler resolved **once** from a
   precomputed dispatch table (a dict of bound methods keyed by
   :class:`OpKind`, built at :meth:`begin` time), so the hot loop carries
   no per-event ``if``/``elif`` chain;
-* :meth:`begin` / :meth:`feed` / :meth:`finish` — the one-event form
-  (``feed_batch`` of a singleton, shared code path).  This is what
+* :meth:`begin` / :meth:`feed` / :meth:`finish` — the one-event form,
+  a singleton ``feed_batch``.  This is what
   :class:`repro.capture.OnlineDetector` drives while a live program is
   still executing: the thread universe does not need to be known upfront
   (threads register dynamically via :meth:`ClockContext.add_thread`) and
@@ -364,40 +364,22 @@ class PartialOrderAnalysis:
     def feed(self, event: Event) -> None:
         """Process one event of the (possibly still growing) trace.
 
-        Events must be fed in trace order.  Thread ids not seen before —
-        including the child of a fork — are registered with the clock
-        context on the fly.  Exactly equivalent to a singleton
-        :meth:`feed_batch` (both run the same dispatch table).
+        A singleton :meth:`feed_batch`: events must be fed in trace
+        order, and thread ids not seen before are registered on the fly.
         """
-        context = self.context
-        if context is None:
-            raise RuntimeError("feed() called before begin()")
-        tid = event.tid
-        clock = self.thread_clocks.get(tid)
-        if clock is None:
-            if tid not in context.index_of:
-                context.add_thread(tid)
-            clock = self.clock_of_thread(tid)
-        # The implicit per-event increment: after processing its i-th
-        # event, a thread's own entry equals i (footnote 1 of the paper).
-        clock.increment(tid, 1)
-        handler = self._dispatch[event.kind]
-        if handler is not None:
-            handler(event, clock)
-        self._events_fed += 1
-        if self._timestamps is not None:
-            self._timestamps.append(clock.as_dict())
+        self.feed_batch((event,))
 
     def feed_batch(self, events: Sequence[Event]) -> None:
         """Process a whole batch of events in trace order.
 
-        The bulk hot path: everything loop-invariant — the dispatch
-        table, the thread-clock map, the timestamp switch — is hoisted
-        out of the per-event iteration, and bookkeeping (event counts)
-        is amortized to batch granularity.  Feeding ``events`` here is
-        exactly equivalent to feeding them one at a time through
-        :meth:`feed`, in any batch partition (the batch-transparency
-        invariant the differential tests pin down).
+        The engine's one per-event walk.  Everything loop-invariant — the
+        dispatch table, the thread-clock map, the timestamp switch — is
+        hoisted out of the per-event iteration, and bookkeeping (event
+        counts) is amortized to batch granularity.  Thread ids not seen
+        before — including the child of a fork — are registered with the
+        clock context on the fly.  Results do not depend on how a trace
+        is partitioned into batches (the batch-transparency invariant
+        the differential tests pin down).
         """
         context = self.context
         if context is None:
@@ -405,30 +387,20 @@ class PartialOrderAnalysis:
         thread_clocks = self.thread_clocks
         dispatch = self._dispatch
         timestamps = self._timestamps
-        if timestamps is None:
-            for event in events:
-                tid = event.tid
-                clock = thread_clocks.get(tid)
-                if clock is None:
-                    if tid not in context.index_of:
-                        context.add_thread(tid)
-                    clock = self.clock_of_thread(tid)
-                clock.increment(tid, 1)
-                handler = dispatch[event.kind]
-                if handler is not None:
-                    handler(event, clock)
-        else:
-            for event in events:
-                tid = event.tid
-                clock = thread_clocks.get(tid)
-                if clock is None:
-                    if tid not in context.index_of:
-                        context.add_thread(tid)
-                    clock = self.clock_of_thread(tid)
-                clock.increment(tid, 1)
-                handler = dispatch[event.kind]
-                if handler is not None:
-                    handler(event, clock)
+        for event in events:
+            tid = event.tid
+            clock = thread_clocks.get(tid)
+            if clock is None:
+                if tid not in context.index_of:
+                    context.add_thread(tid)
+                clock = self.clock_of_thread(tid)
+            # The implicit per-event increment: after processing its i-th
+            # event, a thread's own entry equals i (footnote 1 of the paper).
+            clock.increment(tid, 1)
+            handler = dispatch[event.kind]
+            if handler is not None:
+                handler(event, clock)
+            if timestamps is not None:
                 timestamps.append(clock.as_dict())
         self._events_fed += len(events)
 

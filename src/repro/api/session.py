@@ -141,8 +141,8 @@ class Session:
     Like the engine it drives, the session is exposed at three
     granularities: :meth:`run` pulls a whole source through as event
     batches, :meth:`begin` / :meth:`feed_batch` / :meth:`finish` accept
-    one batch at a time (the serve workers and streaming ingest drive
-    this), and :meth:`feed` accepts one event at a time (what a live
+    one batch at a time (streaming ingest drives this), and :meth:`feed`
+    accepts one event at a time as a singleton batch (what a live
     :class:`~repro.api.sources.CaptureSource` pushes into while the
     traced program is still executing).  All three are exactly
     equivalent in results — batching is invisible to the analyses.
@@ -213,38 +213,16 @@ class Session:
         self._walk_started_ns = time.perf_counter_ns()
 
     def feed(self, event: Event) -> None:
-        """Fan one event out to every spec (equivalent to a singleton batch).
+        """Fan one event out to every spec: a singleton :meth:`feed_batch`.
 
         This is the incremental surface for live producers — a
         :class:`~repro.api.sources.CaptureSource` pushing events as the
-        traced program runs — so it stays on the engine's dedicated
-        per-event ``feed`` with no batch scaffolding.  Bulk callers
-        should hand whole batches to :meth:`feed_batch` instead;
-        :meth:`run` does.
-
-        .. note:: **Timing attribution.**  Since the batched pipeline
-           landed, multi-spec timing is attributed at *batch*
-           granularity: each spec's ``elapsed_ns`` accumulates one
-           ``perf_counter_ns`` pair per feed call — per event here, but
-           amortized over up to ``batch_size`` events in the
-           :meth:`feed_batch`-based ``run()`` walk, which is what
-           dropped the old per-event timer overhead from the sweeps.
+        traced program runs.  Bulk callers should hand whole batches to
+        :meth:`feed_batch` instead; :meth:`run` does.  Multi-spec timing
+        is attributed per feed call, so here it costs one
+        ``perf_counter_ns`` pair per spec per event.
         """
-        runners = self._runners
-        if not runners:
-            raise RuntimeError("feed() called before begin()")
-        if len(runners) == 1:
-            runners[0].feed(event)
-        else:
-            elapsed = self._elapsed_ns
-            perf = time.perf_counter_ns
-            for index, analysis in enumerate(runners):
-                started = perf()
-                analysis.feed(event)
-                elapsed[index] += perf() - started
-        self._events_fed += 1
-        if self._obs is not None:
-            self._obs_events.inc()
+        self.feed_batch((event,))
 
     def feed_batch(self, events: Sequence[Event]) -> None:
         """Fan a whole batch out to every spec, timing each spec's share.
@@ -309,7 +287,7 @@ class Session:
             if shared_walk:
                 # The engine measured begin()-to-finish() wall time, which
                 # in a shared walk includes the sibling specs; replace it
-                # with the time attributed to this spec's feed() calls
+                # with the time attributed to this spec's feed_batch() calls
                 # alone.  (A single-spec walk keeps the engine's timing.)
                 result.elapsed_ns = elapsed_ns
             results[spec.key] = result
@@ -396,6 +374,10 @@ class Session:
         when the source has them, the fallback adapter otherwise — and
         feeds each batch whole via :meth:`feed_batch`.
 
+        A source built here from a raw object (a colf path opens an mmap)
+        is closed when the walk ends; a source the caller passed is left
+        open.
+
         ``parallel`` requests a segment-parallel walk with up to that
         many workers (:mod:`repro.analysis.parallel`).  It engages when
         the source is a multi-segment :class:`ColfSource` and every spec
@@ -411,22 +393,26 @@ class Session:
         if parallel < 1:
             raise ValueError(f"parallel must be >= 1, got {parallel}")
         event_source = as_event_source(source)
-        if (
-            parallel > 1
-            and isinstance(event_source, ColfSource)
-            and supports_parallel(self.specs, event_source.segments())
-        ):
-            return self._run_parallel(event_source, parallel)
-        with obs_tracing.span(
-            "session.run", trace=event_source.name, specs=len(self.specs)
-        ) as walk_span:
-            self.begin(threads=event_source.threads(), name=event_source.name)
-            feed_batch = self.feed_batch
-            for batch in iter_event_batches(event_source, batch_size):
-                feed_batch(batch)
-            result = self.finish()
-            walk_span.set(events=result.num_events)
-        return result
+        try:
+            if (
+                parallel > 1
+                and isinstance(event_source, ColfSource)
+                and supports_parallel(self.specs, event_source.segments())
+            ):
+                return self._run_parallel(event_source, parallel)
+            with obs_tracing.span(
+                "session.run", trace=event_source.name, specs=len(self.specs)
+            ) as walk_span:
+                self.begin(threads=event_source.threads(), name=event_source.name)
+                feed_batch = self.feed_batch
+                for batch in iter_event_batches(event_source, batch_size):
+                    feed_batch(batch)
+                result = self.finish()
+                walk_span.set(events=result.num_events)
+            return result
+        finally:
+            if event_source is not source and isinstance(event_source, ColfSource):
+                event_source.close()
 
     def _run_parallel(self, event_source: ColfSource, workers: int) -> SessionResult:
         """The segment-parallel walk: scan/stitch/replay over chunks."""

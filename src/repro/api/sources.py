@@ -16,16 +16,18 @@ Every source counts the events it hands out in ``events_emitted``; a
 *n*, not *k·n* — the tests assert exactly this to pin down the
 one-walk-many-analyses contract.
 
-Sources are consumed at two granularities.  ``events()`` is the
-per-event protocol surface every source implements; ``event_batches()``
-is the optional bulk surface — lists of up to ``batch_size`` events —
-that the built-in sources implement natively (``TraceSource`` and
-``GeneratorSource`` slice their in-memory tuples, ``FileSource`` rides
-the chunked file decoders, ``QueueSource`` drains greedily without
-waiting for a full batch).  :func:`iter_event_batches` is the adapter
-``Session.run`` walks through: it uses the native method when a source
-has one and otherwise chunks the plain ``events()`` iterator, so a
-minimal third-party source automatically rides the batched pipeline.
+Sources are consumed at two granularities: ``events()``, the per-event
+protocol surface, and ``event_batches(batch_size)``, lists of up to
+``batch_size`` events.  Each built-in source implements only its natural
+one.  ``TraceSource``, ``GeneratorSource``, ``FileSource``, ``ColfSource``
+and ``QueueSource`` produce batches (tuple slices,
+:func:`~repro.trace.io.iter_trace_chunks`, colf segments, a greedy queue
+drain), and their ``events()`` is the one generic flatten of those
+batches; ``CaptureSource`` replays a recorder per event.  :func:`iter_event_batches` is the adapter
+``Session.run`` walks through: it uses the native batches when a source
+has them and otherwise cuts the plain ``events()`` iterator with the
+shared chunker (:func:`~repro.trace.io.iter_batches`), so a minimal
+third-party source automatically rides the batched pipeline.
 
 :func:`as_event_source` coerces the common raw objects (``Trace``, a
 path, a recorder, a benchmark profile, a generator config, a callable)
@@ -42,7 +44,7 @@ from ..gen.random_trace import RandomTraceConfig, generate_trace
 from ..gen.suite import BenchmarkProfile
 from ..trace.colfmt import ColfReader, ColfSegment
 from ..trace.event import Event, OpKind
-from ..trace.io import DEFAULT_BATCH_SIZE, infer_format, iter_trace_chunks, iter_trace_file
+from ..trace.io import DEFAULT_BATCH_SIZE, infer_format, iter_batches, iter_trace_chunks
 from ..trace.trace import Trace
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
@@ -80,8 +82,8 @@ def iter_event_batches(
     The single entry point bulk consumers use: a source exposing
     ``event_batches()`` streams through it (chunked decode for files,
     tuple slicing for in-memory traces, greedy drain for queues); any
-    other source gets the default fallback adapter, which chunks its
-    per-event ``events()`` iterator into ``batch_size`` lists.  Either
+    other source has its per-event ``events()`` iterator cut into
+    ``batch_size`` lists by :func:`~repro.trace.io.iter_batches`.  Either
     way the concatenation of the batches is exactly the event stream.
     """
     if batch_size < 1:
@@ -89,17 +91,22 @@ def iter_event_batches(
     native = getattr(source, "event_batches", None)
     if native is not None:
         yield from native(batch_size)
-        return
-    batch: List[Event] = []
-    append = batch.append
-    for event in source.events():
-        append(event)
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-            append = batch.append
-    if batch:
-        yield batch
+    else:
+        yield from iter_batches(source.events(), batch_size)
+
+
+class _BatchSource:
+    """Base of the built-in sources whose natural walk is batches.
+
+    A subclass implements ``event_batches(batch_size)``; :meth:`events`
+    is defined here once, as the flatten of those batches, so the two
+    surfaces cannot drift apart.
+    """
+
+    def events(self) -> Iterator[Event]:
+        """The events, in trace order: the flatten of ``event_batches()``."""
+        for batch in self.event_batches():  # type: ignore[attr-defined]
+            yield from batch
 
 
 def _iter_tuple_batches(
@@ -119,7 +126,7 @@ def _iter_tuple_batches(
         yield batch
 
 
-class TraceSource:
+class TraceSource(_BatchSource):
     """Source over an in-memory :class:`Trace` (threads known upfront)."""
 
     def __init__(self, trace: Trace) -> None:
@@ -130,21 +137,16 @@ class TraceSource:
     def threads(self) -> Sequence[int]:
         return self.trace.threads
 
-    def events(self) -> Iterator[Event]:
-        for event in self.trace:
-            self.events_emitted += 1
-            yield event
-
     def event_batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[Sequence[Event]]:
         """Native batches: slices of the trace's in-memory event tuple."""
         return _iter_tuple_batches(self, self.trace.events, batch_size)
 
 
-class FileSource:
+class FileSource(_BatchSource):
     """Source streaming a trace file (STD/CSV[.gz] or colf) lazily from disk.
 
     Nothing is materialized: events are decoded incrementally via
-    :func:`~repro.trace.io.iter_trace_file`, so a session over a
+    :func:`~repro.trace.io.iter_trace_chunks`, so a session over a
     multi-gigabyte trace file runs in O(1) memory.  The format is
     sniffed from content bytes when not given, so a colf container
     handed to a ``FileSource`` already skips text parsing entirely —
@@ -164,25 +166,19 @@ class FileSource:
     def threads(self) -> None:
         return None
 
-    def events(self) -> Iterator[Event]:
-        for event in iter_trace_file(self.path, fmt=self.fmt):
-            self.events_emitted += 1
-            yield event
-
     def event_batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Event]]:
-        """Native batches: the chunked file decoders, straight from disk.
+        """Native batches: the file decoded by :func:`~repro.trace.io.iter_trace_chunks`.
 
-        This is the fast path of a file-backed session — lines are
-        parsed through the per-file token caches of
-        :func:`~repro.trace.io.iter_trace_chunks` and never cross a
-        per-event generator boundary.  Memory stays O(``batch_size``).
+        Lines are parsed through the per-file token caches of the text
+        decoders (colf containers through their segment decoder), and
+        memory stays O(``batch_size``).
         """
         for batch in iter_trace_chunks(self.path, fmt=self.fmt, batch_size=batch_size):
             self.events_emitted += len(batch)
             yield batch
 
 
-class ColfSource:
+class ColfSource(_BatchSource):
     """Source holding a colf container mmap'd: threads upfront, segment walks.
 
     Where :class:`FileSource` re-opens and re-decodes its file on every
@@ -218,11 +214,6 @@ class ColfSource:
         """The container's segments; each decodes independently."""
         return self._reader.segments
 
-    def events(self) -> Iterator[Event]:
-        for batch in self._reader.iter_batches():
-            self.events_emitted += len(batch)
-            yield from batch
-
     def event_batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Event]]:
         """Native batches: per-segment materialization from the mmap'd columns."""
         for batch in self._reader.iter_batches(batch_size):
@@ -243,7 +234,7 @@ class ColfSource:
         return self._reader.num_events
 
 
-class GeneratorSource:
+class GeneratorSource(_BatchSource):
     """Source over a synthetic-trace generator (profile, config or callable).
 
     The trace is generated on first use and cached, so a session's
@@ -281,11 +272,6 @@ class GeneratorSource:
 
     def threads(self) -> Sequence[int]:
         return self.materialize().threads
-
-    def events(self) -> Iterator[Event]:
-        for event in self.materialize():
-            self.events_emitted += 1
-            yield event
 
     def event_batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[Sequence[Event]]:
         """Native batches: slices of the generated trace's event tuple."""
@@ -366,18 +352,18 @@ class CaptureSource:
         return session.finish()
 
 
-class QueueSource:
+class QueueSource(_BatchSource):
     """Source bridging a producer thread to a session walk.
 
     The producer side calls :meth:`put` for every event and :meth:`close`
     when the stream ends; the consumer side hands the source to
-    ``Session.run`` (typically on a separate thread), whose ``events()``
-    iteration blocks on the internal queue until events arrive and
-    terminates when the source is closed.  This is the handoff the
-    :mod:`repro.serve` streaming-ingest path uses: the socket handler
-    thread feeds parsed events in, a walk thread analyzes them as they
-    arrive, and races surface through the session's ``on_race`` callback
-    while the producer is still sending.
+    ``Session.run`` (typically on a separate thread), whose
+    :meth:`event_batches` iteration blocks on the internal queue until
+    events arrive and terminates when the source is closed.  This is the
+    handoff the :mod:`repro.serve` streaming-ingest path uses: the socket
+    handler thread feeds parsed events in, a walk thread analyzes them as
+    they arrive, and races surface through the session's ``on_race``
+    callback while the producer is still sending.
 
     ``maxsize`` bounds the queue (0 = unbounded); a bounded queue applies
     backpressure to the producer when analysis falls behind.  The thread
@@ -421,19 +407,6 @@ class QueueSource:
 
     def threads(self) -> None:
         return None
-
-    def events(self) -> Iterator[Event]:
-        while True:
-            try:
-                item = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                if self._closed:
-                    return
-                continue
-            if item is self._SENTINEL:
-                return
-            self.events_emitted += 1
-            yield item  # type: ignore[misc]
 
     def event_batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Event]]:
         """Native batches: greedy drain, never waiting to fill a batch.
@@ -484,9 +457,7 @@ def as_event_source(source: SourceLike) -> EventSource:
     :class:`BenchmarkProfile` / :class:`RandomTraceConfig`, or a
     zero-argument callable returning a ``Trace``.
     """
-    if isinstance(
-        source, (TraceSource, FileSource, ColfSource, GeneratorSource, CaptureSource, QueueSource)
-    ):
+    if isinstance(source, (_BatchSource, CaptureSource)):
         return source
     if isinstance(source, Trace):
         return TraceSource(source)

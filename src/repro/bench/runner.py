@@ -378,11 +378,12 @@ def _run_decode_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
 
     The trace is generated and written to a temp file *outside* the
     timed region; one timed repeat = one full decode of the file —
-    ``mode="batched"`` drains :func:`repro.trace.io.iter_trace_chunks`
-    (lists of events, per-file token caches, no per-event generator
-    hop), ``mode="events"`` drains the per-event
-    :func:`repro.trace.io.iter_trace_file`.  Both parse the identical
-    bytes, so the pair isolates the cost of the event-at-a-time shape.
+    ``mode="events"`` drains :func:`repro.trace.io.iter_trace_file`,
+    the one per-event decoder of each text format, and
+    ``mode="batched"`` drains :func:`repro.trace.io.iter_trace_chunks`,
+    the same decoder cut into lists by the shared chunker (colf decodes
+    natively in batches).  Both parse the identical bytes, so for the
+    text formats the pair isolates the cost of the chunker.
 
     For colf files a third ``mode="columns"`` decodes the
     structure-of-arrays columns (kind codes, tid indices, target
@@ -444,11 +445,13 @@ def _run_decode_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
 
 
 def _run_pipeline_walk_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
-    """Multi-spec session walk: ``feed_batch`` (default) vs one event at a time.
+    """Multi-spec session walk: full batches (default) vs one-event batches.
 
     All modes drive the identical events through the same specs and
     produce the identical results (the differential tests prove it);
-    the batched/events pair measures exactly what batching buys the
+    ``mode="events"`` feeds one event per ``Session.feed`` call, i.e. a
+    singleton batch through the same ``feed_batch`` walk, so the
+    batched/events pair measures exactly what batch size buys the
     walk, and ``mode="colf-mmap"`` feeds the session straight from an
     mmap'd colf container (packed outside the timed region), measuring
     the walk with binary segment decode in place of in-memory slicing.

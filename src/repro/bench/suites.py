@@ -30,16 +30,16 @@ Two suites ship by default:
     the numbers measure the steady-state service, not process spawning.
 
 ``pipeline``
-    Event-pipeline benchmarks: decode **events/sec** of the chunked
-    file decoders vs the per-event iterators (STD, CSV and the binary
-    colf container — plus a ``colf-columns`` case that decodes the
-    structure-of-arrays columns without materializing events, the form
-    segment-parallel consumers read), and multi-spec session walks
-    batched (``feed_batch``, the default) vs fed one event at a time
-    vs fed straight from an mmap'd colf container (``colf-mmap``).
-    The batched/per-event case pairs share identical workloads, so
-    their ratio *is* the measured win of the batching layer — and a
-    regression in either shape is caught separately.
+    Event-pipeline benchmarks: decode **events/sec** of the per-event
+    file decoders with and without the batch chunker (STD, CSV and the
+    binary colf container — plus a ``colf-columns`` case that decodes
+    the structure-of-arrays columns without materializing events, the
+    form segment-parallel consumers read), and multi-spec session walks
+    fed full batches (the default) vs one-event batches
+    (``Session.feed``) vs straight from an mmap'd colf container
+    (``colf-mmap``).  The batched/per-event case pairs share identical
+    workloads, so their ratio *is* the measured win of the batching
+    layer — and a regression in either shape is caught separately.
 
 ``obs``
     Observability-overhead benchmarks: the same multi-spec session walks
@@ -259,8 +259,8 @@ def obs_suite(
 #: Decode formats exercised by the default ``pipeline`` suite.
 DEFAULT_PIPELINE_FORMATS: Tuple[str, ...] = ("std", "csv", "colf")
 
-#: Walk modes of the ``pipeline`` suite: the batched default, the
-#: per-event reference path, and the mmap'd colf fast path (same
+#: Walk modes of the ``pipeline`` suite: the batched default, one-event
+#: batches through ``Session.feed``, and the mmap'd colf fast path (same
 #: events, same specs, same results in every mode).
 PIPELINE_WALK_MODES: Tuple[str, ...] = ("batched", "events", "colf-mmap")
 
@@ -273,7 +273,7 @@ def pipeline_suite(
     specs: Sequence[str] = DEFAULT_SESSION_SPECS,
     seed: int = 0,
 ) -> List[BenchCase]:
-    """The ``pipeline`` suite: chunked decode and batched-vs-per-event walks."""
+    """The ``pipeline`` suite: chunked decode and full-vs-one-event batch walks."""
     spec_list = list(specs)
     threads = int(thread_counts[0]) if thread_counts else 10
     cases: List[BenchCase] = []

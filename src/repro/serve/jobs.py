@@ -152,7 +152,6 @@ class Scheduler:
         task_timeout: Optional[float] = None,
         num_shards: int = DEFAULT_SHARDS,
         max_inflight: Optional[int] = None,
-        chunk_events: int = 2048,
         parallel_workers: int = 4,
         parallel_threshold_events: int = 100_000,
         obs_dir: Optional[Union[str, Path]] = None,
@@ -181,7 +180,6 @@ class Scheduler:
             workers=workers,
             task_timeout=task_timeout,
             on_result=self._on_result,
-            chunk_events=chunk_events,
             max_attempts=(retry_budget + 1 if retry_budget is not None else MAX_ATTEMPTS),
         )
         #: Test instrumentation mirroring :attr:`WorkerTask.fault`: maps a
@@ -193,7 +191,6 @@ class Scheduler:
         # never idle while the round-robin pop preserves shard fairness
         # for everything still queued.
         self.max_inflight = max_inflight if max_inflight is not None else 2 * workers
-        self.chunk_events = chunk_events
         #: Corpus entries at or above this event count run segment-parallel
         #: (colf-stored traces only — Session falls back everywhere else).
         #: The default threshold keeps small traces on the sequential walk,
@@ -339,7 +336,6 @@ class Scheduler:
                     spec=job.spec,
                     fmt=entry.trace_fmt,
                     trace_name=job.trace_name,
-                    chunk_events=self.chunk_events,
                     parallel=parallel,
                     fault=self.task_faults.get(job.job_id),
                     traceparent=job.traceparent,

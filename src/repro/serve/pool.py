@@ -2,11 +2,10 @@
 
 Each worker is a separate ``multiprocessing`` process executing
 :class:`WorkerTask` cells — one (trace file × analysis spec) each —
-through a single-spec :class:`repro.api.Session` fed whole decoded
-chunks at a time (:func:`repro.trace.io.iter_trace_chunks` into
-``Session.feed_batch``, so the per-event cost is one engine dispatch
-and nothing else), and reporting a plain-dict payload back.  Process isolation is the point: a segfaulting
-or wedged analysis takes down one worker, not the service.
+through one single-spec :meth:`repro.api.Session.run` over the file,
+and reporting a plain-dict payload back.  Process isolation is the
+point: a segfaulting or wedged analysis takes down one worker, not the
+service.
 
 Assignment is parent-side: every worker has its own one-deep task inbox
 and the pool's monitor thread hands a backlog task to a worker the
@@ -116,59 +115,38 @@ class WorkerTask:
     spec: str
     fmt: Optional[str] = None
     trace_name: str = ""
-    chunk_events: int = 2048
     parallel: int = 1
     fault: Optional[str] = None
     traceparent: Optional[str] = None
     obs_dir: Optional[str] = None
 
 
-def _is_colf_file(path: str, fmt: Optional[str]) -> bool:
-    """Whether the trace file is a colf container (declared or sniffed)."""
-    if fmt is not None:
-        return fmt == "colf"
-    from ..trace.colfmt import is_colf_prefix
-
-    try:
-        with open(path, "rb") as handle:
-            return is_colf_prefix(handle.read(8))
-    except OSError:
-        return False
-
-
 def _run_task_session(task: WorkerTask):
-    """The analysis itself: one Session walk over the task's trace file."""
-    from ..api import Session, coerce_spec
-    from ..trace.io import iter_trace_chunks
+    """The analysis itself: one ``Session.run`` over the task's trace file.
 
-    spec = coerce_spec(task.spec)
-    session = Session([spec])
-    if task.parallel > 1 and _is_colf_file(task.trace_path, task.fmt):
-        # Segment-parallel walk over the mmap'd container.  Session.run
-        # falls back to the sequential walk itself when the container
-        # has one segment or the spec's order is not stitchable, so the
-        # scheduler only needs a size heuristic, not format internals.
-        from ..api.sources import ColfSource
+    The source is the one :func:`~repro.api.sources.as_event_source`
+    would pick for the path — a :class:`ColfSource` (thread universe
+    from the footer, segment-parallel when ``task.parallel > 1``) for
+    colf containers, a :class:`FileSource` otherwise — named after the
+    task, and closed after the walk.
+    """
+    from ..api import Session
+    from ..api.sources import ColfSource, FileSource
+    from ..trace.io import infer_format
 
-        with ColfSource(task.trace_path, name=task.trace_name or task.trace_path) as source:
-            return session.run(source, batch_size=task.chunk_events, parallel=task.parallel)
-    from ..obs import tracing as obs_tracing
-
-    # The chunked feed below bypasses Session.run (and with it the
-    # session.run span Session.run opens), so open the equivalent span
-    # here — the timeline's analyze phase must cover both walk shapes.
-    with obs_tracing.span(
-        "session.run", trace=task.trace_name or task.trace_path, specs=1
-    ) as walk_span:
-        session.begin(name=task.trace_name or task.trace_path)
-        feed_batch = session.feed_batch
-        for chunk in iter_trace_chunks(
-            task.trace_path, fmt=task.fmt, batch_size=task.chunk_events
-        ):
-            feed_batch(chunk)
-        result = session.finish()
-        walk_span.set(events=result.num_events)
-    return result
+    session = Session([task.spec])
+    name = task.trace_name or task.trace_path
+    fmt = task.fmt if task.fmt is not None else infer_format(task.trace_path)
+    source = (
+        ColfSource(task.trace_path, name=name)
+        if fmt == "colf"
+        else FileSource(task.trace_path, fmt=fmt, name=name)
+    )
+    try:
+        return session.run(source, parallel=task.parallel)
+    finally:
+        if isinstance(source, ColfSource):
+            source.close()
 
 
 def execute_task(task: WorkerTask) -> Dict[str, object]:
@@ -296,7 +274,6 @@ class WorkerPool:
         workers: int = 2,
         task_timeout: Optional[float] = None,
         on_result: Optional[ResultCallback] = None,
-        chunk_events: int = 2048,
         poll_interval: float = 0.05,
         max_attempts: int = MAX_ATTEMPTS,
     ) -> None:
@@ -309,7 +286,6 @@ class WorkerPool:
         #: Crash/timeout attempt cap per task (first run included); the
         #: scheduler sets this from its configurable retry budget.
         self.max_attempts = max_attempts
-        self.chunk_events = chunk_events
         self._on_result = on_result
         self._poll_interval = poll_interval
         # Workers must never be forked from a multithreaded parent: the

@@ -715,9 +715,9 @@ def iter_colf_batches(
 ) -> Iterator[List[Event]]:
     """Stream a colf container as event batches (opens, decodes, closes).
 
-    The colf counterpart of :func:`repro.trace.io.iter_std_batches` at
-    the file level: one batch per segment by default, re-sliced when
-    ``batch_size`` is given.  This is the fast path behind
+    The colf branch of :func:`repro.trace.io.iter_trace_chunks`: one
+    batch per segment by default, re-sliced when ``batch_size`` is
+    given.  This is the fast path behind
     ``FileSource.event_batches`` for colf traces — no text parsing at
     all, and the file is read through an mmap.
     """

@@ -13,24 +13,22 @@ Files whose name ends in ``.gz`` are transparently (de)compressed with
 gzip — large captured traces are highly repetitive, so this typically
 shrinks them by an order of magnitude on disk.
 
-Both formats can also be read *lazily*: :func:`iter_trace_file` (and the
-lower-level :func:`iter_std` / :func:`iter_csv`) yield events one at a
-time without ever materializing a full :class:`Trace`, which is what the
-file-backed :class:`repro.api.FileSource` streams from.  The eager
+Both formats are decoded *lazily* by one per-event parser each:
+:func:`iter_std` / :func:`iter_csv` (and the file-level
+:func:`iter_trace_file`) yield events one at a time without ever
+materializing a full :class:`Trace`, parsing through per-call token
+caches (:class:`StdParser` / :class:`CsvParser`) — tid tokens, op tokens
+and target ids of a trace file repeat massively, so after the first
+occurrence a token costs one dict hit instead of a regex match, and
+equal targets are interned to one shared string.  The eager
 :func:`load_trace` / :func:`loads_std` / :func:`loads_csv` entry points
 are thin wrappers that collect the same iterators into a ``Trace``.
 
-For bulk consumers there is a third, *chunked* shape: the batch decoders
-:func:`iter_std_batches` / :func:`iter_csv_batches` (and the file-level
-:func:`iter_trace_chunks`) yield lists of :data:`DEFAULT_BATCH_SIZE`
-events at a time.  They are the throughput path of the event pipeline:
-per-event generator frames disappear, and parsing runs through
-per-call token caches (:class:`StdParser` / :class:`CsvParser`) — tid
-tokens, op tokens and target ids of a trace file repeat massively, so
-after the first occurrence a token costs one dict hit instead of a
-regex match, and equal targets are interned to one shared string.
-Everything downstream (``Session.feed_batch``, the serve workers, the
-bench pipeline suite) consumes these batches.
+Bulk consumers (``Session.feed_batch``, the serve workers, the bench
+pipeline suite) take events in lists of :data:`DEFAULT_BATCH_SIZE`.
+A per-event stream is cut into such lists in one place,
+:func:`iter_batches`; :func:`iter_trace_chunks` is that chunker over the
+text decoders (colf containers below decode natively in batches).
 
 The third format is binary: the ``repro-trace/1`` **columnar
 container** of :mod:`repro.trace.colfmt` (conventional suffix
@@ -52,13 +50,14 @@ import gzip
 import io
 import re
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
 from .event import Event, OpKind
 from .trace import Trace
 
-#: Default events per batch of the chunked decoders and every
+#: Default events per batch of :func:`iter_batches` and every
 #: ``feed_batch`` consumer downstream.  Big enough to amortize per-batch
 #: bookkeeping to noise, small enough that a batch of events stays
 #: comfortably inside the CPU cache working set.
@@ -268,40 +267,6 @@ def iter_std(lines: Iterable[str]) -> Iterator[Event]:
         eid += 1
 
 
-def iter_std_batches(
-    lines: Iterable[str], batch_size: int = DEFAULT_BATCH_SIZE
-) -> Iterator[List[Event]]:
-    """Chunked STD decoding: lists of up to ``batch_size`` events at a time.
-
-    The bulk counterpart of :func:`iter_std` — same events, same
-    consecutive ``eid``s, same errors — but without a per-event
-    generator resumption, which makes it the decode path of the batched
-    pipeline (``FileSource.event_batches``, the serve workers).  The
-    final batch may be shorter; an empty input yields no batches.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    parser = StdParser()
-    parse = parser.parse
-    batch: List[Event] = []
-    append = batch.append
-    eid = 0
-    line_number = 0
-    for raw_line in lines:
-        line_number += 1
-        event = parse(raw_line, eid, line_number)
-        if event is None:
-            continue
-        append(event)
-        eid += 1
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-            append = batch.append
-    if batch:
-        yield batch
-
-
 def loads_std(text: str, name: str = "") -> Trace:
     """Parse a trace from the STD text format."""
     return Trace(iter_std(text.splitlines()), name=name)
@@ -356,19 +321,6 @@ class CsvParser:
         return Event(eid=eid, tid=tid, kind=cached[0], target=cached[1])
 
 
-def _csv_reader(lines: Iterable[str]):
-    """Validate the header and return the data-row reader (``None`` if empty)."""
-    reader = csv.reader(iter(lines))
-    header_row = next(reader, None)
-    if header_row is None:
-        return None
-    header = [column.strip().lower() for column in header_row]
-    expected = ["eid", "tid", "kind", "target"]
-    if header != expected:
-        raise TraceFormatError(f"unexpected CSV header {header!r}, expected {expected!r}")
-    return reader
-
-
 def iter_csv(lines: Iterable[str]) -> Iterator[Event]:
     """Lazily parse CSV-format lines into events (streaming counterpart of
     :func:`loads_csv`).
@@ -378,9 +330,14 @@ def iter_csv(lines: Iterable[str]) -> Iterator[Event]:
     row must be the ``eid,tid,kind,target`` header.  Parsing runs
     through a per-call :class:`CsvParser` cell cache.
     """
-    reader = _csv_reader(lines)
-    if reader is None:
+    reader = csv.reader(iter(lines))
+    header_row = next(reader, None)
+    if header_row is None:
         return
+    header = [column.strip().lower() for column in header_row]
+    expected = ["eid", "tid", "kind", "target"]
+    if header != expected:
+        raise TraceFormatError(f"unexpected CSV header {header!r}, expected {expected!r}")
     parser = CsvParser()
     eid = 0
     for line_number, row in enumerate(reader, start=2):
@@ -390,42 +347,6 @@ def iter_csv(lines: Iterable[str]) -> Iterator[Event]:
             raise TraceFormatError(f"line {line_number}: expected 4 columns, got {len(row)}")
         yield parser.parse_row(row, eid, line_number)
         eid += 1
-
-
-def iter_csv_batches(
-    lines: Iterable[str], batch_size: int = DEFAULT_BATCH_SIZE
-) -> Iterator[List[Event]]:
-    """Chunked CSV decoding: lists of up to ``batch_size`` events at a time.
-
-    The bulk counterpart of :func:`iter_csv`, mirroring
-    :func:`iter_std_batches`: same events and errors, final batch may be
-    shorter, an empty or header-only input yields no batches.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    reader = _csv_reader(lines)
-    if reader is None:
-        return
-    parser = CsvParser()
-    parse_row = parser.parse_row
-    batch: List[Event] = []
-    append = batch.append
-    eid = 0
-    line_number = 1
-    for row in reader:
-        line_number += 1
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 4:
-            raise TraceFormatError(f"line {line_number}: expected 4 columns, got {len(row)}")
-        append(parse_row(row, eid, line_number))
-        eid += 1
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-            append = batch.append
-    if batch:
-        yield batch
 
 
 def loads_csv(text: str, name: str = "") -> Trace:
@@ -594,26 +515,31 @@ def save_trace(trace: Trace, destination: PathOrFile, fmt: str = "std") -> None:
             handle.close()
 
 
-def _iter_parsed(source: PathOrFile, fmt: Optional[str], std_parse, csv_parse, colf_parse):
-    """Open ``source``, run the per-format parser over its lines, close after.
+def iter_trace_file(source: PathOrFile, fmt: Optional[str] = None) -> Iterator[Event]:
+    """Stream events from a trace file without materializing a :class:`Trace`.
 
-    The shared scaffolding of :func:`iter_trace_file` and
-    :func:`iter_trace_chunks`: format inference, std/csv/colf dispatch,
-    lazy open (buffered decompression for gzipped content) and
-    guaranteed close when the iteration is exhausted or discarded.
-    Binary colf containers never go through the text-open path —
-    ``colf_parse`` receives the raw source and reads it via
-    :mod:`repro.trace.colfmt` (mmap for paths).
+    The file (or file-like object) is opened lazily when iteration
+    starts, decompressed on the fly for gzipped content, parsed line by
+    line through :func:`iter_std` / :func:`iter_csv`, and closed when
+    the iterator is exhausted or discarded.  With ``fmt=None`` the
+    format is inferred by content sniffing (:func:`infer_format`).
+    Binary colf containers never go through the text-open path: they
+    are read via :mod:`repro.trace.colfmt` (mmap for paths).  Memory use
+    is O(1) in the trace length for the text formats and O(segment) for
+    colf.
     """
     if fmt is None:
         fmt = infer_format(source)
     if fmt == "colf":
-        yield from colf_parse(source)
+        from .colfmt import ColfReader
+
+        with ColfReader(source) as reader:
+            yield from reader.iter_events()
         return
     if fmt == "std":
-        parse = std_parse
+        parse = iter_std
     elif fmt == "csv":
-        parse = csv_parse
+        parse = iter_csv
     else:
         raise ValueError(f"unknown trace format {fmt!r}")
     handle, should_close = _open_for_read(source)
@@ -624,67 +550,48 @@ def _iter_parsed(source: PathOrFile, fmt: Optional[str], std_parse, csv_parse, c
             handle.close()
 
 
-def iter_trace_file(source: PathOrFile, fmt: Optional[str] = None) -> Iterator[Event]:
-    """Stream events from a trace file without materializing a :class:`Trace`.
+def iter_batches(
+    events: Iterable[Event], batch_size: int = DEFAULT_BATCH_SIZE
+) -> Iterator[List[Event]]:
+    """Cut an event stream into lists of ``batch_size`` events.
 
-    The file (or file-like object) is opened lazily when iteration
-    starts, decompressed on the fly for ``.gz`` paths, parsed line by
-    line, and closed when the iterator is exhausted or discarded.  With
-    ``fmt=None`` the format is inferred by content sniffing
-    (:func:`infer_format`).  This is the reader behind the file-backed
-    :class:`repro.api.FileSource`; memory use is O(1) in the trace
-    length for the text formats and O(segment) for colf.
+    The one place batches are cut from a per-event stream: the text
+    decoders (through :func:`iter_trace_chunks`) and the sources that
+    only have ``events()`` (through
+    :func:`repro.api.sources.iter_event_batches`) both go through it.
+    The batches concatenate to exactly ``events``; the last one may be
+    shorter, and an empty stream yields none.  An error raised by the
+    stream propagates while its batch is being filled.
     """
-
-    def _colf_events(src: PathOrFile) -> Iterator[Event]:
-        from .colfmt import ColfReader
-
-        with ColfReader(src) as reader:
-            yield from reader.iter_events()
-
-    return _iter_parsed(source, fmt, iter_std, iter_csv, _colf_events)
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    iterator = iter(events)
+    while True:
+        batch = list(islice(iterator, batch_size))
+        if not batch:
+            return
+        yield batch
 
 
 def iter_trace_chunks(
-    source: PathOrFile,
-    fmt: Optional[str] = None,
-    chunk_events: Optional[int] = None,
-    batch_size: Optional[int] = None,
+    source: PathOrFile, fmt: Optional[str] = None, batch_size: int = DEFAULT_BATCH_SIZE
 ) -> Iterator[List[Event]]:
-    """Stream a trace file as bounded chunks of events.
+    """Stream a trace file as lists of up to ``batch_size`` events.
 
-    The file-level entry of the chunked decoders: the opened (and, for
-    ``.gz`` paths, buffered-decompressed) line stream goes straight
-    through :func:`iter_std_batches` / :func:`iter_csv_batches`, so no
-    per-event generator hop sits between the file and the batch.  The
-    :mod:`repro.serve` workers feed analysis sessions these chunks via
-    ``Session.feed_batch`` (cancellation and progress checks happen at
-    chunk granularity).  Memory stays O(batch); the final chunk may be
-    shorter, and an empty file yields no chunks.
-
-    ``batch_size`` is the canonical knob (shared with the batch
-    decoders); ``chunk_events`` is its historical alias and is honored
-    when ``batch_size`` is not given.  Default:
-    :data:`DEFAULT_BATCH_SIZE`.
+    Text formats are :func:`iter_batches` over :func:`iter_trace_file`;
+    colf containers are decoded natively, a segment's columns at a time
+    (:func:`~repro.trace.colfmt.iter_colf_batches`).  Either way the
+    file is opened lazily and closed when the iteration ends, memory
+    stays O(batch), the final chunk may be shorter, and an empty file
+    yields no chunks.
     """
-    size = batch_size if batch_size is not None else chunk_events
-    if size is None:
-        size = DEFAULT_BATCH_SIZE
-    if size < 1:
-        raise ValueError("chunk_events/batch_size must be >= 1")
-
-    def _colf_chunks(src: PathOrFile) -> Iterator[List[Event]]:
+    if fmt is None:
+        fmt = infer_format(source)
+    if fmt == "colf":
         from .colfmt import iter_colf_batches
 
-        return iter_colf_batches(src, batch_size=size)
-
-    return _iter_parsed(
-        source,
-        fmt,
-        lambda handle: iter_std_batches(handle, batch_size=size),
-        lambda handle: iter_csv_batches(handle, batch_size=size),
-        _colf_chunks,
-    )
+        return iter_colf_batches(source, batch_size=batch_size)
+    return iter_batches(iter_trace_file(source, fmt=fmt), batch_size)
 
 
 def load_trace(source: PathOrFile, fmt: str = "std", name: str = "") -> Trace:

@@ -272,7 +272,7 @@ class TestIterTraceChunks:
     def test_chunks_cover_the_file_in_order(self, tmp_path, sample_trace):
         path = tmp_path / "t.std.gz"
         save_trace(sample_trace, path)
-        chunks = list(iter_trace_chunks(path, chunk_events=3))
+        chunks = list(iter_trace_chunks(path, batch_size=3))
         assert [len(chunk) for chunk in chunks[:-1]] == [3] * (len(chunks) - 1)
         assert len(chunks[-1]) <= 3
         flattened = [event for chunk in chunks for event in chunk]
@@ -281,7 +281,7 @@ class TestIterTraceChunks:
     def test_single_chunk_when_larger_than_file(self, tmp_path, sample_trace):
         path = tmp_path / "t.std"
         save_trace(sample_trace, path)
-        chunks = list(iter_trace_chunks(path, chunk_events=10_000))
+        chunks = list(iter_trace_chunks(path, batch_size=10_000))
         assert len(chunks) == 1 and len(chunks[0]) == len(sample_trace)
 
     def test_empty_file_yields_no_chunks(self, tmp_path):
@@ -292,5 +292,5 @@ class TestIterTraceChunks:
     def test_invalid_chunk_size_rejected(self, tmp_path, sample_trace):
         path = tmp_path / "t.std"
         save_trace(sample_trace, path)
-        with pytest.raises(ValueError, match="chunk_events"):
-            list(iter_trace_chunks(path, chunk_events=0))
+        with pytest.raises(ValueError, match="batch_size"):
+            list(iter_trace_chunks(path, batch_size=0))

@@ -1,6 +1,7 @@
-"""Unit tests for the chunked decoders and caching parsers of :mod:`repro.trace.io`."""
+"""Unit tests for the batch chunker and caching parsers of :mod:`repro.trace.io`."""
 
 import gzip
+import io
 
 import pytest
 
@@ -14,9 +15,7 @@ from repro.trace.io import (
     dumps_csv,
     dumps_std,
     iter_csv,
-    iter_csv_batches,
     iter_std,
-    iter_std_batches,
     iter_trace_chunks,
     parse_std_line,
     save_trace,
@@ -88,56 +87,60 @@ class TestStdParser:
             parser.parse("T1|w()", 0, 9)
 
 
+def text_chunks(lines, fmt="std", **kwargs):
+    """``iter_trace_chunks`` over in-memory text lines, drained."""
+    return list(iter_trace_chunks(io.StringIO("\n".join(lines)), fmt=fmt, **kwargs))
+
+
 class TestStdBatches:
     def test_batches_concatenate_to_the_event_stream(self, sample_trace):
         lines = dumps_std(sample_trace).splitlines()
-        batches = list(iter_std_batches(lines, batch_size=3))
+        batches = text_chunks(lines, batch_size=3)
         assert [len(batch) for batch in batches[:-1]] == [3] * (len(batches) - 1)
         assert [e for batch in batches for e in batch] == list(iter_std(lines))
 
     def test_default_batch_size_is_shared_constant(self, sample_trace):
-        lines = dumps_std(sample_trace).splitlines()
-        batches = list(iter_std_batches(lines))
+        batches = text_chunks(dumps_std(sample_trace).splitlines())
         assert len(batches) == 1  # trace much smaller than DEFAULT_BATCH_SIZE
         assert DEFAULT_BATCH_SIZE >= 1024
 
     def test_blank_and_comment_lines_do_not_consume_eids(self):
         lines = ["# header", "", "T1|w(x)|a", "  ", "T2|r(x)|b"]
-        (batch,) = list(iter_std_batches(lines, batch_size=10))
+        (batch,) = text_chunks(lines, batch_size=10)
         assert [event.eid for event in batch] == [0, 1]
 
     def test_empty_input_yields_no_batches(self):
-        assert list(iter_std_batches([])) == []
+        assert text_chunks([]) == []
 
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(ValueError, match="batch_size"):
-            list(iter_std_batches(["T1|w(x)"], batch_size=0))
+            text_chunks(["T1|w(x)"], batch_size=0)
 
     def test_malformed_line_raises_during_its_batch(self):
         lines = ["T1|w(x)|a", "not a line"]
         with pytest.raises(TraceFormatError, match="line 2"):
-            list(iter_std_batches(lines, batch_size=10))
+            text_chunks(lines, batch_size=10)
 
 
 class TestCsvBatches:
     def test_batches_match_per_event_iterator(self, sample_trace):
-        text = dumps_csv(sample_trace)
-        batches = list(iter_csv_batches(text.splitlines(), batch_size=3))
-        assert [e for batch in batches for e in batch] == list(iter_csv(text.splitlines()))
+        lines = dumps_csv(sample_trace).splitlines()
+        batches = text_chunks(lines, fmt="csv", batch_size=3)
+        assert [e for batch in batches for e in batch] == list(iter_csv(lines))
         assert [e for batch in batches for e in batch] == list(sample_trace)
 
     def test_header_only_input_yields_no_batches(self):
-        assert list(iter_csv_batches(["eid,tid,kind,target"])) == []
-        assert list(iter_csv_batches([])) == []
+        assert text_chunks(["eid,tid,kind,target"], fmt="csv") == []
+        assert text_chunks([], fmt="csv") == []
 
     def test_bad_header_raises(self):
         with pytest.raises(TraceFormatError, match="header"):
-            list(iter_csv_batches(["nope,nope,nope,nope", "0,1,w,x"]))
+            text_chunks(["nope,nope,nope,nope", "0,1,w,x"], fmt="csv")
 
     def test_column_count_error_carries_line_number(self):
         lines = ["eid,tid,kind,target", "0,1,w,x", "1,2,r"]
         with pytest.raises(TraceFormatError, match="line 3"):
-            list(iter_csv_batches(lines, batch_size=10))
+            text_chunks(lines, fmt="csv", batch_size=10)
 
     def test_parser_interns_repeated_targets(self):
         parser = CsvParser()
@@ -154,12 +157,6 @@ class TestTraceChunksBatchSize:
         chunks = list(iter_trace_chunks(path, batch_size=2))
         assert [len(chunk) for chunk in chunks[:-1]] == [2] * (len(chunks) - 1)
         assert [e for chunk in chunks for e in chunk] == list(sample_trace)
-
-    def test_batch_size_wins_over_chunk_events(self, tmp_path, sample_trace):
-        path = tmp_path / "t.std"
-        save_trace(sample_trace, path)
-        chunks = list(iter_trace_chunks(path, chunk_events=100, batch_size=3))
-        assert len(chunks[0]) == 3
 
     def test_gz_roundtrip_through_buffered_reader(self, tmp_path, sample_trace):
         path = tmp_path / "t.std.gz"

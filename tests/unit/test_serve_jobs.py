@@ -71,16 +71,41 @@ class TestJobQueue:
             JobQueue(num_shards=0)
 
 
+EXECUTE_SPECS = [
+    f"{order}+{clock}+detect" for order in ("hb", "shb", "maz") for clock in ("tc", "vc")
+] + ["hb+vc+work"]
+
+
+def payload_fields(result):
+    """The analysis fields of an ``execute_task`` payload, from an in-process result."""
+    fields = {"events": result.num_events}
+    if result.detection is not None:
+        fields["race_count"] = result.detection.race_count
+        fields["races"] = sorted(race.pair() for race in result.detection.races)
+        fields["racy_variables"] = sorted(str(v) for v in result.detection.racy_variables)
+    if result.work is not None:
+        fields["work"] = {
+            "entries_processed": result.work.entries_processed,
+            "entries_updated": result.work.entries_updated,
+            "joins": result.work.joins,
+            "copies": result.work.copies,
+        }
+    return fields
+
+
 class TestExecuteTask:
-    def test_in_process_execution_matches_session(self, trace_file, racy_trace):
+    @pytest.mark.parametrize("fmt", ["std", "colf"])
+    @pytest.mark.parametrize("spec", EXECUTE_SPECS)
+    def test_in_process_execution_matches_session(self, tmp_path, racy_trace, fmt, spec):
+        path = tmp_path / f"racy.{fmt}"
+        save_trace(racy_trace, path, fmt=fmt)
         task = WorkerTask(
-            task_id="t", trace_path=str(trace_file), spec="shb+tc+detect", trace_name="racy"
+            task_id="t", trace_path=str(path), spec=spec, fmt=fmt, trace_name="racy"
         )
         payload = execute_task(task)
-        direct = Session(["shb+tc+detect"]).run(racy_trace)["shb+tc+detect"]
-        assert payload["events"] == len(racy_trace)
-        assert payload["race_count"] == direct.detection.race_count
-        assert payload["races"] == sorted(race.pair() for race in direct.detection.races)
+        expected = payload_fields(Session([spec]).run(str(path))[spec])
+        assert expected["events"] == len(racy_trace)
+        assert {key: payload.get(key) for key in expected} == expected
 
     def test_spec_is_canonicalized(self, trace_file):
         payload = execute_task(
