@@ -11,8 +11,8 @@ Orderings in Concurrent Executions" (ASPLOS 2022).  The package provides
 * :mod:`repro.analysis` — streaming algorithms computing the HB, SHB and
   MAZ partial orders with either clock, race detection, and a graph-based
   correctness oracle,
-* :mod:`repro.metrics` — work (VTWork / VCWork / TCWork) and timing
-  measurements,
+* :mod:`repro.metrics` — work measurements (VTWork / VCWork / TCWork);
+  timing is :mod:`repro.bench`'s,
 * :mod:`repro.gen` — synthetic trace generators (random workloads, the
   paper's scalability scenarios, and a benchmark-suite stand-in),
 * :mod:`repro.experiments` — runners that regenerate every table and
@@ -26,10 +26,11 @@ Orderings in Concurrent Executions" (ASPLOS 2022).  The package provides
   (``parse_spec("hb+tc+detect")``) through a single pass over any
   :class:`~repro.api.EventSource` (in-memory trace, lazily streamed
   trace file, live capture, synthetic generator),
-* :mod:`repro.bench` — reproducible performance measurement: the
-  ``repro-bench`` CLI runs declarative micro/macro benchmark suites
-  (clock join/copy kernels, full session walks) under a
-  warmup/repeat/min-of-N discipline, emits schema-versioned
+* :mod:`repro.bench` — reproducible performance measurement, and the
+  one timer (the experiments' Table-2 and Figure-10 cells are its
+  ``paper`` suite): the ``repro-bench`` CLI runs declarative
+  micro/macro benchmark suites (clock join/copy kernels, full session
+  walks) under a warmup/repeat/min-of-N discipline, emits schema-versioned
   ``BENCH_<suite>.json`` artifacts, and diffs two artifacts with a
   regression threshold for CI gating,
 * :mod:`repro.serve` — the concurrent trace-analysis service: a

@@ -15,7 +15,8 @@ rather than noticed months later.  This package provides exactly that:
 * :mod:`repro.bench.suites` — the declarative benchmark suites
   (``clocks``: clock kernels over the Figure-10 scalability scenarios;
   ``session``: full multi-spec :class:`repro.api.Session` walks with
-  per-spec feed timing);
+  per-spec feed timing; ``paper``: the Table-2 and Figure-10 cells that
+  :mod:`repro.experiments` renders its tables from);
 * :mod:`repro.bench.runner` — the measurement discipline (warmup runs,
   N timed repeats, best-of-N as the headline number, GC disabled while
   timing);

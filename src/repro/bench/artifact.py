@@ -13,13 +13,15 @@ Top-level layout (``schema`` = ``"repro-bench/1"``)::
       "schema": "repro-bench/1",
       "suite": "clocks",
       "created_unix": 1753500000.0,
-      "machine": {"python": "3.11.7", "implementation": "cpython", "platform": "..."},
+      "machine": {"python": "3.11.7", "implementation": "cpython", "platform": "...",
+                  "nproc": 2, "cpu": "Intel(R) Xeon(R) ..."},
       "config": {"warmup": 1, "repeats": 3},
       "results": [
         {"name": "clock_ops/single_lock-t10/TC", "kind": "clock_ops",
          "params": {...}, "events": 2000, "repeats": 3,
-         "runs_ns": [...], "best_ns": ..., "mean_ns": ..., "per_event_ns": ...,
-         "sub": {"hb+tc": {"runs_ns": [...], "best_ns": ...}},   # session cases
+         "runs_ns": [...], "best_ns": ..., "mean_ns": ..., "median_ns": ...,
+         "iqr_ns": ..., "per_event_ns": ...,
+         "sub": {"hb+tc": {"runs_ns": [...], "best_ns": ..., "median_ns": ...}},   # session cases
          "meta": {...}}
       ]
     }
@@ -28,6 +30,7 @@ Top-level layout (``schema`` = ``"repro-bench/1"``)::
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
 import time
@@ -40,16 +43,34 @@ from .runner import BenchCaseResult, BenchConfig
 #: layout changes; :func:`validate_artifact` rejects other versions.
 SCHEMA_VERSION = "repro-bench/1"
 
-#: Fields every ``results`` entry must carry.
+#: Fields every ``results`` entry must carry.  ``median_ns`` / ``iqr_ns``
+#: are not required, so artifacts written before they existed still load.
 _REQUIRED_RESULT_FIELDS = ("name", "kind", "events", "repeats", "runs_ns", "best_ns", "mean_ns")
 
+#: Where :func:`machine_fingerprint` reads the CPU model on Linux.
+_CPUINFO = Path("/proc/cpuinfo")
 
-def machine_fingerprint() -> Dict[str, str]:
+
+def _cpu_model() -> str:
+    """The first ``model name`` in ``/proc/cpuinfo``, else ``platform.processor()``."""
+    try:
+        with _CPUINFO.open(encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def machine_fingerprint() -> Dict[str, object]:
     """Coarse provenance of the measuring machine (no secrets, no hostnames)."""
     return {
         "python": platform.python_version(),
         "implementation": sys.implementation.name,
         "platform": platform.platform(),
+        "nproc": os.cpu_count(),
+        "cpu": _cpu_model(),
     }
 
 

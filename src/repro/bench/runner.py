@@ -10,7 +10,8 @@ therefore applies the standard discipline uniformly to every case:
 * ``repeats`` timed runs are all recorded in the artifact, with
   **min-of-N** (``best_ns``) as the headline number — the minimum is the
   best estimate of the true cost, since noise in user-space timing is
-  strictly additive;
+  strictly additive — next to their median and interquartile range
+  (``median_ns`` / ``iqr_ns``, :func:`median_iqr`), which show the spread;
 * the cyclic garbage collector is disabled while timing (allocation
   behaviour is part of what the clock optimizations target, and a
   collection pass landing inside one repeat would swamp it).
@@ -19,9 +20,10 @@ therefore applies the standard discipline uniformly to every case:
 from __future__ import annotations
 
 import gc
+import statistics
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..api import Session
 from ..api.registry import CLOCKS
@@ -44,6 +46,30 @@ class BenchConfig:
             raise ValueError("warmup must be >= 0")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+
+
+def median_iqr(runs_ns: Sequence[float]) -> Tuple[float, float]:
+    """Median and interquartile range (q3 - q1) of a timing series.
+
+    The IQR is 0 for a single run.  The experiment tables read their
+    cell times through this helper too, so a table cell and the
+    artifact's ``median_ns`` are the same number.
+    """
+    if len(runs_ns) < 2:
+        return float(runs_ns[0]), 0.0
+    q1, median, q3 = statistics.quantiles(runs_ns, n=4, method="inclusive")
+    return median, q3 - q1
+
+
+def _series_fields(runs_ns: Sequence[float]) -> Dict[str, float]:
+    """The summary numbers the artifact reports for one timing series."""
+    median, iqr = median_iqr(runs_ns)
+    return {
+        "best_ns": min(runs_ns),
+        "mean_ns": sum(runs_ns) / len(runs_ns),
+        "median_ns": median,
+        "iqr_ns": iqr,
+    }
 
 
 @dataclass
@@ -69,11 +95,6 @@ class BenchCaseResult:
         return min(self.runs_ns)
 
     @property
-    def mean_ns(self) -> float:
-        """Mean of the timed repeats (for noise inspection)."""
-        return sum(self.runs_ns) / len(self.runs_ns)
-
-    @property
     def per_event_ns(self) -> float:
         """``best_ns`` normalized by the workload size."""
         return self.best_ns / self.events if self.events else float(self.best_ns)
@@ -87,13 +108,12 @@ class BenchCaseResult:
             "events": self.events,
             "repeats": len(self.runs_ns),
             "runs_ns": list(self.runs_ns),
-            "best_ns": self.best_ns,
-            "mean_ns": self.mean_ns,
+            **_series_fields(self.runs_ns),
             "per_event_ns": self.per_event_ns,
         }
         if self.sub:
             payload["sub"] = {
-                key: {"runs_ns": list(runs), "best_ns": min(runs), "mean_ns": sum(runs) / len(runs)}
+                key: {"runs_ns": list(runs), **_series_fields(runs)}
                 for key, runs in self.sub.items()
             }
         if self.meta:

@@ -6,7 +6,7 @@ and stable across runs: the artifact's case names are the join keys of
 ``repro-bench compare``, so they must not depend on machine, time or
 ordering.
 
-Two suites ship by default:
+The built-in suites:
 
 ``clocks``
     Micro-benchmarks of the clock data structures alone: the recorded
@@ -50,6 +50,16 @@ Two suites ship by default:
     ``enabled_overhead_pct``; the contract is disabled ≈ free (one
     attribute check per batch) and enabled within a few percent.
 
+``paper``
+    The cells of the paper's evaluation, as ``session`` cases.
+    ``paper/table2/<profile>/<ORDER>`` walks one benchmark-suite profile
+    (at :func:`repro.gen.suite.default_suite`'s event count for the
+    suite ``scale``) with the four specs of one Table-2 column pair:
+    ``<o>+vc``, ``<o>+tc``, ``<o>+vc+detect`` and ``<o>+tc+detect``.
+    ``paper/figure10/<scenario>-t<k>`` walks one Figure-10 scalability
+    point with ``hb+vc`` and ``hb+tc``.  :mod:`repro.experiments` renders
+    Table 2 and Figures 6, 7 and 10 from these same cases.
+
 Extra session cases over *captured* trace files can be appended with
 ``repro-bench run --trace FILE`` — the file is streamed lazily through a
 :class:`repro.api.FileSource`, so real recorded workloads ride the same
@@ -61,7 +71,10 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from ..gen.scenarios import SCENARIOS
+from ..gen.suite import default_suite
 
 #: Default analysis specs of a ``session`` case: the paper's central
 #: TC-vs-VC comparison, with and without the detection component.
@@ -364,6 +377,72 @@ def parallel_suite(
     return cases
 
 
+#: The partial orders of the paper's evaluation, in the order it lists them.
+PAPER_ORDERS: Tuple[str, ...] = ("MAZ", "SHB", "HB")
+
+
+def table2_case_name(profile: str, order: str) -> str:
+    """The ``paper`` suite's name for the Table-2 case of one (profile, order)."""
+    return f"paper/table2/{profile}/{order.upper()}"
+
+
+def paper_suite(
+    scale: float = 0.1,
+    max_profiles: Optional[int] = None,
+    families: Optional[Sequence[str]] = None,
+    orders: Sequence[str] = PAPER_ORDERS,
+    events: int = 2000,
+    scenarios: Sequence[str] = tuple(SCENARIOS),
+    thread_counts: Sequence[int] = DEFAULT_THREAD_COUNTS,
+    seed: int = 0,
+) -> List[BenchCase]:
+    """The ``paper`` suite: the Table-2 cells and the Figure-10 points.
+
+    ``scale``, ``max_profiles`` and ``families`` select the suite
+    profiles as :func:`repro.gen.suite.default_suite` does; ``events``,
+    ``scenarios``, ``thread_counts`` and ``seed`` size the Figure-10
+    points.  Empty ``orders`` or ``scenarios`` leave out that half.
+    """
+    cases: List[BenchCase] = []
+    for profile in default_suite(scale=scale, families=families, max_profiles=max_profiles):
+        for order in orders:
+            prefix = order.lower()
+            cases.append(
+                BenchCase(
+                    name=table2_case_name(profile.name, order),
+                    kind="session",
+                    params={
+                        "source": "profile",
+                        "profile": profile.name,
+                        "events": profile.config.num_events,
+                        "specs": [
+                            f"{prefix}+vc",
+                            f"{prefix}+tc",
+                            f"{prefix}+vc+detect",
+                            f"{prefix}+tc+detect",
+                        ],
+                    },
+                )
+            )
+    for scenario in scenarios:
+        for threads in thread_counts:
+            cases.append(
+                BenchCase(
+                    name=f"paper/figure10/{scenario}-t{threads}",
+                    kind="session",
+                    params={
+                        "source": "scenario",
+                        "scenario": scenario,
+                        "threads": threads,
+                        "events": events,
+                        "seed": seed,
+                        "specs": ["hb+vc", "hb+tc"],
+                    },
+                )
+            )
+    return cases
+
+
 #: Suite name -> builder.  :func:`suite_cases` dispatches through this
 #: registry, forwarding only the global knobs a builder's signature
 #: declares — registering a new suite here is the whole integration.
@@ -374,6 +453,7 @@ SUITES: Dict[str, Callable[..., List[BenchCase]]] = {
     "pipeline": pipeline_suite,
     "obs": obs_suite,
     "parallel": parallel_suite,
+    "paper": paper_suite,
 }
 
 

@@ -18,13 +18,15 @@ Figure 10 :mod:`repro.experiments.figure10`
 """
 
 from .reporting import ExperimentReport, format_table, histogram_rows
-from .runner import DEFAULT_ORDERS, ExperimentConfig, SuiteRunner
+from .runner import DEFAULT_ORDERS, ExperimentConfig, SpeedupSample, SuiteRunner, average_speedup
 
 __all__ = [
     "DEFAULT_ORDERS",
     "ExperimentConfig",
     "ExperimentReport",
+    "SpeedupSample",
     "SuiteRunner",
+    "average_speedup",
     "format_table",
     "histogram_rows",
 ]

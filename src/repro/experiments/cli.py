@@ -13,8 +13,8 @@ table or figure of the paper it reproduces.  ``sweep`` instead runs the
 whole session sweep (every trace × order × clock × ±analysis cell, one
 shared walk per (trace, order) pair) and emits a machine-readable JSON
 document — the CI benchmark smoke job uploads it as an artifact so perf
-regressions leave a trail.  ``--workers N`` fans the per-trace
-measurements out across processes.
+regressions leave a trail.  One :class:`SuiteRunner` serves every
+experiment of a command, so ``all`` times each cell once.
 """
 
 from __future__ import annotations
@@ -82,12 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="thread counts for the scalability sweep (figure10)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the per-trace sweep (default: 1, in process)",
-    )
-    parser.add_argument(
         "--server",
         metavar="HOST:PORT",
         default=None,
@@ -102,23 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_experiment(name: str, args: argparse.Namespace) -> ExperimentReport:
-    config = ExperimentConfig(
-        scale=args.scale,
-        repetitions=args.repetitions,
-        orders=tuple(args.orders),
-        max_profiles=args.max_profiles,
-        workers=args.workers,
-    )
+def _run_experiment(name: str, args: argparse.Namespace, runner: SuiteRunner) -> ExperimentReport:
     if name == "figure10":
         scalability = ScalabilityConfig(
             thread_counts=tuple(args.threads) if args.threads else ScalabilityConfig().thread_counts,
             num_events=args.events,
-            repetitions=max(1, args.repetitions),
         )
-        return figure10.run(config, scalability)
-    runner = SuiteRunner(config)
-    return EXPERIMENTS[name].run(config, runner)
+        return figure10.run(runner.config, scalability)
+    return EXPERIMENTS[name].run(runner.config, runner)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -130,16 +115,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             first_line = (module.__doc__ or "").strip().splitlines()[0]
             print(f"{name:10s} {first_line}")
         return 0
-    if args.experiment == "sweep":
+    if args.server and args.experiment != "sweep":
+        print("error: --server applies to the 'sweep' experiment only", file=sys.stderr)
+        return 2
+    try:
         config = ExperimentConfig(
             scale=args.scale,
             repetitions=args.repetitions,
             orders=tuple(args.orders),
             max_profiles=args.max_profiles,
-            workers=args.workers,
             server=args.server,
         )
-        payload = SuiteRunner(config).sweep()
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    runner = SuiteRunner(config)
+    if args.experiment == "sweep":
+        payload = runner.sweep()
         document = json.dumps(payload, indent=2)
         if args.json is None or args.json == "-":
             print(document)
@@ -149,12 +141,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cells = payload.get("speedups", payload.get("cells", []))
             print(f"sweep written to {args.json} ({len(cells)} cells)")
         return 0
-    if args.server:
-        print("error: --server applies to the 'sweep' experiment only", file=sys.stderr)
-        return 2
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
-        report = _run_experiment(name, args)
+        report = _run_experiment(name, args, runner)
         print(report.render())
         print()
     return 0

@@ -22,23 +22,23 @@ machine-independent work counts per scenario and thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..analysis import HBAnalysis
+from ..bench.runner import BenchConfig, run_suite
+from ..bench.suites import paper_suite
 from ..gen.scenarios import DEFAULT_THREAD_COUNTS, SCENARIOS
-from ..metrics.timing import compare_clocks_session
 from ..metrics.work import measure_work
 from .reporting import ExperimentReport
-from .runner import ExperimentConfig
+from .runner import ExperimentConfig, SpeedupSample, median_seconds
 
 
 @dataclass(frozen=True, slots=True)
 class ScalabilityConfig:
-    """Knobs of the Figure-10 sweep."""
+    """Knobs of the Figure-10 sweep (timed ``ExperimentConfig.repetitions`` times)."""
 
     thread_counts: Sequence[int] = DEFAULT_THREAD_COUNTS
     num_events: int = 10_000
-    repetitions: int = 1
     scenarios: Sequence[str] = tuple(SCENARIOS)
     seed: int = 0
 
@@ -47,42 +47,55 @@ def run(
     config: ExperimentConfig = ExperimentConfig(),
     scalability: ScalabilityConfig = ScalabilityConfig(),
 ) -> ExperimentReport:
-    """Run the scalability sweep behind Figure 10."""
+    """Run the scalability sweep behind Figure 10.
+
+    Each point is one ``paper/figure10/<scenario>-t<k>`` bench case of
+    :func:`repro.bench.suites.paper_suite`, timed like the Table-2 cells.
+    """
+    cases = paper_suite(
+        orders=(),
+        events=scalability.num_events,
+        scenarios=scalability.scenarios,
+        thread_counts=scalability.thread_counts,
+        seed=scalability.seed,
+    )
+    results = run_suite(cases, BenchConfig(warmup=1, repeats=config.repetitions))
     rows = []
+    work_ratios: Dict[str, List[float]] = {}
+    for case, result in zip(cases, results):
+        scenario = str(case.params["scenario"])
+        num_threads = int(case.params["threads"])  # type: ignore[call-overload]
+        trace = SCENARIOS[scenario](num_threads, scalability.num_events, scalability.seed)
+        timing = SpeedupSample(
+            trace_name=trace.name,
+            partial_order="HB",
+            with_analysis=False,
+            num_events=result.events,
+            num_threads=num_threads,
+            vc_seconds=median_seconds(result, "hb+vc"),
+            tc_seconds=median_seconds(result, "hb+tc"),
+        )
+        work = measure_work(trace, HBAnalysis)
+        rows.append(
+            [
+                scenario,
+                num_threads,
+                result.events,
+                round(timing.vc_seconds, 4),
+                round(timing.tc_seconds, 4),
+                round(timing.speedup, 3),
+                round(work.vc_over_tc, 2),
+            ]
+        )
+        work_ratios.setdefault(scenario, []).append(work.vc_over_tc)
     summary = {}
-    for scenario in scalability.scenarios:
-        make_trace = SCENARIOS[scenario]
-        first_speedup = None
-        last_speedup = None
-        for num_threads in scalability.thread_counts:
-            trace = make_trace(num_threads, scalability.num_events, scalability.seed)
-            # Session-shared comparison, same methodology as SuiteRunner's
-            # sweep cells, so Figure 10 speedups are comparable to Table 2's.
-            timing = compare_clocks_session(
-                trace, HBAnalysis, with_analysis=False, repetitions=scalability.repetitions
-            )
-            work = measure_work(trace, HBAnalysis)
-            rows.append(
-                [
-                    scenario,
-                    num_threads,
-                    len(trace),
-                    round(timing.vc_seconds, 4),
-                    round(timing.tc_seconds, 4),
-                    round(timing.speedup, 3),
-                    round(work.vc_over_tc, 2),
-                ]
-            )
-            if first_speedup is None:
-                first_speedup = work.vc_over_tc
-            last_speedup = work.vc_over_tc
-        if first_speedup is not None and last_speedup is not None:
-            summary[f"{scenario}: VCWork/TCWork at k={scalability.thread_counts[0]}"] = round(
-                first_speedup, 2
-            )
-            summary[f"{scenario}: VCWork/TCWork at k={scalability.thread_counts[-1]}"] = round(
-                last_speedup, 2
-            )
+    for scenario, ratios in work_ratios.items():
+        summary[f"{scenario}: VCWork/TCWork at k={scalability.thread_counts[0]}"] = round(
+            ratios[0], 2
+        )
+        summary[f"{scenario}: VCWork/TCWork at k={scalability.thread_counts[-1]}"] = round(
+            ratios[-1], 2
+        )
     return ExperimentReport(
         experiment="figure10",
         title="Scalability with the number of threads (HB, four lock topologies)",

@@ -27,9 +27,9 @@ def run(config: ExperimentConfig = ExperimentConfig(), runner: Optional[SuiteRun
     total = 0
     for with_analysis in (False, True):
         panel = "PO+Analysis" if with_analysis else "PO"
-        for trace in runner.traces():
-            for analysis_class in config.analysis_classes():
-                sample = runner.speedup(trace, analysis_class, with_analysis)
+        for profile in runner.profiles:
+            for order in config.orders:
+                sample = runner.speedup(profile, order, with_analysis)
                 rows.append(
                     [
                         panel,

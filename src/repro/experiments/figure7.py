@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..analysis import HBAnalysis
 from ..trace.stats import compute_statistics
 from .reporting import ExperimentReport
 from .runner import ExperimentConfig, SuiteRunner
@@ -50,13 +49,13 @@ def run(config: ExperimentConfig = ExperimentConfig(), runner: Optional[SuiteRun
     rows = []
     sync_fractions: List[float] = []
     speedups: List[float] = []
-    for trace in runner.traces():
-        stats = compute_statistics(trace)
-        sample = runner.speedup(trace, HBAnalysis, with_analysis=True)
+    for profile in runner.profiles:
+        stats = compute_statistics(runner.trace(profile))
+        sample = runner.speedup(profile, "HB", with_analysis=True)
         sync_percent = 100.0 * stats.sync_fraction
         rows.append(
             [
-                trace.name,
+                profile.name,
                 stats.num_threads,
                 round(sync_percent, 1),
                 round(sample.vc_seconds, 4),

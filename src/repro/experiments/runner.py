@@ -9,32 +9,32 @@ of these (suite scale, repetitions, which partial orders to include) and
 :class:`SuiteRunner` caches the generated traces and the per-trace
 measurements so that several experiment runners can share one sweep.
 
-The sweep itself goes through :mod:`repro.api` sessions: for every
-(trace, order) pair the VC and TC cells share **one** event walk per
-repetition (:func:`~repro.metrics.timing.compare_clocks_session`), and
-the work cells likewise (:func:`~repro.metrics.work.measure_work`).
-With ``ExperimentConfig(workers=N)`` the per-trace measurements
-additionally fan out across ``N`` worker processes — each worker
-regenerates its profile's trace from the (picklable) config and runs the
-full order sweep for it, so the parent never materializes those traces.
+Timing goes through :mod:`repro.bench`, the one timer.  The cells are
+the ``paper/table2/<profile>/<ORDER>`` cases of
+:func:`repro.bench.suites.paper_suite`: one four-spec session walk
+(``<o>+vc``, ``<o>+tc``, ``<o>+vc+detect``, ``<o>+tc+detect``) per
+(profile, order), measured with one warmup walk and then
+``repetitions`` timed walks.  A cell's VC or TC time is the median of
+that spec's timed walks.  ``repro-bench run --suite paper`` measures the
+same cases.  Work cells go through :func:`~repro.metrics.work.measure_work`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from ..analysis import ANALYSIS_CLASSES
 from ..analysis.engine import PartialOrderAnalysis
+from ..bench.runner import BenchCaseResult, BenchConfig, median_iqr, run_suite
+from ..bench.suites import PAPER_ORDERS, BenchCase, paper_suite, table2_case_name
 from ..gen.suite import BenchmarkProfile, default_suite
-from ..metrics.timing import SpeedupSample, compare_clocks_session
 from ..metrics.work import WorkMeasurement, measure_work
 from ..trace.stats import TraceStatistics, compute_statistics
 from ..trace.trace import Trace
 
 #: The partial orders of the evaluation, in the order the paper lists them.
-DEFAULT_ORDERS = ("MAZ", "SHB", "HB")
+DEFAULT_ORDERS = PAPER_ORDERS
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,24 +49,22 @@ class ExperimentConfig:
         the data structures more (the paper's traces are several orders
         of magnitude longer).
     repetitions:
-        Timing repetitions per measurement (the paper uses 3).
+        Timed walks per measurement, after one warmup walk (the paper
+        uses 3).
     orders:
         Which partial orders to include.
     max_profiles:
         Optional cap on the number of suite profiles (for quick runs).
     families:
         Optional family filter for the suite.
-    workers:
-        Number of worker processes for the per-trace sweep (1 = in
-        process, the default).  Opt-in: timing numbers from parallel
-        workers share cores, so use >1 for functional sweeps and work
-        counting rather than publication-grade timings.
     server:
         Optional ``host:port`` of a running ``repro serve`` instance.
         When set, :meth:`SuiteRunner.sweep` ships every suite trace to
         that server and collects the (trace × order × clock) cells from
-        its results store instead of fanning out in-process — the
-        service-mode counterpart of ``workers``.
+        its results store instead of running them in-process.
+
+    Raises :class:`ValueError` for a non-positive ``scale``, fewer than
+    one repetition or an unknown order.
     """
 
     scale: float = 1.0
@@ -74,8 +72,14 @@ class ExperimentConfig:
     orders: Sequence[str] = DEFAULT_ORDERS
     max_profiles: Optional[int] = None
     families: Optional[Sequence[str]] = None
-    workers: int = 1
     server: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.scale <= 0:
+            raise ValueError("scale must be positive")
+        if self.repetitions < 1:
+            raise ValueError("repetitions must be at least 1")
+        self.analysis_classes()
 
     def analysis_classes(self) -> List[Type[PartialOrderAnalysis]]:
         """The analysis classes selected by :attr:`orders`."""
@@ -88,43 +92,62 @@ class ExperimentConfig:
         return classes
 
 
-def _profile_speedups(
-    profile: BenchmarkProfile,
-    orders: Sequence[str],
-    with_analysis: bool,
-    repetitions: int,
-) -> List[SpeedupSample]:
-    """One worker's share of the timing sweep: regenerate a trace, run its cells.
+@dataclass(frozen=True, slots=True)
+class SpeedupSample:
+    """Vector-clock vs tree-clock comparison on one trace."""
 
-    Module-level so it pickles for :mod:`multiprocessing`; only builtin
-    and frozen-dataclass values cross the process boundary.
-    """
-    trace = profile.generate()
-    return [
-        compare_clocks_session(
-            trace,
-            ANALYSIS_CLASSES[order.upper()],
-            with_analysis=with_analysis,
-            repetitions=repetitions,
-        )
-        for order in orders
-    ]
+    trace_name: str
+    partial_order: str
+    with_analysis: bool
+    num_events: int
+    num_threads: int
+    vc_seconds: float
+    tc_seconds: float
+
+    @property
+    def speedup(self) -> float:
+        """``VC time / TC time`` — values above 1 mean tree clocks win."""
+        return self.vc_seconds / self.tc_seconds if self.tc_seconds > 0 else float("inf")
+
+    def as_row(self) -> Dict[str, object]:
+        """Flat dictionary for tabular reports."""
+        return {
+            "trace": self.trace_name,
+            "order": self.partial_order,
+            "analysis": self.with_analysis,
+            "events": self.num_events,
+            "threads": self.num_threads,
+            "VC (s)": round(self.vc_seconds, 4),
+            "TC (s)": round(self.tc_seconds, 4),
+            "speedup": round(self.speedup, 3),
+        }
 
 
-def _profile_work(profile: BenchmarkProfile, orders: Sequence[str]) -> List[WorkMeasurement]:
-    """One worker's share of the work sweep (same pickling contract)."""
-    trace = profile.generate()
-    return [measure_work(trace, ANALYSIS_CLASSES[order.upper()]) for order in orders]
+def average_speedup(samples: Sequence[SpeedupSample]) -> float:
+    """Arithmetic mean of per-trace speedups, as reported in Table 2."""
+    if not samples:
+        return 0.0
+    return sum(sample.speedup for sample in samples) / len(samples)
+
+
+def median_seconds(result: BenchCaseResult, spec: str) -> float:
+    """One cell's time: the median of ``spec``'s timed walks, in seconds."""
+    return median_iqr(result.sub[spec])[0] / 1e9
 
 
 class SuiteRunner:
-    """Generates the benchmark suite once and caches per-trace measurements."""
+    """Generates the benchmark suite once and caches per-trace measurements.
+
+    :attr:`results` holds the measured ``paper/table2`` cases by name;
+    a case is timed the first time a table asks for one of its cells.
+    """
 
     def __init__(self, config: ExperimentConfig = ExperimentConfig()) -> None:
         self.config = config
+        self.results: Dict[str, BenchCaseResult] = {}
         self._profiles: Optional[List[BenchmarkProfile]] = None
+        self._cases: Optional[Dict[str, BenchCase]] = None
         self._traces: Dict[str, Trace] = {}
-        self._speedups: Dict[Tuple[str, str, bool], SpeedupSample] = {}
         self._work: Dict[Tuple[str, str], WorkMeasurement] = {}
 
     # -- suite materialization -------------------------------------------------------
@@ -139,6 +162,25 @@ class SuiteRunner:
                 max_profiles=self.config.max_profiles,
             )
         return self._profiles
+
+    @property
+    def cases(self) -> Dict[str, BenchCase]:
+        """The ``paper/table2`` cases of the selected profiles, by name.
+
+        Every order has its cases, so Figure 7 (always HB) works whatever
+        :attr:`ExperimentConfig.orders` selects for the tables.
+        """
+        if self._cases is None:
+            self._cases = {
+                case.name: case
+                for case in paper_suite(
+                    scale=self.config.scale,
+                    max_profiles=self.config.max_profiles,
+                    families=self.config.families,
+                    scenarios=(),
+                )
+            }
+        return self._cases
 
     def trace(self, profile: BenchmarkProfile) -> Trace:
         """The (cached) trace of one profile."""
@@ -158,69 +200,37 @@ class SuiteRunner:
         """Per-trace statistics (Table 3 rows)."""
         return [compute_statistics(trace) for trace in self.traces()]
 
-    def speedup(
-        self,
-        trace: Trace,
-        analysis_class: Type[PartialOrderAnalysis],
-        with_analysis: bool,
-    ) -> SpeedupSample:
-        """The (cached) VC-vs-TC timing comparison for one configuration.
-
-        Both clock cells share one *batched* session walk per
-        repetition: the trace streams through ``Session.feed_batch``,
-        and each cell's time is its attributed share of every batch.
-        """
-        key = (trace.name, analysis_class.PARTIAL_ORDER, with_analysis)
-        cached = self._speedups.get(key)
+    def result(self, profile: BenchmarkProfile, order: str) -> BenchCaseResult:
+        """The timed ``paper/table2`` case of one (profile, order) pair."""
+        name = table2_case_name(profile.name, order)
+        cached = self.results.get(name)
         if cached is None:
-            cached = compare_clocks_session(
-                trace,
-                analysis_class,
-                with_analysis=with_analysis,
-                repetitions=self.config.repetitions,
-            )
-            self._speedups[key] = cached
+            config = BenchConfig(warmup=1, repeats=self.config.repetitions)
+            cached = run_suite([self.cases[name]], config)[0]
+            self.results[name] = cached
         return cached
 
-    def speedups(self, with_analysis: bool) -> List[SpeedupSample]:
-        """Timing comparisons for every (trace, partial order) pair.
+    def speedup(self, profile: BenchmarkProfile, order: str, with_analysis: bool) -> SpeedupSample:
+        """The VC-vs-TC timing comparison of one cell (PO or PO + analysis)."""
+        result = self.result(profile, order)
+        suffix = "+detect" if with_analysis else ""
+        return SpeedupSample(
+            trace_name=profile.name,
+            partial_order=order.upper(),
+            with_analysis=with_analysis,
+            num_events=result.events,
+            num_threads=self.trace(profile).num_threads,
+            vc_seconds=median_seconds(result, f"{order.lower()}+vc{suffix}"),
+            tc_seconds=median_seconds(result, f"{order.lower()}+tc{suffix}"),
+        )
 
-        With ``config.workers > 1`` the uncached profiles fan out across
-        worker processes, one full order sweep per profile per task; the
-        results land in the same cache the sequential path uses.
-        """
-        orders = [cls.PARTIAL_ORDER for cls in self.config.analysis_classes()]
-        if self.config.workers > 1:
-            # Ship only the missing (profile, order) cells to the workers,
-            # so partially-cached profiles are not re-timed (or their
-            # traces regenerated) for cells the cache already holds.
-            tasks = []
-            for profile in self.profiles:
-                missing = [
-                    order
-                    for order in orders
-                    if (profile.name, order, with_analysis) not in self._speedups
-                ]
-                if missing:
-                    tasks.append((profile, missing, with_analysis, self.config.repetitions))
-            if tasks:
-                with multiprocessing.Pool(self.config.workers) as pool:
-                    per_profile = pool.starmap(_profile_speedups, tasks)
-                for samples in per_profile:
-                    for sample in samples:
-                        key = (sample.trace_name, sample.partial_order, with_analysis)
-                        self._speedups[key] = sample
-        samples_out: List[SpeedupSample] = []
-        for profile in self.profiles:
-            for order in orders:
-                key = (profile.name, order, with_analysis)
-                cached = self._speedups.get(key)
-                if cached is None:
-                    cached = self.speedup(
-                        self.trace(profile), ANALYSIS_CLASSES[order], with_analysis
-                    )
-                samples_out.append(cached)
-        return samples_out
+    def speedups(self, with_analysis: bool) -> List[SpeedupSample]:
+        """Timing comparisons for every (trace, partial order) pair."""
+        return [
+            self.speedup(profile, order, with_analysis)
+            for profile in self.profiles
+            for order in self.config.orders
+        ]
 
     def work_measurement(
         self, trace: Trace, analysis_class: Type[PartialOrderAnalysis]
@@ -236,40 +246,14 @@ class SuiteRunner:
     def work_measurements(
         self, orders: Optional[Sequence[str]] = None
     ) -> List[WorkMeasurement]:
-        """Work metrics for every trace and the selected partial orders.
-
-        Fans out across ``config.workers`` processes like
-        :meth:`speedups`, regenerating traces in the workers and filling
-        the same per-(trace, order) cache.
-        """
+        """Work metrics for every trace and the selected partial orders."""
         selected = list(orders) if orders is not None else list(self.config.orders)
-        if self.config.workers > 1:
-            tasks = []
-            for profile in self.profiles:
-                missing = [
-                    order
-                    for order in selected
-                    if (profile.name, order.upper()) not in self._work
-                ]
-                if missing:
-                    tasks.append((profile, missing))
-            if tasks:
-                with multiprocessing.Pool(self.config.workers) as pool:
-                    per_profile = pool.starmap(_profile_work, tasks)
-                for measurements in per_profile:
-                    for measurement in measurements:
-                        key = (measurement.trace_name, measurement.partial_order)
-                        self._work[key] = measurement
         classes = [ANALYSIS_CLASSES[name.upper()] for name in selected]
-        measurements_out: List[WorkMeasurement] = []
-        for profile in self.profiles:
-            for analysis_class in classes:
-                key = (profile.name, analysis_class.PARTIAL_ORDER)
-                cached = self._work.get(key)
-                if cached is None:
-                    cached = self.work_measurement(self.trace(profile), analysis_class)
-                measurements_out.append(cached)
-        return measurements_out
+        return [
+            self.work_measurement(self.trace(profile), analysis_class)
+            for profile in self.profiles
+            for analysis_class in classes
+        ]
 
     # -- the whole sweep, machine-readable ----------------------------------------------
 
@@ -352,7 +336,6 @@ class SuiteRunner:
                 "repetitions": self.config.repetitions,
                 "orders": list(self.config.orders),
                 "max_profiles": self.config.max_profiles,
-                "workers": self.config.workers,
             },
             "profiles": [profile.name for profile in self.profiles],
             "speedups": [

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..metrics.timing import average_speedup
 from .reporting import ExperimentReport
-from .runner import DEFAULT_ORDERS, ExperimentConfig, SuiteRunner
+from .runner import ExperimentConfig, SuiteRunner, average_speedup
 
 #: The averages reported by the paper, for side-by-side comparison.
 PAPER_SPEEDUPS = {
@@ -41,12 +40,8 @@ def run(config: ExperimentConfig = ExperimentConfig(), runner: Optional[SuiteRun
         label = "PO + Analysis" if with_analysis else "PO"
         row = [label]
         for order in config.orders:
-            analysis_class = {
-                cls.PARTIAL_ORDER: cls for cls in config.analysis_classes()
-            }[order.upper()]
             samples = [
-                runner.speedup(trace, analysis_class, with_analysis)
-                for trace in runner.traces()
+                runner.speedup(profile, order, with_analysis) for profile in runner.profiles
             ]
             measured = average_speedup(samples)
             row.append(round(measured, 2))

@@ -1,22 +1,10 @@
-"""Work and timing metrics for comparing clock data structures.
+"""Work metrics for comparing clock data structures.
 
-The timing harness now lives in :mod:`repro.obs.timing` (one timing
-vocabulary for offline and online measurement); this package re-exports
-it unchanged, alongside the work-optimality measurements of
-:mod:`repro.metrics.work`.
+The work-optimality measurements of :mod:`repro.metrics.work`
+(VTWork / VCWork / TCWork, the paper's Figures 8 and 9).  Timing lives in
+:mod:`repro.bench`, the one timer.
 """
 
-from .timing import (
-    DEFAULT_REPETITIONS,
-    SpeedupSample,
-    TimingSample,
-    average_speedup,
-    compare_clocks,
-    compare_clocks_session,
-    geometric_mean,
-    time_analysis,
-    timing_fields,
-)
 from .work import (
     TC_OPTIMALITY_FACTOR,
     WorkMeasurement,
@@ -25,17 +13,8 @@ from .work import (
 )
 
 __all__ = [
-    "DEFAULT_REPETITIONS",
-    "SpeedupSample",
     "TC_OPTIMALITY_FACTOR",
-    "TimingSample",
     "WorkMeasurement",
-    "average_speedup",
-    "compare_clocks",
-    "compare_clocks_session",
-    "geometric_mean",
     "is_vt_optimal",
     "measure_work",
-    "time_analysis",
-    "timing_fields",
 ]

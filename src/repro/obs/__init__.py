@@ -26,11 +26,10 @@ span files of one job back together, and :mod:`repro.obs.report` (via
 :mod:`repro.obs.cli`) reconstructs the end-to-end lifecycle — phase
 totals, critical path, ASCII gantt, Chrome/Perfetto export.
 
-``repro.obs.timing`` additionally holds the offline timing harness
-(folded in from the old ``repro.metrics.timing``, which re-exports it);
-it is *not* imported here because it sits above the analysis engine,
-which itself instruments through :mod:`repro.obs.metrics` — import it
-explicitly as ``repro.obs.timing`` (or keep using ``repro.metrics``).
+``repro.obs.timing`` holds :func:`~repro.obs.timing.timing_fields`,
+the ``elapsed_ns`` / ``elapsed_seconds`` pair every result payload
+serializes its duration as.  It is not a timer: offline timing is
+:mod:`repro.bench`'s.
 
 The cardinal rule for new instrumentation (enforced by the ``obs``
 bench suite): **disabled mode must stay off the hot path** — gate every

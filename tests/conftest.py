@@ -8,8 +8,23 @@ from __future__ import annotations
 
 import pytest
 
+import repro.bench.runner as bench_runner
 from repro.clocks import ClockContext
 from repro.trace import Trace, TraceBuilder
+
+
+@pytest.fixture
+def measured_cases(monkeypatch):
+    """Every bench case timed during the test, in order (the timing still runs)."""
+    measured = []
+    real_run_case = bench_runner.run_case
+
+    def recording_run_case(case, config=None):
+        measured.append(case)
+        return real_run_case(case, config)
+
+    monkeypatch.setattr(bench_runner, "run_case", recording_run_case)
+    return measured
 
 
 @pytest.fixture

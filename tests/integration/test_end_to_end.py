@@ -15,7 +15,7 @@ from repro import (
 )
 from repro.analysis.ablations import HBDeepCopyAnalysis, SHBDeepCopyAnalysis
 from repro.gen import RandomTraceConfig, default_suite, generate_trace, star_topology_trace
-from repro.metrics import compare_clocks, is_vt_optimal, measure_work
+from repro.metrics import is_vt_optimal, measure_work
 from repro.trace import compute_statistics, is_well_formed
 from util_traces import make_random_trace
 
@@ -94,9 +94,3 @@ class TestAblations:
         ablated = HBDeepCopyAnalysis(TreeClock, count_work=True).run(trace)
         assert ablated.work.entries_processed > baseline.work.entries_processed
 
-
-class TestTimingHarness:
-    def test_compare_clocks_on_generated_trace(self):
-        trace = make_random_trace(2, num_threads=8, num_events=300)
-        sample = compare_clocks(trace, HBAnalysis, repetitions=1)
-        assert sample.vc_seconds > 0 and sample.tc_seconds > 0

@@ -1,5 +1,6 @@
 """Integration tests: the example scripts and the experiments CLI run end to end."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -113,3 +114,23 @@ class TestCliEndToEnd:
         )
         assert completed.returncode == 0, completed.stderr
         assert "VCWork/TCWork" in completed.stdout
+
+    def test_bench_paper_suite_writes_the_table2_artifact(self, tmp_path):
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro.bench.cli", "run", "--suite", "paper",
+                "--events", "150", "--threads", "4", "--repeats", "1", "--warmup", "0",
+                "--quiet", "--out", str(tmp_path),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        artifact = json.loads((tmp_path / "BENCH_paper.json").read_text())
+        names = [entry["name"] for entry in artifact["results"]]
+        assert "paper/table2/tradebeans-like/HB" in names
+        assert "paper/figure10/star_topology-t4" in names
+        cell = artifact["results"][0]
+        assert set(cell["sub"]) == {"maz+vc", "maz+tc", "maz+vc+detect", "maz+tc+detect"}
+        assert {"median_ns", "iqr_ns"} <= set(cell["sub"]["maz+tc"])

@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
+import platform
+from pathlib import Path
 
 import pytest
 
+import repro.bench.artifact as bench_artifact
 from repro.bench import (
     SCHEMA_VERSION,
     BenchConfig,
     compare_artifacts,
     format_report,
     load_artifact,
+    machine_fingerprint,
     make_artifact,
     record_clock_ops,
     replay_clock_ops,
@@ -23,6 +28,7 @@ from repro.bench import (
 )
 from repro.bench.cli import main as bench_main
 from repro.bench.kernels import OP_COPY_AUX, OP_INC, OP_JOIN_AUX
+from repro.bench.runner import BenchCaseResult
 from repro.clocks import TreeClock, VectorClock
 from repro.clocks.base import WorkCounter
 from repro.trace import TraceBuilder
@@ -74,7 +80,7 @@ class TestKernels:
 
 class TestSuites:
     def test_suite_names_are_stable(self):
-        assert suite_names() == ["clocks", "obs", "parallel", "pipeline", "serve", "session"]
+        assert suite_names() == ["clocks", "obs", "paper", "parallel", "pipeline", "serve", "session"]
 
     def test_case_names_are_unique_and_stable(self):
         for suite in suite_names():
@@ -82,7 +88,9 @@ class TestSuites:
             names = [case.name for case in cases]
             assert len(names) == len(set(names))
             assert all(
-                name.startswith(("clock_ops/", "session/", "serve/", "pipeline/", "obs/", "parallel/"))
+                name.startswith(
+                    ("clock_ops/", "session/", "serve/", "pipeline/", "obs/", "parallel/", "paper/")
+                )
                 for name in names
             )
 
@@ -146,6 +154,37 @@ class TestRunnerAndArtifact:
                          "runs_ns": [5, 3], "best_ns": 4, "mean_ns": 4.0}],
         }
         assert any("best_ns" in p for p in validate_artifact(artifact))
+
+    def test_median_and_iqr_of_known_runs(self):
+        result = BenchCaseResult(
+            name="a", kind="session", params={}, events=10,
+            runs_ns=[10, 40, 20, 30, 100], sub={"hb+tc": [7]},
+        )
+        payload = result.as_dict()
+        assert payload["best_ns"] == 10 and payload["mean_ns"] == 40.0
+        assert payload["median_ns"] == 30
+        assert payload["iqr_ns"] == 40 - 20  # inclusive quartiles of 10..100
+        assert payload["sub"]["hb+tc"]["median_ns"] == 7
+        assert payload["sub"]["hb+tc"]["iqr_ns"] == 0  # a single run has no spread
+
+    def test_committed_baselines_still_load(self):
+        baselines = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
+        paths = sorted(baselines.glob("BENCH_*.json"))
+        assert len(paths) == 6
+        for path in paths:
+            assert load_artifact(path)["results"], path
+
+    def test_fingerprint_records_cpu_count_and_model(self, tmp_path, monkeypatch):
+        cpuinfo = tmp_path / "cpuinfo"
+        cpuinfo.write_text("processor\t: 0\nmodel\t\t: 85\nmodel name\t: Test CPU @ 2.0GHz\n")
+        monkeypatch.setattr(bench_artifact, "_CPUINFO", cpuinfo)
+        fingerprint = machine_fingerprint()
+        assert fingerprint["nproc"] == os.cpu_count()
+        assert fingerprint["cpu"] == "Test CPU @ 2.0GHz"
+
+    def test_fingerprint_cpu_falls_back_to_platform(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bench_artifact, "_CPUINFO", tmp_path / "absent")
+        assert machine_fingerprint()["cpu"] == platform.processor()
 
     def test_bench_config_rejects_bad_values(self):
         with pytest.raises(ValueError):

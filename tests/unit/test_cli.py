@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.suites import paper_suite
 from repro.experiments.cli import EXPERIMENTS, build_parser, main
 
 
@@ -57,3 +58,35 @@ class TestMain:
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "HB" in output and "MAZ" not in output.split("Configuration")[1].splitlines()[0]
+
+    def test_all_measures_each_table2_case_once(self, measured_cases, capsys):
+        argv = ["all", "--scale", "0.05", "--max-profiles", "2", "--repetitions", "1"]
+        assert main(argv + ["--events", "200", "--threads", "3"]) == 0
+        capsys.readouterr()
+        table2_names = [
+            case.name for case in measured_cases if case.name.startswith("paper/table2/")
+        ]
+        expected = [
+            case.name
+            for case in paper_suite(scale=0.05, max_profiles=2)
+            if case.name.startswith("paper/table2/")
+        ]
+        assert sorted(table2_names) == sorted(expected)
+
+
+class TestOptionErrors:
+    """Bad option values exit 2 with an ``error:`` line, not a traceback."""
+
+    def assert_rejected(self, argv, capsys, option):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and option in err
+
+    def test_zero_repetitions(self, capsys):
+        self.assert_rejected(["table2", "--repetitions", "0"], capsys, "repetitions")
+
+    def test_zero_scale(self, capsys):
+        self.assert_rejected(["table1", "--scale", "0"], capsys, "scale")
+
+    def test_unknown_order(self, capsys):
+        self.assert_rejected(["table2", "--orders", "XYZ"], capsys, "XYZ")

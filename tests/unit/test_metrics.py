@@ -1,20 +1,9 @@
-"""Unit tests for the work and timing metrics (:mod:`repro.metrics`)."""
+"""Unit tests for the work metrics (:mod:`repro.metrics`)."""
 
 import pytest
 
 from repro.analysis import HBAnalysis, MAZAnalysis, SHBAnalysis
-from repro.metrics import (
-    SpeedupSample,
-    TimingSample,
-    WorkMeasurement,
-    average_speedup,
-    compare_clocks,
-    geometric_mean,
-    is_vt_optimal,
-    measure_work,
-    time_analysis,
-)
-from repro.clocks import TreeClock, VectorClock
+from repro.metrics import WorkMeasurement, is_vt_optimal, measure_work
 from util_traces import make_random_trace
 
 
@@ -64,57 +53,3 @@ class TestMeasureWork:
         measurement = measure_work(medium_trace, HBAnalysis, detect=True)
         assert measurement.vt_work > 0
 
-
-class TestTiming:
-    def test_time_analysis_reports_positive_seconds(self, medium_trace):
-        sample = time_analysis(medium_trace, HBAnalysis, TreeClock, repetitions=1)
-        assert sample.seconds > 0
-        assert sample.clock_name == "TC"
-        assert sample.partial_order == "HB"
-        assert sample.events_per_second > 0
-
-    def test_time_analysis_rejects_zero_repetitions(self, medium_trace):
-        with pytest.raises(ValueError):
-            time_analysis(medium_trace, HBAnalysis, TreeClock, repetitions=0)
-
-    def test_compare_clocks_produces_speedup(self, medium_trace):
-        sample = compare_clocks(medium_trace, HBAnalysis, repetitions=1)
-        assert sample.vc_seconds > 0 and sample.tc_seconds > 0
-        assert sample.speedup == pytest.approx(sample.vc_seconds / sample.tc_seconds)
-
-    def test_speedup_sample_row(self):
-        sample = SpeedupSample(
-            trace_name="t", partial_order="HB", with_analysis=False,
-            num_events=10, num_threads=2, vc_seconds=2.0, tc_seconds=1.0,
-        )
-        row = sample.as_row()
-        assert row["speedup"] == 2.0
-        assert row["VC (s)"] == 2.0
-
-    def test_speedup_with_zero_tc_time_is_infinite(self):
-        sample = SpeedupSample(
-            trace_name="t", partial_order="HB", with_analysis=False,
-            num_events=10, num_threads=2, vc_seconds=1.0, tc_seconds=0.0,
-        )
-        assert sample.speedup == float("inf")
-
-    def test_average_speedup(self):
-        samples = [
-            SpeedupSample("a", "HB", False, 1, 1, vc_seconds=2.0, tc_seconds=1.0),
-            SpeedupSample("b", "HB", False, 1, 1, vc_seconds=4.0, tc_seconds=1.0),
-        ]
-        assert average_speedup(samples) == pytest.approx(3.0)
-
-    def test_average_speedup_of_empty_list(self):
-        assert average_speedup([]) == 0.0
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        assert geometric_mean([]) == 0.0
-
-    def test_timing_sample_throughput_with_zero_seconds(self):
-        sample = TimingSample(
-            trace_name="t", partial_order="HB", clock_name="TC", with_analysis=False,
-            num_events=5, num_threads=2, seconds=0.0, repetitions=1,
-        )
-        assert sample.events_per_second == float("inf")

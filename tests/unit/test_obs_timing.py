@@ -1,11 +1,7 @@
-"""Unit tests for the timing fold: :func:`repro.obs.timing.timing_fields`
-and the ``repro.metrics`` compatibility shim."""
+"""Unit tests for :func:`repro.obs.timing.timing_fields`, the serialized timing pair."""
 
 import pytest
 
-import repro.metrics
-import repro.metrics.timing
-import repro.obs.timing
 from repro.obs.timing import timing_fields
 
 
@@ -22,30 +18,6 @@ class TestTimingFields:
         assert fields["elapsed_ns"] == 1234
         assert isinstance(fields["elapsed_ns"], int)
         assert fields["elapsed_seconds"] == pytest.approx(1234 / 1e9)
-
-
-class TestMetricsShim:
-    """``repro.metrics.timing`` must stay a faithful alias of the moved module."""
-
-    SHARED = (
-        "DEFAULT_REPETITIONS",
-        "SpeedupSample",
-        "TimingSample",
-        "average_speedup",
-        "compare_clocks",
-        "compare_clocks_session",
-        "geometric_mean",
-        "time_analysis",
-        "timing_fields",
-    )
-
-    def test_shim_re_exports_the_same_objects(self):
-        for name in self.SHARED:
-            assert getattr(repro.metrics.timing, name) is getattr(repro.obs.timing, name), name
-
-    def test_package_namespace_also_re_exports(self):
-        for name in self.SHARED:
-            assert getattr(repro.metrics, name) is getattr(repro.obs.timing, name), name
 
     def test_result_serialization_uses_timing_fields(self):
         # AnalysisResult.as_dict is the main consumer of the standardized
