@@ -2,14 +2,14 @@
 
 The benchmarks regenerate the paper's tables and figures at a reduced
 scale (pure Python is orders of magnitude slower per event than the
-paper's Java implementation).  The suite scale and the scalability sweep
-sizes below keep the full ``pytest benchmarks/ --benchmark-only`` run in
-the minutes range; raise them for a longer, more faithful evaluation.
+paper's Java implementation).  The suite scale below keeps the full
+``pytest benchmarks/ --benchmark-only`` run in the minutes range; raise
+it for a longer, more faithful evaluation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import pytest
 
@@ -33,17 +33,12 @@ def pytest_collection_modifyitems(items) -> None:
             item.add_marker(pytest.mark.bench)
 
 from repro.gen import default_suite
-from repro.gen.scenarios import SCENARIOS
 from repro.trace.trace import Trace
 
 #: Event-count multiplier applied to the benchmark-suite profiles.
 SUITE_SCALE = 0.4
 #: Number of suite profiles exercised by the suite-wide benchmarks.
 SUITE_MAX_PROFILES = 10
-#: Thread counts for the Figure-10 scalability sweep.
-SCALABILITY_THREADS = (10, 40, 80)
-#: Events per scalability trace (the paper uses 10M).
-SCALABILITY_EVENTS = 4000
 
 
 @pytest.fixture(scope="session")
@@ -63,14 +58,3 @@ def medium_trace(suite_traces) -> Trace:
     """The largest trace of the reduced suite (used for single-trace benches)."""
     return max(suite_traces, key=len)
 
-
-@pytest.fixture(scope="session")
-def scalability_traces() -> Dict[str, Dict[int, Trace]]:
-    """Scenario -> thread count -> trace, for the Figure-10 sweep."""
-    return {
-        scenario: {
-            threads: make(threads, SCALABILITY_EVENTS)
-            for threads in SCALABILITY_THREADS
-        }
-        for scenario, make in SCENARIOS.items()
-    }

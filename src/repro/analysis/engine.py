@@ -245,8 +245,7 @@ class PartialOrderAnalysis:
         timestamps, the same races in the same order and the same check
         counts as the uninterrupted run; work counters are the one
         exception for tree clocks (a re-seeded tree is flat, so its
-        traversal work can differ — the same caveat the segment-parallel
-        runner documents).
+        traversal work can differ).
         """
         context = self.context
         if context is None:

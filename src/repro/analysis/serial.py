@@ -68,9 +68,8 @@ def clock_anchor(clock: object) -> Optional[int]:
     For a :class:`~repro.clocks.TreeClock` this is the root's thread —
     ``seed_vector_time`` needs it to rebuild a (flat) tree around the
     same anchor, which for lock/last-write clocks is the last thread
-    that released/wrote (the same derivation the segment-parallel
-    runner tracks during its scan, recovered here from the live tree
-    instead).  Vector clocks have no root and ignore the anchor.
+    that released/wrote.  Vector clocks have no root and ignore the
+    anchor.
     """
     root = getattr(clock, "root", None)
     return None if root is None else root.tid

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..analysis.engine import PartialOrderAnalysis
-from ..analysis.parallel import ParallelReport, run_parallel, supports_parallel
 from ..analysis.result import AnalysisResult, Race
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
@@ -67,10 +66,6 @@ class SessionResult:
     num_events: int
     results: Dict[str, AnalysisResult]
     elapsed_ns: int
-    #: Set when the walk ran segment-parallel (:meth:`Session.run` with
-    #: ``parallel > 1`` over a segmented colf source); ``None`` for the
-    #: ordinary sequential walk.
-    parallel: Optional[ParallelReport] = None
 
     @property
     def elapsed_seconds(self) -> float:
@@ -107,8 +102,6 @@ class SessionResult:
         payload: Dict[str, object] = {"trace": self.name, "events": self.num_events}
         payload.update(timing_fields(self.elapsed_ns))
         payload["specs"] = {key: result.as_dict() for key, result in self.results.items()}
-        if self.parallel is not None:
-            payload["parallel"] = self.parallel.as_dict()
         return payload
 
     def to_json(self, indent: Optional[int] = 2) -> str:
@@ -362,7 +355,6 @@ class Session:
         self,
         source: SourceLike,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        parallel: int = 1,
     ) -> SessionResult:
         """One pass over ``source``, every spec riding the same batched walk.
 
@@ -376,30 +368,13 @@ class Session:
 
         A source built here from a raw object (a colf path opens an mmap)
         is closed when the walk ends; a source the caller passed is left
-        open.
-
-        ``parallel`` requests a segment-parallel walk with up to that
-        many workers (:mod:`repro.analysis.parallel`).  It engages when
-        the source is a multi-segment :class:`ColfSource` and every spec
-        uses a partial order the parallel runner understands
-        (``PARALLEL_ORDERS``); anything else — in-memory traces, text
-        files, single-segment containers, exotic orders — silently falls
-        back to the ordinary sequential walk, which is always
-        equivalent.  Parameters are validated before any analysis state
-        is built, so a rejected call leaves the session reusable.
+        open.  ``batch_size`` is validated before any analysis state is
+        built, so a rejected call leaves the session reusable.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if parallel < 1:
-            raise ValueError(f"parallel must be >= 1, got {parallel}")
         event_source = as_event_source(source)
         try:
-            if (
-                parallel > 1
-                and isinstance(event_source, ColfSource)
-                and supports_parallel(self.specs, event_source.segments())
-            ):
-                return self._run_parallel(event_source, parallel)
             with obs_tracing.span(
                 "session.run", trace=event_source.name, specs=len(self.specs)
             ) as walk_span:
@@ -413,48 +388,6 @@ class Session:
         finally:
             if event_source is not source and isinstance(event_source, ColfSource):
                 event_source.close()
-
-    def _run_parallel(self, event_source: ColfSource, workers: int) -> SessionResult:
-        """The segment-parallel walk: scan/stitch/replay over chunks."""
-        segments = event_source.segments()
-        walk_started = time.perf_counter_ns()
-        with obs_tracing.span(
-            "session.run",
-            trace=event_source.name,
-            specs=len(self.specs),
-            parallel=workers,
-            segments=len(segments),
-        ) as walk_span:
-            results, report = run_parallel(
-                self.specs,
-                event_source._reader,
-                segments,
-                workers=workers,
-                name=event_source.name,
-                base_threads=event_source.threads(),
-                on_race=self._on_race,
-                locate=self._locate,
-            )
-            event_source.events_emitted += report.events
-            self._events_fed = report.events
-            self._name = event_source.name
-            registry = obs_metrics.get_registry()
-            if registry.enabled:
-                registry.counter("session.parallel_segments").inc(report.segments)
-                registry.counter("session.events_fed").inc(report.events)
-                for key, result in results.items():
-                    if result.detection is not None:
-                        registry.counter("session.races_found", spec=key).inc(
-                            result.detection.race_count
-                        )
-            walk_span.set(events=report.events, chunks=report.chunks)
-        return SessionResult(
-            name=event_source.name,
-            num_events=report.events,
-            results=results,
-            elapsed_ns=time.perf_counter_ns() - walk_started,
-            parallel=report,
-        )
 
     # -- introspection -----------------------------------------------------------------
 

@@ -33,10 +33,9 @@ The built-in suites:
     Event-pipeline benchmarks: decode **events/sec** of the per-event
     file decoders with and without the batch chunker (STD, CSV and the
     binary colf container — plus a ``colf-columns`` case that decodes
-    the structure-of-arrays columns without materializing events, the
-    form segment-parallel consumers read), and multi-spec session walks
-    fed full batches (the default) vs one-event batches
-    (``Session.feed``) vs straight from an mmap'd colf container
+    the structure-of-arrays columns without materializing events), and
+    multi-spec session walks fed full batches (the default) vs one-event
+    batches (``Session.feed``) vs straight from an mmap'd colf container
     (``colf-mmap``).  The batched/per-event case pairs share identical
     workloads, so their ratio *is* the measured win of the batching
     layer — and a regression in either shape is caught separately.
@@ -96,9 +95,9 @@ DEFAULT_PROFILES: Tuple[str, ...] = ("bufwriter-like", "drb-counter-16-like")
 class BenchCase:
     """One benchmark case: a stable name, a kind, and its parameters.
 
-    ``kind`` selects the measurement procedure in
-    :mod:`repro.bench.runner` (``"clock_ops"`` or ``"session"``);
-    ``params`` is plain JSON-serializable data describing the workload.
+    ``kind`` selects the measurement procedure: it is a key of
+    :mod:`repro.bench.runner`'s ``_RUNNERS`` table.  ``params`` is plain
+    JSON-serializable data describing the workload.
     """
 
     name: str
@@ -326,57 +325,6 @@ def pipeline_suite(
     return cases
 
 
-#: Specs of the ``parallel`` suite: HB-only, so the whole clock pass
-#: parallelizes (SHB/MAZ keep a sequential bootstrap in the stitch) and
-#: three specs ride one scan — the fan-out the suite is measuring.
-PARALLEL_SUITE_SPECS: Tuple[str, ...] = (
-    "hb+tc+detect",
-    "hb+vc+detect",
-    "hb+tc+detect+ts",
-)
-
-#: Worker counts of the ``parallel`` suite; 1 is the sequential anchor.
-PARALLEL_SUITE_WORKERS: Tuple[int, ...] = (1, 4)
-
-
-def parallel_suite(
-    events: int = 20000,
-    scenarios: Sequence[str] = ("single_lock", "fifty_locks_skewed", "star_topology"),
-    thread_counts: Sequence[int] = (10,),
-    specs: Sequence[str] = PARALLEL_SUITE_SPECS,
-    workers: Sequence[int] = PARALLEL_SUITE_WORKERS,
-    seed: int = 0,
-) -> List[BenchCase]:
-    """The ``parallel`` suite: segment-parallel walks vs the sequential anchor.
-
-    Every case runs the same specs over the same colf container;
-    ``n1`` measures the sequential walk's CPU time, ``n>1`` cases
-    measure the parallel runner's *modeled* critical path (max scan +
-    stitch + max replay, in per-worker CPU time) — the honest speedup
-    metric on a machine whose core count the CI runner doesn't control.
-    """
-    spec_list = list(specs)
-    threads = int(thread_counts[0]) if thread_counts else 10
-    cases: List[BenchCase] = []
-    for scenario in scenarios:
-        for count in workers:
-            cases.append(
-                BenchCase(
-                    name=f"parallel/{scenario}-t{threads}-n{count}",
-                    kind="parallel_session",
-                    params={
-                        "scenario": scenario,
-                        "threads": threads,
-                        "events": events,
-                        "seed": seed,
-                        "specs": spec_list,
-                        "workers": int(count),
-                    },
-                )
-            )
-    return cases
-
-
 #: The partial orders of the paper's evaluation, in the order it lists them.
 PAPER_ORDERS: Tuple[str, ...] = ("MAZ", "SHB", "HB")
 
@@ -452,7 +400,6 @@ SUITES: Dict[str, Callable[..., List[BenchCase]]] = {
     "serve": serve_suite,
     "pipeline": pipeline_suite,
     "obs": obs_suite,
-    "parallel": parallel_suite,
     "paper": paper_suite,
 }
 

@@ -291,11 +291,10 @@ class TreeClock:
     def seed_vector_time(self, vector_time: VectorTime, anchor: Optional[int] = None) -> None:
         """Overwrite this clock with an absolute vector-time snapshot.
 
-        Used by the segment-parallel runner to reconstruct mid-trace
-        clock state inside a worker before replaying a chunk.  The
-        result is a *flat* tree: a root ``(anchor, vector_time[anchor])``
-        with every other non-zero entry as a direct child carrying
-        ``aclk = root.clk``.
+        Used by the engines' ``restore_state`` to rebuild a checkpointed
+        clock before the walk resumes.  The result is a *flat* tree: a
+        root ``(anchor, vector_time[anchor])`` with every other non-zero
+        entry as a direct child carrying ``aclk = root.clk``.
 
         ``anchor`` must be the thread whose clock snapshot this vector
         time is (the owning thread for thread clocks — the default —

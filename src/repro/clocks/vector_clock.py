@@ -124,12 +124,11 @@ class VectorClock:
     def seed_vector_time(self, vector_time: VectorTime, anchor: Optional[int] = None) -> None:
         """Overwrite this clock with an absolute vector-time snapshot.
 
-        Used by the segment-parallel runner to reconstruct mid-trace
-        clock state inside a worker before replaying a chunk.  Every
-        thread named in ``vector_time`` is registered with the context
-        if needed; entries not named are reset to 0.  Seeding is state
-        *restoration*, not analysis work, so no work-counter events are
-        recorded.  ``anchor`` is accepted for signature parity with
+        Used by the engines' ``restore_state`` to rebuild a checkpointed
+        clock before the walk resumes.  Every thread named in
+        ``vector_time`` is registered with the context if needed; entries
+        not named are reset to 0.  Seeding is state *restoration*, not
+        analysis work, so no work-counter events are recorded.  ``anchor`` is accepted for signature parity with
         :meth:`TreeClock.seed_vector_time` (vector clocks have no
         structural root, so it is ignored).
         """

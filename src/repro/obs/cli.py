@@ -4,8 +4,9 @@ Two subcommands close the distributed-tracing loop:
 
 * ``repro obs timeline PATHS... [--trace ID]`` merges the span files
   (or obs directories) and prints one trace's reconstructed lifecycle —
-  an ASCII gantt with per-phase totals (queue vs scan vs stitch vs
-  replay) and the critical path, or the same as JSON with ``--json``.
+  an ASCII gantt with per-phase totals (submit, queue, dispatch,
+  analyze, persist) and the critical path, or the same as JSON with
+  ``--json``.
 * ``repro obs export PATHS... --chrome-trace OUT`` writes a
   Chrome/Perfetto-loadable trace-event file (open it at
   ``https://ui.perfetto.dev`` or ``chrome://tracing``).

@@ -159,9 +159,9 @@ def detach_context(token) -> None:
 def use_context(context: Optional[TraceContext]) -> Iterator[Optional[TraceContext]]:
     """Scope ``context`` over a block; ``None`` is an explicit no-op.
 
-    The ``None`` tolerance keeps call sites unconditional — worker
-    threads of the parallel runner wrap their chunk in
-    ``use_context(parent)`` whether or not tracing produced a parent.
+    The ``None`` tolerance keeps call sites unconditional — the
+    scheduler wraps a job's persist in ``use_context(ctx)`` whether or
+    not the job arrived with a traceparent.
     """
     if context is None:
         yield None

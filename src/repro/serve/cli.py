@@ -83,14 +83,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "(default: the pool's retry-once policy)",
     )
     parser.add_argument(
-        "--parallel-threshold",
-        type=int,
-        default=None,
-        metavar="EVENTS",
-        help="corpus traces at or above this event count run segment-parallel "
-        "in the workers (default: 100000)",
-    )
-    parser.add_argument(
         "--chaos",
         nargs="?",
         const=0,
@@ -120,7 +112,6 @@ def main_serve(argv: Optional[Sequence[str]] = None) -> int:
         num_shards=args.shards,
         obs_dir=args.obs_dir,
         retry_budget=args.retry_budget,
-        parallel_threshold_events=args.parallel_threshold,
         chaos_seed=args.chaos,
     )
     host, port = server.address

@@ -142,7 +142,12 @@ class JobQueue:
 
 
 class Scheduler:
-    """Drives (trace × spec) cells from submission to recorded result."""
+    """Drives (trace × spec) cells from submission to recorded result.
+
+    ``parallel_workers`` must be 1: every task runs the sequential
+    :meth:`Session.run`.  The parameter remains only because
+    ``perfbench/layers.py`` reads its default; nothing else reads it.
+    """
 
     def __init__(
         self,
@@ -152,13 +157,14 @@ class Scheduler:
         task_timeout: Optional[float] = None,
         num_shards: int = DEFAULT_SHARDS,
         max_inflight: Optional[int] = None,
-        parallel_workers: int = 4,
-        parallel_threshold_events: int = 100_000,
+        parallel_workers: int = 1,
         obs_dir: Optional[Union[str, Path]] = None,
         retry_budget: Optional[int] = None,
         journal: Optional[JobJournal] = None,
         quarantine: Optional[QuarantineStore] = None,
     ) -> None:
+        if parallel_workers != 1:
+            raise ValueError(f"parallel_workers must be 1, got {parallel_workers}")
         self.corpus = corpus
         self.results = results
         #: Job-scoped observability directory: when set, dispatched tasks
@@ -191,12 +197,6 @@ class Scheduler:
         # never idle while the round-robin pop preserves shard fairness
         # for everything still queued.
         self.max_inflight = max_inflight if max_inflight is not None else 2 * workers
-        #: Corpus entries at or above this event count run segment-parallel
-        #: (colf-stored traces only — Session falls back everywhere else).
-        #: The default threshold keeps small traces on the sequential walk,
-        #: where the parallel scan/stitch overhead isn't worth paying.
-        self.parallel_workers = max(1, parallel_workers)
-        self.parallel_threshold_events = parallel_threshold_events
         #: Terminal (done/failed) jobs kept for status queries; older ones
         #: are pruned so a long-lived server's job history stays bounded
         #: (their results live on in the results store regardless).
@@ -323,20 +323,12 @@ class Scheduler:
                 job.status = JobStatus.RUNNING
                 self._inflight += 1
                 entry = self.corpus.get(job.digest)
-                parallel = 1
-                if (
-                    self.parallel_workers > 1
-                    and entry.trace_fmt == "colf"
-                    and entry.events >= self.parallel_threshold_events
-                ):
-                    parallel = self.parallel_workers
                 task = WorkerTask(
                     task_id=job.job_id,
                     trace_path=str(self.corpus.trace_path(job.digest)),
                     spec=job.spec,
                     fmt=entry.trace_fmt,
                     trace_name=job.trace_name,
-                    parallel=parallel,
                     fault=self.task_faults.get(job.job_id),
                     traceparent=job.traceparent,
                     obs_dir=str(self.obs_dir) if self.obs_dir is not None else None,

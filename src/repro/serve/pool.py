@@ -101,13 +101,11 @@ class WorkerTask:
     ``obs_dir`` names the job-scoped observability directory: when set,
     the worker configures its own span exporter to a per-pid file under
     it (``spans-<pid>.jsonl``) and parents its spans — ``worker.task``
-    down to the parallel chunk spans — under the remote context.
+    down to the session walk — under the remote context.
 
-    ``parallel`` asks the worker to run the analysis segment-parallel
-    with that many threads (:meth:`Session.run` with ``parallel=N``);
-    it only engages for multi-segment colf traces and silently falls
-    back to the sequential walk everywhere else, so schedulers may set
-    it purely on trace size.
+    ``parallel`` must be 1: every walk is the sequential
+    :meth:`Session.run`.  The field remains only because
+    ``perfbench/layers.py`` builds tasks with it; nothing else reads it.
     """
 
     task_id: str
@@ -120,14 +118,17 @@ class WorkerTask:
     traceparent: Optional[str] = None
     obs_dir: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.parallel != 1:
+            raise ValueError(f"parallel must be 1, got {self.parallel}")
+
 
 def _run_task_session(task: WorkerTask):
     """The analysis itself: one ``Session.run`` over the task's trace file.
 
     The source is the one :func:`~repro.api.sources.as_event_source`
     would pick for the path — a :class:`ColfSource` (thread universe
-    from the footer, segment-parallel when ``task.parallel > 1``) for
-    colf containers, a :class:`FileSource` otherwise — named after the
+    from the footer) for colf containers, a :class:`FileSource` otherwise — named after the
     task, and closed after the walk.
     """
     from ..api import Session
@@ -143,7 +144,7 @@ def _run_task_session(task: WorkerTask):
         else FileSource(task.trace_path, fmt=fmt, name=name)
     )
     try:
-        return session.run(source, parallel=task.parallel)
+        return session.run(source)
     finally:
         if isinstance(source, ColfSource):
             source.close()
@@ -193,9 +194,7 @@ def execute_task(task: WorkerTask) -> Dict[str, object]:
     )
     token = obs_context.attach_context(remote) if remote is not None else None
     try:
-        with obs_tracing.span(
-            "worker.task", job=task.task_id, spec=task.spec, parallel=task.parallel
-        ):
+        with obs_tracing.span("worker.task", job=task.task_id, spec=task.spec):
             result = _run_task_session(task)
     finally:
         if token is not None:
@@ -215,13 +214,6 @@ def execute_task(task: WorkerTask) -> Dict[str, object]:
         "elapsed_ns": analysis.elapsed_ns,
         "worker_pid": os.getpid(),
     }
-    if result.parallel is not None:
-        payload["parallel"] = {
-            "workers": result.parallel.workers,
-            "chunks": result.parallel.chunks,
-            "segments": result.parallel.segments,
-            "critical_path_ns": result.parallel.critical_path_ns,
-        }
     if analysis.detection is not None:
         payload["race_count"] = analysis.detection.race_count
         payload["races"] = sorted(race.pair() for race in analysis.detection.races)

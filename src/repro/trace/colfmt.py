@@ -44,8 +44,7 @@ trailer carries the footer offset and a CRC-32 of the footer bytes, so
 a torn tail, a truncated download or a flipped bit is detected before
 any column is trusted.  Because every segment records its byte offset,
 event count and first/last event ordinal, **any segment decodes
-independently** of the others — the contract the segment-parallel
-analysis of the roadmap builds on.
+independently** of the others.
 
 Event identity is canonical: the writer assigns consecutive ordinals
 (0, 1, 2, …) exactly like the STD text decoder does, so a trace
@@ -86,9 +85,9 @@ COLF_VERSION = 1
 COLF_FORMAT_NAME = f"repro-trace/{COLF_VERSION}"
 
 #: Events per segment written by default.  Segments are the unit of
-#: independent decode (and of future window-parallel analysis); 64 Ki
-#: events ≈ 576 KiB of columns — big enough that per-segment overhead
-#: vanishes, small enough to give parallelism something to split.
+#: independent decode and of batch materialization; 64 Ki events ≈
+#: 576 KiB of columns — big enough that per-segment overhead vanishes,
+#: small enough to keep a batch's memory bounded.
 DEFAULT_SEGMENT_EVENTS = 65536
 
 _HEADER = struct.Struct("<8sII")

@@ -29,6 +29,7 @@ from repro.capture.recorder import TraceRecorder
 from repro.clocks import clock_class_by_name
 from repro.gen import RandomTraceConfig, get_profile
 from repro.trace import OpKind, Trace, TraceBuilder, dumps_csv, dumps_std, load_trace, save_trace
+from repro.trace import event as ev
 from util_traces import make_random_trace
 
 ALL_COMBOS = [f"{order}+{clock}" for order in ("hb", "shb", "maz") for clock in ("tc", "vc")]
@@ -309,3 +310,24 @@ class TestRunSourceLifetime:
         with ColfSource(path) as source:
             Session(["hb+tc"]).run(source)
             assert list(source.events()) == list(small_trace)
+
+
+class TestSessionValidation:
+    @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"batch_size": -5}])
+    def test_rejects_bad_batch_size(self, kwargs):
+        session = Session(["hb+tc"])
+        with pytest.raises(ValueError, match="batch_size"):
+            session.run(Trace([ev.write(1, "x")]), **kwargs)
+
+    def test_session_reusable_after_rejection(self):
+        """Validation fires before begin(): no half-built walk state."""
+        session = Session(["hb+tc+detect"])
+        events = [ev.write(1, "x"), ev.write(2, "x")]
+        with pytest.raises(ValueError):
+            session.run(Trace(events), batch_size=0)
+        assert session.analyses == {} or all(
+            analysis is not None for analysis in session.analyses.values()
+        )
+        result = session.run(Trace(events))
+        assert result.num_events == 2
+        assert result.primary.detection.race_count == 1

@@ -80,7 +80,7 @@ class TestKernels:
 
 class TestSuites:
     def test_suite_names_are_stable(self):
-        assert suite_names() == ["clocks", "obs", "paper", "parallel", "pipeline", "serve", "session"]
+        assert suite_names() == ["clocks", "obs", "paper", "pipeline", "serve", "session"]
 
     def test_case_names_are_unique_and_stable(self):
         for suite in suite_names():
@@ -89,7 +89,7 @@ class TestSuites:
             assert len(names) == len(set(names))
             assert all(
                 name.startswith(
-                    ("clock_ops/", "session/", "serve/", "pipeline/", "obs/", "parallel/", "paper/")
+                    ("clock_ops/", "session/", "serve/", "pipeline/", "obs/", "paper/")
                 )
                 for name in names
             )
@@ -120,19 +120,6 @@ class TestRunnerAndArtifact:
         for series in result.sub.values():
             assert len(series) == 2  # warmup walks are trimmed
         assert result.events == 60
-
-    def test_run_case_parallel_session(self):
-        cases = suite_cases("parallel", events=2500)
-        anchor = next(c for c in cases if c.params["workers"] == 1)
-        fanout = next(c for c in cases if c.params["workers"] == 4)
-        config = BenchConfig(warmup=0, repeats=1)
-        anchor_result = run_case(anchor, config)
-        assert anchor_result.meta["measure"] == "sequential_cpu_ns"
-        fanout_result = run_case(fanout, config)
-        assert fanout_result.meta["measure"] == "critical_path_cpu_ns"
-        assert fanout_result.meta["chunks"] >= 2
-        assert fanout_result.meta["modeled_speedup"] > 0
-        assert fanout_result.events == anchor_result.events
 
     def test_artifact_roundtrip_and_validation(self, tmp_path):
         config = BenchConfig(warmup=0, repeats=1)
@@ -170,7 +157,7 @@ class TestRunnerAndArtifact:
     def test_committed_baselines_still_load(self):
         baselines = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
         paths = sorted(baselines.glob("BENCH_*.json"))
-        assert len(paths) == 6
+        assert len(paths) == 5
         for path in paths:
             assert load_artifact(path)["results"], path
 

@@ -266,6 +266,14 @@ class TestPoolCounters:
 
 
 class TestScheduler:
+    def test_parallel_other_than_one_is_rejected(self, tmp_path, trace_file):
+        with pytest.raises(ValueError, match="parallel"):
+            WorkerTask(task_id="t", trace_path=str(trace_file), spec="hb+tc", parallel=2)
+        corpus = TraceCorpus(tmp_path / "corpus")
+        results = ResultsStore(tmp_path / "results.json")
+        with pytest.raises(ValueError, match="parallel_workers"):
+            Scheduler(corpus, results, workers=1, parallel_workers=2)
+
     def test_submit_runs_cells_and_folds_results(self, tmp_path, racy_trace):
         corpus = TraceCorpus(tmp_path / "corpus")
         entry, _ = corpus.ingest(racy_trace)
@@ -438,72 +446,3 @@ class TestCallbackErrorAccounting:
             assert pool.counters()["callback_errors"] == 0
         finally:
             assert pool.close(timeout=10)
-
-
-class TestParallelTasks:
-    """Segment-parallel execution through the serve surface."""
-
-    @pytest.fixture
-    def colf_trace_file(self, tmp_path):
-        from repro.trace.colfmt import write_colf
-        from util_traces import make_random_trace
-
-        trace = make_random_trace(19, num_events=600, include_fork_join=True)
-        path = tmp_path / "big.colf"
-        with open(path, "wb") as handle:
-            write_colf(iter(trace), handle, segment_events=64)
-        return path
-
-    def test_parallel_task_matches_sequential(self, colf_trace_file):
-        sequential = execute_task(
-            WorkerTask(task_id="s", trace_path=str(colf_trace_file), spec="hb+tc+detect")
-        )
-        parallel = execute_task(
-            WorkerTask(
-                task_id="p",
-                trace_path=str(colf_trace_file),
-                spec="hb+tc+detect",
-                parallel=4,
-            )
-        )
-        assert "parallel" in parallel and parallel["parallel"]["workers"] == 4
-        assert "parallel" not in sequential
-        assert parallel["events"] == sequential["events"]
-        assert parallel["race_count"] == sequential["race_count"]
-        assert parallel["races"] == sequential["races"]
-
-    def test_parallel_on_text_trace_falls_back(self, trace_file):
-        payload = execute_task(
-            WorkerTask(
-                task_id="t", trace_path=str(trace_file), spec="hb+tc+detect", parallel=4
-            )
-        )
-        assert "parallel" not in payload
-        assert payload["race_count"] == 1
-
-    def test_scheduler_sets_parallel_for_large_colf_entries(self, tmp_path):
-        from util_traces import make_random_trace
-
-        corpus = TraceCorpus(tmp_path / "corpus")
-        results = ResultsStore(tmp_path / "results.json")
-        scheduler = Scheduler(
-            corpus,
-            results,
-            workers=1,
-            parallel_workers=4,
-            parallel_threshold_events=100,
-        )
-        big, _ = corpus.ingest(make_random_trace(1, num_events=400), name="big")
-        small, _ = corpus.ingest(make_random_trace(2, num_events=40), name="small")
-        submitted = []
-        scheduler.pool.submit = submitted.append  # capture without running
-        scheduler.pool.start = lambda: scheduler.pool
-        scheduler.start()
-        scheduler.submit(big.digest, ["hb+tc+detect"])
-        scheduler.submit(small.digest, ["hb+tc+detect"])
-        by_digest = {task.task_id.split(":")[0]: task for task in submitted}
-        assert len(submitted) == 2
-        assert by_digest[big.digest[:12]].parallel == 4 or any(
-            task.parallel == 4 for task in submitted
-        )
-        assert any(task.parallel == 1 for task in submitted)

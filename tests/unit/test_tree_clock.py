@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clocks import ClockContext, TreeClock, WorkCounter
+from repro.clocks import ClockContext, TreeClock, VectorClock, WorkCounter
 from repro.clocks.base import vt_join
 
 
@@ -328,3 +328,37 @@ class TestWorkAccounting:
         a.join(TreeClock(context))
         assert counter.entries_processed == 0
         assert counter.entries_updated == 0
+
+
+class TestClockSeeding:
+    @pytest.mark.parametrize("clock_class", [VectorClock, TreeClock])
+    def test_seed_round_trips_vector_time(self, clock_class):
+        context = ClockContext(threads=[1, 2, 3])
+        clock = clock_class(context, owner=1)
+        clock.seed_vector_time({1: 7, 2: 3}, anchor=1)
+        assert clock.as_dict() == {1: 7, 2: 3}
+        assert clock.get(3) == 0
+
+    @pytest.mark.parametrize("clock_class", [VectorClock, TreeClock])
+    def test_seed_registers_unknown_threads(self, clock_class):
+        context = ClockContext(threads=[1])
+        clock = clock_class(context, owner=1)
+        clock.seed_vector_time({1: 2, 8: 5}, anchor=1)
+        assert 8 in context.index_of
+        assert clock.get(8) == 5
+
+    @pytest.mark.parametrize("clock_class", [VectorClock, TreeClock])
+    def test_seeded_clock_joins_like_sequential(self, clock_class):
+        context = ClockContext(threads=[1, 2])
+        seeded = clock_class(context, owner=1)
+        seeded.seed_vector_time({1: 4, 2: 2}, anchor=1)
+        other = clock_class(context, owner=2)
+        other.seed_vector_time({1: 1, 2: 6}, anchor=2)
+        seeded.join(other)
+        assert seeded.as_dict() == {1: 4, 2: 6}
+
+    def test_tree_clock_seed_requires_anchor_presence(self):
+        context = ClockContext(threads=[1, 2])
+        clock = TreeClock(context, owner=None)
+        with pytest.raises(ValueError):
+            clock.seed_vector_time({1: 3, 2: 1})  # anchorless auxiliary clock
