@@ -8,16 +8,16 @@ a meaningful fraction of traces they touch several times fewer.
 
 import pytest
 
-from repro.analysis import ANALYSIS_CLASSES
+from repro.api.registry import ORDERS
 from repro.metrics import measure_work
 
-ORDERS = ("MAZ", "SHB", "HB")
+PARTIAL_ORDERS = ("MAZ", "SHB", "HB")
 
 
-@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("order", PARTIAL_ORDERS)
 def test_figure9_work_ratio_distribution(benchmark, suite_traces, order):
     benchmark.group = f"figure9-{order}"
-    analysis_class = ANALYSIS_CLASSES[order]
+    analysis_class = ORDERS.get(order)
 
     def sweep():
         return [measure_work(trace, analysis_class) for trace in suite_traces]

@@ -34,7 +34,7 @@ Orderings in Concurrent Executions" (ASPLOS 2022).  The package provides
   ``BENCH_<suite>.json`` artifacts, and diffs two artifacts with a
   regression threshold for CI gating,
 * :mod:`repro.serve` — the concurrent trace-analysis service: a
-  content-addressed trace corpus, a digest-sharded job queue feeding a
+  content-addressed trace corpus, a FIFO job queue feeding a
   crash-isolated ``multiprocessing`` worker pool, and a JSON-lines TCP
   protocol with whole-trace submission *and* live streaming ingest
   (``repro serve`` / ``repro submit`` / ``repro status``).
@@ -101,7 +101,6 @@ from .analysis import (
 )
 from .clocks import (
     ClockContext,
-    Epoch,
     TreeClock,
     VectorClock,
     WorkCounter,
@@ -159,7 +158,6 @@ __all__ = [
     "AnalysisSpec",
     "CaptureSource",
     "ClockContext",
-    "Epoch",
     "Event",
     "EventSource",
     "FileSource",

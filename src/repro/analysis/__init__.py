@@ -1,15 +1,10 @@
 """Partial-order analyses: HB, SHB, MAZ, race detection and the graph oracle.
 
-Migration note
---------------
-Direct construction (``HBAnalysis(TreeClock, detect=True).run(trace)``)
-still works and remains the right tool for one-off runs, but the
-``ANALYSIS_CLASSES`` dict is frozen legacy surface: new code should go
-through :mod:`repro.api` — ``parse_spec("hb+tc+detect")`` /
-:class:`repro.api.Session` — which shares one event walk across many
-configurations and picks up orders registered at runtime via
-:func:`repro.api.register_order`.  :func:`analysis_class_by_name`
-delegates to that registry, so it sees registered orders too.
+Construct an analysis directly for a one-off run
+(``HBAnalysis(TreeClock, detect=True).run(trace)``), or go through
+:mod:`repro.api` (``Session``, ``parse_spec("hb+tc+detect")``) to share
+one event walk across many configurations; its ``ORDERS`` registry
+resolves order names.
 """
 
 from .detectors import RaceDetector, ReversiblePairDetector
@@ -21,28 +16,7 @@ from .races import detect_races, find_races, has_race
 from .result import AnalysisResult, DetectionSummary, Race
 from .shb import SHBAnalysis, compute_shb
 
-#: Analysis classes selectable by partial-order name (legacy surface; the
-#: extensible registry lives in :mod:`repro.api.registry`).
-ANALYSIS_CLASSES = {
-    "HB": HBAnalysis,
-    "SHB": SHBAnalysis,
-    "MAZ": MAZAnalysis,
-}
-
-
-def analysis_class_by_name(name: str) -> type:
-    """Resolve ``"HB"`` / ``"SHB"`` / ``"MAZ"`` (case-insensitive) to a class.
-
-    Delegates to the :mod:`repro.api` order registry, so partial orders
-    added via :func:`repro.api.register_order` resolve here as well.
-    """
-    from ..api.registry import ORDERS  # local import: repro.api sits above this package
-
-    return ORDERS.get(name)
-
-
 __all__ = [
-    "ANALYSIS_CLASSES",
     "AnalysisResult",
     "DetectionSummary",
     "GraphOrder",
@@ -53,7 +27,6 @@ __all__ = [
     "RaceDetector",
     "ReversiblePairDetector",
     "SHBAnalysis",
-    "analysis_class_by_name",
     "compute_hb",
     "compute_maz",
     "compute_shb",

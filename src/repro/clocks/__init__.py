@@ -1,4 +1,4 @@
-"""Clock data structures: vector clocks, tree clocks, epochs."""
+"""Clock data structures: vector clocks and tree clocks."""
 
 from .base import (
     Clock,
@@ -11,45 +11,19 @@ from .base import (
     vt_join,
     vt_leq,
 )
-from .epoch import EMPTY_EPOCH, Epoch, epoch_of, is_empty
 from .render import render_clock, render_tree_clock, render_vector_time
 from .tree_clock import TreeClock, TreeClockNode
 from .vector_clock import VectorClock
 
-#: Clock classes selectable by short name (legacy surface; the extensible
-#: registry lives in :mod:`repro.api.registry`).
-CLOCK_CLASSES = {
-    "VC": VectorClock,
-    "TC": TreeClock,
-}
-
-
-def clock_class_by_name(name: str) -> type:
-    """Resolve ``"VC"`` / ``"TC"`` (case-insensitive) to a clock class.
-
-    Delegates to the :mod:`repro.api` clock registry, so clocks added via
-    :func:`repro.api.register_clock` resolve here as well.
-    """
-    from ..api.registry import CLOCKS  # local import: repro.api sits above this package
-
-    return CLOCKS.get(name)
-
-
 __all__ = [
-    "CLOCK_CLASSES",
     "Clock",
     "ClockContext",
-    "EMPTY_EPOCH",
-    "Epoch",
     "TreeClock",
     "TreeClockNode",
     "VectorClock",
     "VectorTime",
     "WorkCounter",
-    "clock_class_by_name",
     "clock_name",
-    "epoch_of",
-    "is_empty",
     "render_clock",
     "render_tree_clock",
     "render_vector_time",

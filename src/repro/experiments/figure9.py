@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..analysis import ANALYSIS_CLASSES
+from ..api.registry import ORDERS
 from .reporting import ExperimentReport, histogram_rows
 from .runner import ExperimentConfig, SuiteRunner
 
@@ -27,7 +27,7 @@ def run(config: ExperimentConfig = ExperimentConfig(), runner: Optional[SuiteRun
     rows = []
     summary: Dict[str, object] = {}
     for order in config.orders:
-        analysis_class = ANALYSIS_CLASSES[order.upper()]
+        analysis_class = ORDERS.get(order)
         ratios: List[float] = []
         for trace in runner.traces():
             measurement = runner.work_measurement(trace, analysis_class)

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from ..analysis import ANALYSIS_CLASSES
 from ..analysis.engine import PartialOrderAnalysis
+from ..api.registry import ORDERS
 from ..bench.runner import BenchCaseResult, BenchConfig, median_iqr, run_suite
 from ..bench.suites import PAPER_ORDERS, BenchCase, paper_suite, table2_case_name
 from ..gen.suite import BenchmarkProfile, default_suite
@@ -83,13 +83,7 @@ class ExperimentConfig:
 
     def analysis_classes(self) -> List[Type[PartialOrderAnalysis]]:
         """The analysis classes selected by :attr:`orders`."""
-        classes: List[Type[PartialOrderAnalysis]] = []
-        for order in self.orders:
-            normalized = order.upper()
-            if normalized not in ANALYSIS_CLASSES:
-                raise ValueError(f"unknown partial order {order!r}")
-            classes.append(ANALYSIS_CLASSES[normalized])
-        return classes
+        return [ORDERS.get(order) for order in self.orders]
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,7 +242,7 @@ class SuiteRunner:
     ) -> List[WorkMeasurement]:
         """Work metrics for every trace and the selected partial orders."""
         selected = list(orders) if orders is not None else list(self.config.orders)
-        classes = [ANALYSIS_CLASSES[name.upper()] for name in selected]
+        classes = [ORDERS.get(name) for name in selected]
         return [
             self.work_measurement(self.trace(profile), analysis_class)
             for profile in self.profiles

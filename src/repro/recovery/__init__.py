@@ -17,8 +17,8 @@ Every durable write in this package is *atomic or detectable*: journal
 appends are single ``os.write`` calls of one line (a torn tail is
 skipped by the lenient reader, never mistaken for a record), and
 snapshot/quarantine writes go through ``tmp + os.replace`` (a crash
-leaves the previous complete file).  The fault-injection harness
-(:mod:`repro.faults`) exists to prove exactly that.
+leaves the previous complete file).  The fault-injection helpers in
+``tests/faults.py`` exist to prove exactly that.
 """
 
 from .journal import (

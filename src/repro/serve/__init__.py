@@ -13,9 +13,9 @@ seen.  The layering, bottom to top:
 * :class:`ResultsStore` (:mod:`repro.serve.results`) — schema-versioned
   store of finished (trace × spec) payloads; what makes re-submission
   idempotent;
-* :class:`JobQueue` / :class:`Scheduler` (:mod:`repro.serve.jobs`) —
-  pending (trace × :class:`~repro.api.AnalysisSpec`) cells sharded by
-  trace digest, drained round-robin into the pool;
+* :class:`Scheduler` (:mod:`repro.serve.jobs`) — pending
+  (trace × :class:`~repro.api.AnalysisSpec`) cells in one FIFO queue,
+  dispatched in submission order into the pool;
 * :class:`WorkerPool` (:mod:`repro.serve.pool`) — ``multiprocessing``
   workers with graceful shutdown, per-job timeout, and crash isolation
   with retry-once;
@@ -41,7 +41,7 @@ Quickstart (in-process, no sockets)
 """
 
 from .corpus import CorpusEntry, CorpusError, TraceCorpus
-from .jobs import AnalysisJob, JobQueue, JobStatus, Scheduler, job_id_of, shard_of
+from .jobs import AnalysisJob, JobStatus, Scheduler, job_id_of
 from .pool import WorkerPool, WorkerTask, execute_task, run_batch
 from .protocol import DEFAULT_PORT, PROTOCOL, ProtocolError
 from .results import RESULTS_SCHEMA, ResultsStore, result_key
@@ -53,7 +53,6 @@ __all__ = [
     "CorpusEntry",
     "CorpusError",
     "DEFAULT_PORT",
-    "JobQueue",
     "JobStatus",
     "PROTOCOL",
     "ProtocolError",
@@ -73,5 +72,4 @@ __all__ = [
     "result_key",
     "run_batch",
     "serve",
-    "shard_of",
 ]

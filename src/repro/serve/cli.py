@@ -66,7 +66,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="per-job timeout; a job exceeding it is retried once on a fresh worker",
     )
-    parser.add_argument("--shards", type=int, default=8, help="pending-queue shards")
     parser.add_argument(
         "--obs-dir",
         default=None,
@@ -81,16 +80,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="crash/timeout retries per job before it is quarantined "
         "(default: the pool's retry-once policy)",
-    )
-    parser.add_argument(
-        "--chaos",
-        nargs="?",
-        const=0,
-        type=int,
-        default=None,
-        metavar="SEED",
-        help="DEV ONLY: run a seeded chaos monkey that SIGKILLs random "
-        "workers, exercising the retry/quarantine/journal machinery",
     )
     add_observability_args(parser)
     return parser
@@ -109,10 +98,8 @@ def main_serve(argv: Optional[Sequence[str]] = None) -> int:
         args.corpus,
         workers=args.workers,
         task_timeout=args.job_timeout,
-        num_shards=args.shards,
         obs_dir=args.obs_dir,
         retry_budget=args.retry_budget,
-        chaos_seed=args.chaos,
     )
     host, port = server.address
     # The first stdout line is machine-readable on purpose: wrappers (and
@@ -348,13 +335,8 @@ def main_status(argv: Optional[Sequence[str]] = None) -> int:
             if args.watch is not None:
                 return _watch_stats(client, args.address, args.watch, args.json)
             status = client.status(detail=args.detail)
-            payload = {"status": status}
-            try:
-                payload["stats"] = client.stats()
-            except ServeClientError:
-                # Older server without the 'stats' op: the classic
-                # status report still works.
-                payload["stats"] = None
+            # Only --json prints the metrics snapshot, so only it asks for one.
+            payload = {"status": status, "stats": client.stats(metrics=args.json)}
             if args.results is not None:
                 digest = args.results or None
                 payload["results"] = client.results(digest)
@@ -374,8 +356,7 @@ def main_status(argv: Optional[Sequence[str]] = None) -> int:
     print(
         f"jobs: {jobs['pending']} pending, {jobs['running']} running, "
         f"{jobs['done']} done, {jobs['failed']} failed, "
-        f"{jobs.get('quarantined', 0)} quarantined "
-        f"(shard depths {scheduler['shards']})"
+        f"{jobs.get('quarantined', 0)} quarantined"
     )
     recovery = status.get("recovery") or {}
     quarantine = scheduler.get("quarantine") or {}
@@ -389,15 +370,7 @@ def main_status(argv: Optional[Sequence[str]] = None) -> int:
             f"  quarantined {entry.get('job_id')}: {entry.get('error')} "
             f"(after {entry.get('attempts')} attempts)"
         )
-    if payload.get("stats"):
-        _render_stats(payload["stats"])
-    elif isinstance(scheduler.get("pool"), dict):
-        pool = scheduler["pool"]
-        print(
-            f"pool: {pool.get('jobs_done', 0)} done, {pool.get('jobs_failed', 0)} failed, "
-            f"{pool.get('crashes', 0)} crashes, {pool.get('timeouts', 0)} timeouts, "
-            f"{pool.get('retries', 0)} retries"
-        )
+    _render_stats(payload["stats"])
     if args.detail:
         for job in scheduler.get("job_list", []):
             error = f" error={job['error']}" if job.get("error") else ""

@@ -204,7 +204,19 @@ class ServeClient:
     def _roundtrip(self, payload: Dict[str, object]) -> Dict[str, object]:
         if self._wfile is None or self._rfile is None:
             self._connect_once()
-        write_message(self._wfile, payload)
+        try:
+            write_message(self._wfile, payload)
+        except OSError:
+            # A server refusing an oversize frame answers, then hangs up
+            # while the frame is still being sent: report its answer.
+            try:
+                response = read_message(self._rfile)
+            except (ProtocolError, OSError):
+                response = None
+            if response is None:
+                raise
+            self._teardown()
+            return response
         response = read_message(self._rfile)
         if response is None:
             # EOF mid-request is the graceful spelling of a reset: the
@@ -266,7 +278,7 @@ class ServeClient:
     def stats(self, metrics: bool = True) -> Dict[str, object]:
         """The server's runtime-introspection payload (the ``stats`` op).
 
-        Returns the ``stats`` object: uptime, queue/shard depths,
+        Returns the ``stats`` object: uptime, queue depth,
         per-worker rows, pool supervision tallies, throughput, and (with
         ``metrics=True``) the metrics-registry snapshot.
         """

@@ -1,11 +1,8 @@
-"""Jobs, the sharded pending queue, and the :class:`Scheduler`.
+"""Jobs, the pending queue, and the :class:`Scheduler`.
 
 A *job* is one (trace × :class:`~repro.api.spec.AnalysisSpec`) cell of
-the corpus-wide analysis matrix.  Pending jobs live in a
-:class:`JobQueue` sharded by trace digest — every cell of one trace
-lands in the same shard, and dispatch drains the shards round-robin, so
-a freshly submitted thousand-cell trace cannot starve the single cell
-someone else just queued (fairness across traces, locality within one).
+the corpus-wide analysis matrix.  Pending jobs wait in one FIFO queue
+and are dispatched in submission order.
 
 The :class:`Scheduler` is the conductor: it folds submissions into
 jobs (skipping cells the results store already holds — idempotent
@@ -20,14 +17,11 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
-
-from collections import deque
-
 from pathlib import Path
-from typing import Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..api.spec import coerce_spec
 from ..obs import context as obs_context
@@ -38,9 +32,6 @@ from ..recovery.quarantine import QuarantineStore
 from .corpus import TraceCorpus
 from .pool import MAX_ATTEMPTS, WorkerPool, WorkerTask, is_crash_error
 from .results import ResultsStore
-
-#: Default number of pending-queue shards.
-DEFAULT_SHARDS = 8
 
 
 class JobStatus(str, Enum):
@@ -98,49 +89,6 @@ def job_id_of(digest: str, spec: str) -> str:
     return f"{digest[:12]}:{spec}"
 
 
-def shard_of(digest: str, num_shards: int) -> int:
-    """The queue shard a trace's cells land in (stable digest hash)."""
-    return int(digest[:8], 16) % num_shards
-
-
-class JobQueue:
-    """The sharded pending queue: digest-sharded push, round-robin pop."""
-
-    def __init__(self, num_shards: int = DEFAULT_SHARDS) -> None:
-        if num_shards < 1:
-            raise ValueError("a job queue needs at least one shard")
-        self.num_shards = num_shards
-        self._shards: List[Deque[AnalysisJob]] = [deque() for _ in range(num_shards)]
-        self._next_shard = 0
-        self._lock = threading.Lock()
-
-    def push(self, job: AnalysisJob) -> int:
-        """Queue a job on its trace's shard; returns the shard index."""
-        shard = shard_of(job.digest, self.num_shards)
-        with self._lock:
-            self._shards[shard].append(job)
-        return shard
-
-    def pop(self) -> Optional[AnalysisJob]:
-        """The next pending job, scanning shards round-robin; ``None`` if empty."""
-        with self._lock:
-            for offset in range(self.num_shards):
-                shard = (self._next_shard + offset) % self.num_shards
-                if self._shards[shard]:
-                    self._next_shard = (shard + 1) % self.num_shards
-                    return self._shards[shard].popleft()
-        return None
-
-    def depths(self) -> List[int]:
-        """Pending-job count per shard (the ``status`` op's shard row)."""
-        with self._lock:
-            return [len(shard) for shard in self._shards]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return sum(len(shard) for shard in self._shards)
-
-
 class Scheduler:
     """Drives (trace × spec) cells from submission to recorded result.
 
@@ -155,7 +103,6 @@ class Scheduler:
         results: ResultsStore,
         workers: int = 2,
         task_timeout: Optional[float] = None,
-        num_shards: int = DEFAULT_SHARDS,
         max_inflight: Optional[int] = None,
         parallel_workers: int = 1,
         obs_dir: Optional[Union[str, Path]] = None,
@@ -181,21 +128,16 @@ class Scheduler:
         #: Crash/timeout retries allowed per job on top of the first
         #: attempt (``None`` = the pool's historical default of one).
         self.retry_budget = retry_budget
-        self.queue = JobQueue(num_shards)
+        #: Pending jobs in submission order, guarded by ``_lock``.
+        self._pending: Deque[AnalysisJob] = deque()
         self.pool = WorkerPool(
             workers=workers,
             task_timeout=task_timeout,
             on_result=self._on_result,
             max_attempts=(retry_budget + 1 if retry_budget is not None else MAX_ATTEMPTS),
         )
-        #: Test instrumentation mirroring :attr:`WorkerTask.fault`: maps a
-        #: job id to a fault string injected at dispatch.  The fault and
-        #: chaos suites use it to make specific jobs poison; production
-        #: paths never populate it.
-        self.task_faults: Dict[str, str] = {}
         # Keep a small multiple of the worker count in flight so workers
-        # never idle while the round-robin pop preserves shard fairness
-        # for everything still queued.
+        # never idle between a completion and the next dispatch.
         self.max_inflight = max_inflight if max_inflight is not None else 2 * workers
         #: Terminal (done/failed) jobs kept for status queries; older ones
         #: are pruned so a long-lived server's job history stays bounded
@@ -294,7 +236,7 @@ class Scheduler:
                     recovered=recovered,
                 )
                 self._jobs[job_id] = job
-                self.queue.push(job)
+                self._pending.append(job)
                 queued.append(job_id)
             if self.journal is not None:
                 self.journal.record(
@@ -307,19 +249,17 @@ class Scheduler:
                 )
         obs = self._obs
         if obs is not None:
-            obs.gauge("jobs.queued").set(len(self.queue))
+            obs.gauge("jobs.queued").set(len(self._pending))
         self._dispatch()
         return queued, cached, quarantined
 
     def _dispatch(self) -> None:
-        """Top the pool up to ``max_inflight`` tasks from the sharded queue."""
+        """Top the pool up to ``max_inflight`` tasks, oldest pending first."""
         while True:
             with self._lock:
-                if self._closing or self._inflight >= self.max_inflight:
+                if self._closing or self._inflight >= self.max_inflight or not self._pending:
                     return
-                job = self.queue.pop()
-                if job is None:
-                    return
+                job = self._pending.popleft()
                 job.status = JobStatus.RUNNING
                 self._inflight += 1
                 entry = self.corpus.get(job.digest)
@@ -329,7 +269,6 @@ class Scheduler:
                     spec=job.spec,
                     fmt=entry.trace_fmt,
                     trace_name=job.trace_name,
-                    fault=self.task_faults.get(job.job_id),
                     traceparent=job.traceparent,
                     obs_dir=str(self.obs_dir) if self.obs_dir is not None else None,
                 )
@@ -352,7 +291,7 @@ class Scheduler:
         obs = self._obs
         if obs is not None:
             obs.histogram("scheduler.queue_wait_ns").observe(wait_ns)
-            obs.gauge("jobs.queued").set(len(self.queue))
+            obs.gauge("jobs.queued").set(len(self._pending))
         if job.traceparent and obs_tracing.tracing_enabled():
             ctx = obs_context.context_from_message({"trace": job.traceparent})
             if ctx is not None:
@@ -468,7 +407,7 @@ class Scheduler:
         """Block until no job is pending or running (or ``timeout`` expired)."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._drained:
-            while self._inflight > 0 or len(self.queue) > 0:
+            while self._inflight > 0 or self._pending:
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     return False
@@ -499,7 +438,6 @@ class Scheduler:
         """
         snapshot: Dict[str, object] = {
             "jobs": self.counts(),
-            "shards": self.queue.depths(),
             "inflight": self._inflight,
             "workers": self.pool.alive_workers,
             "results": len(self.results),

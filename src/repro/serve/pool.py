@@ -90,11 +90,7 @@ class WorkerTask:
     ``fmt`` defaults to ``None`` — the worker then sniffs the format
     from the file content (colf magic, gzip, CSV header, STD), which is
     the right call for corpus-stored traces whatever encoding the store
-    uses.  ``fault`` is test instrumentation for the crash-isolation and
-    timeout paths (``"exit"`` hard-kills the worker mid-task, ``"hang"``
-    blocks it, ``"exit_once"`` hard-kills only the first attempt — a
-    marker file beside the trace lets the retry proceed) — production
-    schedulers never set it.
+    uses.
 
     ``traceparent`` carries the submitter's distributed trace context
     (:mod:`repro.obs.context`) across the process boundary, and
@@ -114,7 +110,6 @@ class WorkerTask:
     fmt: Optional[str] = None
     trace_name: str = ""
     parallel: int = 1
-    fault: Optional[str] = None
     traceparent: Optional[str] = None
     obs_dir: Optional[str] = None
 
@@ -158,17 +153,6 @@ def execute_task(task: WorkerTask) -> Dict[str, object]:
     JSON-serializable result payload that gets folded into the results
     store.
     """
-    if task.fault == "exit":  # test instrumentation: simulate a worker crash
-        os._exit(13)
-    if task.fault == "exit_once":  # test instrumentation: crash the first attempt only
-        marker = task.trace_path + ".crash-marker"
-        if not os.path.exists(marker):
-            with open(marker, "w", encoding="utf-8"):
-                pass
-            os._exit(13)
-    if task.fault == "hang":  # test instrumentation: simulate a wedged analysis
-        time.sleep(3600)
-
     from ..obs import context as obs_context
     from ..obs import tracing as obs_tracing
 
@@ -484,7 +468,7 @@ class WorkerPool:
         ``callback_errors``.
 
         Always maintained (no registry needed) — this is what
-        ``repro serve status`` renders, so a crashed-and-retried task is
+        ``repro status`` renders, so a crashed-and-retried task is
         visible even on a server that never enabled metrics.
         """
         with self._lock:
@@ -705,7 +689,7 @@ class WorkerPool:
             except Exception:  # noqa: BLE001 - a callback bug must not kill the monitor
                 # ...but it must not be silent either: a broken watcher
                 # means results are being dropped on the floor.  Tally it
-                # (``serve status`` renders the counters) and log it.
+                # (``repro status`` renders the counters) and log it.
                 with self._lock:
                     self._counters["callback_errors"] += 1
                 obs = self._obs

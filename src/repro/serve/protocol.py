@@ -19,12 +19,12 @@ handlers):
 ``status`` / ``results``
     Scheduler counts / finished (trace × spec) payloads.
 ``stats``
-    Runtime introspection for operators: uptime, queue depth per shard,
+    Runtime introspection for operators: uptime, queue depth,
     per-worker liveness/RSS/jobs-done, pool supervision tallies
     (crashes, timeouts, retries), throughput, and — unless the request
     carries ``metrics=false`` — a full snapshot of the server's metrics
     registry (:mod:`repro.obs.metrics`).  This is what
-    ``repro serve status --watch`` polls.
+    ``repro status --watch`` polls.
 ``stream_begin`` / ``feed`` / ``stream_end``
     Streaming ingest: events arrive as STD lines (``line`` or a batched
     ``lines`` list), are fed into an incremental session while the
@@ -53,7 +53,9 @@ to end.  Responses to submission ops echo the ``trace_id``.
 
 This module only frames and parses messages; it has no socket or
 threading opinions, so both the server's ``rfile``/``wfile`` pair and
-the client's socket makefile handles use it symmetrically.
+the client's socket makefile handles use it symmetrically.  A reader
+may bound the frame size (``read_message(stream, limit)``): the server
+does for requests, clients read responses unbounded.
 """
 
 from __future__ import annotations
@@ -72,6 +74,10 @@ class ProtocolError(ValueError):
     """Raised when a peer sends something that is not a framed JSON object."""
 
 
+class MessageTooLarge(ProtocolError):
+    """Raised when a frame exceeds the reader's limit; the framing is lost."""
+
+
 def encode_message(payload: Dict[str, object]) -> bytes:
     """One message as wire bytes (compact JSON + newline terminator)."""
     return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
@@ -83,18 +89,24 @@ def write_message(stream: BinaryIO, payload: Dict[str, object]) -> None:
     stream.flush()
 
 
-def read_message(stream: BinaryIO) -> Optional[Dict[str, object]]:
+def read_message(stream: BinaryIO, limit: Optional[int] = None) -> Optional[Dict[str, object]]:
     """Read one framed message; ``None`` on EOF (peer closed the stream).
 
     Blank lines are skipped (telnet users); anything else that fails to
     parse into a JSON *object* raises :class:`ProtocolError` — the
     connection-level framing is still intact, so servers answer with an
-    error response and keep the connection alive.
+    error response and keep the connection alive.  With a ``limit``, a
+    frame longer than ``limit`` bytes (newline included) raises
+    :class:`MessageTooLarge` after reading at most ``limit + 1`` bytes of
+    it; the rest of the frame is still unread, so the connection cannot
+    continue.
     """
     while True:
-        line = stream.readline()
+        line = stream.readline() if limit is None else stream.readline(limit + 1)
         if not line:
             return None
+        if limit is not None and len(line) > limit:
+            raise MessageTooLarge(f"message exceeds the {limit}-byte frame limit")
         try:
             text = line.decode("utf-8") if isinstance(line, bytes) else line
         except UnicodeDecodeError as error:

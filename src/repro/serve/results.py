@@ -1,13 +1,13 @@
 """The schema-versioned results store jobs fold into.
 
 One store per corpus (``results.json`` next to ``index.json``), keyed by
-``<trace digest>:<spec key>`` — the same (trace × spec) cell identity the
-job queue shards on.  Every completed job's payload (race pairs, race
-count, per-spec ``elapsed_ns``, worker pid, attempt count) is recorded
-here, which is what makes the service idempotent: re-submitting a trace
-only enqueues the cells the store does not already hold, and
-``repro status --results`` / the ``results`` protocol op read finished
-race sets without touching the workers.
+``<trace digest>:<spec key>`` — the (trace × spec) cell identity of a
+job.  Every completed job's payload (race pairs, race count, per-spec
+``elapsed_ns``, worker pid, attempt count) is recorded here, which is
+what makes the service idempotent: re-submitting a trace only enqueues
+the cells the store does not already hold, and ``repro status
+--results`` / the ``results`` protocol op read finished race sets
+without touching the workers.
 
 The store is thread-safe (the pool's monitor thread records while
 handler threads read) and persisted atomically.  Persistence is

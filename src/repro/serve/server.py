@@ -39,7 +39,6 @@ from ..analysis.serial import race_from_record, race_to_record
 from ..api import QueueSource, Session
 from ..api.spec import coerce_spec
 from ..cli_util import package_version
-from ..faults import ChaosMonkey
 from ..obs import context as obs_context
 from ..obs import metrics as obs_metrics
 from ..obs import proc as obs_proc
@@ -62,6 +61,7 @@ from .corpus import CorpusError, TraceCorpus
 from .jobs import Scheduler
 from .protocol import (
     PROTOCOL,
+    MessageTooLarge,
     ProtocolError,
     error_response,
     ok_response,
@@ -71,6 +71,11 @@ from .protocol import (
 from .results import ResultsStore
 
 log = get_logger("serve")
+
+#: Largest request frame the server reads, in bytes.  Twice
+#: ``ServeClient.STREAM_THRESHOLD_BYTES``: past that much STD text,
+#: ``submit_file`` already streams instead of sending one frame.
+MAX_REQUEST_BYTES = 64 * 1024 * 1024
 
 
 class _StreamState:
@@ -438,7 +443,14 @@ class ServeHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         while True:
             try:
-                request = read_message(self.rfile)
+                request = read_message(self.rfile, MAX_REQUEST_BYTES)
+            except MessageTooLarge as error:
+                # The rest of the frame is unread: answer, then hang up.
+                try:
+                    write_message(self.wfile, error_response(str(error)))
+                except (ConnectionError, OSError):
+                    pass
+                return
             except ProtocolError as error:
                 write_message(self.wfile, error_response(str(error)))
                 continue
@@ -521,10 +533,10 @@ class ServeHandler(socketserver.StreamRequestHandler):
     def _op_stats(self, request: Dict[str, object]) -> Dict[str, object]:
         """Runtime introspection: queue, fleet, throughput, metrics snapshot.
 
-        The live-dashboard op behind ``repro serve status --watch``.
+        The live-dashboard op behind ``repro status --watch``.
         ``status`` stays the job-lifecycle view (what happened to *my*
         submission); ``stats`` is the operator view (how is the service
-        doing) — queue depth per shard, per-worker liveness/RSS/jobs,
+        doing) — queue depth, per-worker liveness/RSS/jobs,
         supervision tallies, request counters and, unless
         ``metrics=false``, the full metrics-registry snapshot.
         """
@@ -532,17 +544,14 @@ class ServeHandler(socketserver.StreamRequestHandler):
         scheduler = server.scheduler
         uptime = max(time.time() - server.started_unix, 1e-9)
         pool_counters = scheduler.pool.counters()
-        shard_depths = scheduler.queue.depths()
+        jobs = scheduler.counts()
         workers = scheduler.pool.worker_stats()
         for row in workers:
             pid = row.get("pid")
             row["rss_bytes"] = (
                 obs_proc.rss_bytes(int(pid)) if row.get("alive") and pid else None
             )
-        queue_stats: Dict[str, object] = {
-            "depth": sum(shard_depths),
-            "shards": shard_depths,
-        }
+        queue_stats: Dict[str, object] = {"depth": jobs["pending"]}
         # Queue latency lives in the stats payload itself (not only the
         # metrics snapshot) so the human `repro status` view — which
         # requests metrics=false — still renders it.
@@ -561,7 +570,7 @@ class ServeHandler(socketserver.StreamRequestHandler):
             "pid": os.getpid(),
             "rss_bytes": obs_proc.rss_bytes(),
             "queue": queue_stats,
-            "jobs": scheduler.counts(),
+            "jobs": jobs,
             "inflight": scheduler.pool.inflight,
             "results": len(server.results),
             "pool": pool_counters,
@@ -785,10 +794,8 @@ class TraceServer(socketserver.ThreadingTCPServer):
         corpus_dir: Union[str, Path],
         workers: int = 2,
         task_timeout: Optional[float] = None,
-        num_shards: int = 8,
         obs_dir: Optional[Union[str, Path]] = None,
         retry_budget: Optional[int] = None,
-        chaos_seed: Optional[int] = None,
     ) -> None:
         # The server process is long-lived and its request rate is tiny
         # next to the analysis work, so it runs with metrics on; worker
@@ -839,18 +846,10 @@ class TraceServer(socketserver.ThreadingTCPServer):
             self.results,
             workers=workers,
             task_timeout=task_timeout,
-            num_shards=num_shards,
             obs_dir=self.obs_dir,
             retry_budget=retry_budget,
             journal=self.journal,
             quarantine=self.quarantine,
-        )
-        #: The chaos monkey (``repro serve --chaos``): SIGKILLs random
-        #: live workers on a seeded schedule; ``None`` in normal runs.
-        self.chaos: Optional[ChaosMonkey] = (
-            ChaosMonkey(self._chaos_victims, seed=chaos_seed)
-            if chaos_seed is not None
-            else None
         )
         self.started_unix = time.time()
         self._shutdown_thread: Optional[threading.Thread] = None
@@ -859,13 +858,9 @@ class TraceServer(socketserver.ThreadingTCPServer):
         # children should not inherit handler-thread state.
         self.scheduler.start()
         self._replay_orphans(previous)
-        if self.chaos is not None:
-            self.chaos.start()
         try:
             super().__init__(address, ServeHandler)
         except BaseException:
-            if self.chaos is not None:
-                self.chaos.stop()
             self.scheduler.close(timeout=2.0)
             self.journal.close()
             raise
@@ -882,14 +877,6 @@ class TraceServer(socketserver.ThreadingTCPServer):
         """The (host, port) actually bound (port 0 resolves here)."""
         host, port = self.server_address[:2]
         return str(host), int(port)
-
-    def _chaos_victims(self) -> List[int]:
-        """Live worker pids the chaos monkey may kill (never the server)."""
-        return [
-            int(row["pid"])  # type: ignore[arg-type]
-            for row in self.scheduler.pool.worker_stats()
-            if row.get("alive") and row.get("pid")
-        ]
 
     def _replay_orphans(self, previous: Dict[str, JournalRecord]) -> None:
         """Re-queue the jobs a previous incarnation left in flight.
@@ -956,8 +943,6 @@ class TraceServer(socketserver.ThreadingTCPServer):
 
     def close(self, timeout: Optional[float] = 10.0) -> None:
         """Full teardown: stop serving, drain the pool, release the socket."""
-        if self.chaos is not None:
-            self.chaos.stop()
         if self._loop_started:
             self.shutdown()
         self.scheduler.close(timeout=timeout)
@@ -982,10 +967,8 @@ def serve(
     corpus_dir: Union[str, Path],
     workers: int = 2,
     task_timeout: Optional[float] = None,
-    num_shards: int = 8,
     obs_dir: Optional[Union[str, Path]] = None,
     retry_budget: Optional[int] = None,
-    chaos_seed: Optional[int] = None,
 ) -> TraceServer:
     """Construct a :class:`TraceServer` bound to ``(host, port)``.
 
@@ -994,16 +977,13 @@ def serve(
     port when ``port`` was 0.  ``obs_dir`` enables distributed span
     recording for every job (server + workers) into that directory.
     ``retry_budget`` bounds crash/timeout retries per job before
-    quarantine; ``chaos_seed`` arms the fault-injection monkey (dev
-    only: workers are SIGKILLed on a seeded schedule).
+    quarantine.
     """
     return TraceServer(
         (host, port),
         corpus_dir,
         workers=workers,
         task_timeout=task_timeout,
-        num_shards=num_shards,
         obs_dir=obs_dir,
         retry_budget=retry_budget,
-        chaos_seed=chaos_seed,
     )

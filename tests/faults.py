@@ -1,26 +1,27 @@
-"""Deterministic fault injection for the serve pipeline.
+"""Deterministic fault injection for the serve pipeline (test helpers).
 
-Production inference stacks earn their durability claims by killing
-their own processes on purpose; this module is that discipline for
-``repro serve``.  Everything is seeded — a :class:`FaultInjector`
-holds one ``random.Random(seed)`` and every decision (kill this worker?
-tear this write? stall this IO?) is drawn from it, so a chaos test that
-fails replays *identically* under the same seed.
+Durability claims are earned by killing processes on purpose; this
+module is that discipline for ``repro serve``.  Everything random is
+seeded — a :class:`FaultInjector` holds one ``random.Random(seed)`` and
+every decision (kill this worker?  stall this IO?) is drawn from it, so
+a chaos test that fails replays *identically* under the same seed.
 
-Three consumer surfaces:
+The helpers, by fault class:
 
-* **tests** — the torn-write helpers (:func:`tear_tail`,
-  :func:`append_garbage`) and :func:`kill_process` drive the torture and
-  differential-recovery suites;
-* **`repro serve --chaos[=seed]`** — a :class:`ChaosMonkey` thread
-  SIGKILLs random live workers at seeded jittered intervals, proving the
-  retry/quarantine/journal machinery on a dev box;
-* **clients under test** — :func:`reset_socket` closes a socket with
+* **worker faults** — :class:`FaultyTask` wraps a
+  :class:`~repro.serve.pool.WorkerTask` so that the worker receiving it
+  exits or wedges before the analysis starts, and :func:`poison` routes
+  chosen job ids of a :class:`~repro.serve.jobs.Scheduler` through it;
+* **process faults** — :func:`kill_process`, and a :class:`ChaosMonkey`
+  thread SIGKILLing random live workers at seeded jittered intervals;
+* **torn writes** — :func:`tear_tail` and :func:`append_garbage` model a
+  crash mid-append for the torture and differential-recovery suites;
+* **network faults** — :func:`reset_socket` closes a socket with
   ``SO_LINGER 0`` so the peer sees a hard RST (``ECONNRESET``), the
   exact transient the client's backoff must absorb.
 
-Nothing here is imported by production code paths except the chaos flag
-wiring; injectors are inert unless explicitly constructed.
+``tests/`` is on pytest's ``pythonpath``, so test modules import this
+as ``faults``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,12 @@ import socket
 import struct
 import threading
 import time
+from dataclasses import astuple
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Set, Union
+
+from repro.serve.jobs import Scheduler
+from repro.serve.pool import WorkerTask
 
 #: Exit signal used for hard kills — the "process vanished" fault, not a
 #: catchable shutdown.
@@ -83,6 +88,63 @@ class FaultInjector:
         duration = self.uniform(0.0, max_seconds)
         time.sleep(duration)
         return duration
+
+
+# -- worker faults ----------------------------------------------------------------------
+
+#: What a faulty delivery unpickles to in the worker: a hard exit (the
+#: pool reports ``worker crashed (exit code 13)``) or a wedge that only
+#: the pool's task timeout or terminate ends.
+_FAULT_CALLS = {
+    "crash": (os._exit, (13,)),
+    "hang": (time.sleep, (3600,)),
+}
+
+
+class FaultyTask:
+    """A :class:`WorkerTask` whose delivery to a worker crashes or wedges it.
+
+    The pool pickles a task each time it hands it to a worker.  For the
+    first ``times`` deliveries (all of them when ``times`` is ``None``)
+    this wrapper pickles as a call to ``os._exit(13)`` (``"crash"``) or
+    ``time.sleep(3600)`` (``"hang"``), so the worker unpickling it dies
+    or wedges before :func:`~repro.serve.pool.execute_task` runs; later
+    deliveries pickle as the wrapped task.  The pickled form names only
+    ``os._exit``, ``time.sleep`` and ``WorkerTask``, so workers never
+    import this module.  In the parent the pool only reads ``task_id``.
+    """
+
+    def __init__(self, task: WorkerTask, fault: str = "crash", times: Optional[int] = None) -> None:
+        self.task = task
+        self.task_id = task.task_id
+        self._call = _FAULT_CALLS[fault]
+        self._remaining = times
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        with self._lock:
+            if self._remaining is None:
+                return self._call
+            if self._remaining > 0:
+                self._remaining -= 1
+                return self._call
+        return WorkerTask, astuple(self.task)
+
+
+def poison(scheduler: Scheduler, fault: str = "crash") -> Set[str]:
+    """Deliver the scheduler's jobs named in the returned set as :class:`FaultyTask`.
+
+    Wraps ``scheduler.pool.submit``.  Add a job id to the set to poison
+    every later dispatch of it; discard the id to cure it.
+    """
+    poisoned: Set[str] = set()
+    submit = scheduler.pool.submit
+
+    def poisoning_submit(task: WorkerTask) -> None:
+        submit(FaultyTask(task, fault) if task.task_id in poisoned else task)
+
+    scheduler.pool.submit = poisoning_submit
+    return poisoned
 
 
 # -- process faults ----------------------------------------------------------------------

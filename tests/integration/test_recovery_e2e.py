@@ -23,8 +23,8 @@ import time
 
 import pytest
 
+from faults import ChaosMonkey, append_garbage, poison, tear_tail
 from repro import TraceBuilder
-from repro.faults import ChaosMonkey, append_garbage, tear_tail
 from repro.gen.scenarios import SCENARIOS
 from repro.recovery import QuarantineStore, read_journal, replay_journal
 from repro.serve import ServeClient, TraceServer
@@ -395,7 +395,8 @@ class TestQuarantineEndToEnd:
                 stream.feed_lines([std_line(event) for event in trace])
                 digest = str(stream.end()["digest"])
                 job_id = job_id_of(digest, spec)
-                server.scheduler.task_faults[job_id] = "exit"
+                poisoned = poison(server.scheduler)
+                poisoned.add(job_id)
 
                 response = client.analyze(digest, [spec])
                 assert response["jobs"] == [job_id]
@@ -411,7 +412,7 @@ class TestQuarantineEndToEnd:
                 assert again["quarantined"] == [job_id] and not again["jobs"]
 
                 # cured + force: released for a fresh run that completes
-                del server.scheduler.task_faults[job_id]
+                poisoned.remove(job_id)
                 released = client.analyze(digest, [spec], force=True)
                 assert released["jobs"] == [job_id]
                 rows = client.wait_for_jobs(released["jobs"], timeout=120)
@@ -433,7 +434,7 @@ class TestQuarantineEndToEnd:
                 stream.feed_lines([std_line(event) for event in trace])
                 digest = str(stream.end()["digest"])
                 job_id = job_id_of(digest, spec)
-                server.scheduler.task_faults[job_id] = "exit"
+                poison(server.scheduler).add(job_id)
                 client.wait_for_jobs(client.analyze(digest, [spec])["jobs"], timeout=120)
         finally:
             server.close()
@@ -461,8 +462,11 @@ class TestChaosMonkeyEndToEnd:
             ("127.0.0.1", 0), tmp_path / "corpus", workers=2, retry_budget=6
         )
         threading.Thread(target=server.serve_forever, daemon=True).start()
-        monkey = ChaosMonkey(server._chaos_victims, seed=5, interval=0.6, kill_rate=1.0)
-        server.chaos = monkey  # server.close() stops it with everything else
+
+        def live_workers():
+            return [row["pid"] for row in server.scheduler.pool.worker_stats() if row["alive"]]
+
+        monkey = ChaosMonkey(live_workers, seed=5, interval=0.6, kill_rate=1.0)
         monkey.start()
         try:
             with ServeClient(*server.address) as client:
@@ -485,14 +489,5 @@ class TestChaosMonkeyEndToEnd:
                 for digest in digests:
                     assert set(client.results(digest)) >= set(specs)
         finally:
+            monkey.stop()
             server.close()
-
-    def test_serve_chaos_flag_boots_and_shuts_down(self, tmp_path):
-        process, host, port = start_serve(tmp_path / "corpus", "--chaos", "3")
-        try:
-            with ServeClient(host, port) as client:
-                assert client.ping()["ok"]
-                client.shutdown()
-            assert process.wait(timeout=60) == 0
-        finally:
-            stop_hard(process)

@@ -13,7 +13,6 @@ import os
 
 import pytest
 
-from repro.analysis import ANALYSIS_CLASSES
 from repro.api import (
     AnalysisSpec,
     CaptureSource,
@@ -25,8 +24,8 @@ from repro.api import (
     as_event_source,
     run_specs,
 )
+from repro.api.registry import CLOCKS, ORDERS
 from repro.capture.recorder import TraceRecorder
-from repro.clocks import clock_class_by_name
 from repro.gen import RandomTraceConfig, get_profile
 from repro.trace import OpKind, Trace, TraceBuilder, dumps_csv, dumps_std, load_trace, save_trace
 from repro.trace import event as ev
@@ -64,8 +63,8 @@ class TestSessionEqualsIndividualRuns:
         assert len(session_result) == len(specs)
         for combo in ALL_COMBOS:
             order, clock = combo.split("+")
-            legacy = ANALYSIS_CLASSES[order.upper()](
-                clock_class_by_name(clock), detect=True, capture_timestamps=True
+            legacy = ORDERS.get(order)(
+                CLOCKS.get(clock), detect=True, capture_timestamps=True
             ).run(trace)
             via_session = session_result[f"{combo}+detect+ts"]
             assert via_session.timestamps == legacy.timestamps, combo
@@ -77,9 +76,7 @@ class TestSessionEqualsIndividualRuns:
     def test_work_counters_match_individual_runs(self, small_trace):
         session_result = Session(["hb+tc+work", "hb+vc+work"]).run(small_trace)
         for clock in ("tc", "vc"):
-            legacy = ANALYSIS_CLASSES["HB"](clock_class_by_name(clock), count_work=True).run(
-                small_trace
-            )
+            legacy = ORDERS.get("HB")(CLOCKS.get(clock), count_work=True).run(small_trace)
             via_session = session_result[f"hb+{clock}+work"]
             assert via_session.work.entries_processed == legacy.work.entries_processed
             assert via_session.work.entries_updated == legacy.work.entries_updated

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.faults import reset_socket
+from faults import reset_socket
 from repro.obs import metrics as obs_metrics
 from repro.serve.client import ServeClient, ServeClientError, _is_transient
 from repro.serve.protocol import read_message, write_message

@@ -10,7 +10,7 @@ from repro.analysis import (
     has_race,
 )
 from repro.analysis.result import DetectionSummary, Race
-from repro.clocks import ClockContext, VectorClock
+from repro.clocks import ClockContext, TreeClock, VectorClock
 from repro.trace import TraceBuilder
 from repro.trace import event as ev
 
@@ -85,6 +85,65 @@ class TestRaceDetectorUnit:
         detector.on_write(ev.write(1, "x", eid=0), make_clock({1: 1}))
         detector.on_read(ev.read(2, "x", eid=1), make_clock({1: 1, 2: 1}))
         assert detector.summary.checks >= 2
+
+
+class TestRaceDetectorEpochs:
+    """The detector's flat ``clk @ tid`` epochs for the last write and reader."""
+
+    def test_write_epoch_is_checked_against_a_tree_clock(self):
+        context = ClockContext(threads=[1, 2])
+        writer = TreeClock(context, owner=1)
+        writer.increment(1, 4)
+        reader = TreeClock(context, owner=2)
+        reader.increment(2, 1)
+        reader.join(writer)
+        detector = RaceDetector()
+        detector.on_write(ev.write(1, "x", eid=0), writer)
+        detector.on_read(ev.read(2, "x", eid=1), reader)
+        assert detector.summary.race_count == 0
+        # A write the reader has not seen: 5@t1 is past the reader's 4@t1.
+        writer.increment(1, 1)
+        detector.on_write(ev.write(1, "y", eid=2), writer)
+        detector.on_read(ev.read(2, "y", eid=3), reader)
+        race = detector.summary.races[0]
+        assert (race.prior_tid, race.prior_local_time) == (1, 5)
+
+    def test_thread_ids_zero_and_negative_keep_their_epochs(self):
+        # An epoch is absent only while its local time is 0, so thread 0
+        # (the zeroed write_tid) and negative ids are tracked like others.
+        context = ClockContext(threads=[-1, 0, 1])
+
+        def clock(entries):
+            vector = VectorClock(context)
+            for tid, value in entries.items():
+                vector.increment(tid, value)
+            return vector
+
+        detector = RaceDetector()
+        detector.on_write(ev.write(0, "x", eid=0), clock({0: 1}))
+        detector.on_read(ev.read(-1, "x", eid=1), clock({-1: 1}))
+        detector.on_write(ev.write(1, "x", eid=2), clock({1: 1}))
+        assert sorted(race.prior_tid for race in detector.summary.races) == [-1, 0, 0]
+
+    def test_reread_by_the_same_thread_advances_its_read_epoch(self):
+        detector = RaceDetector()
+        detector.on_read(ev.read(1, "x", eid=0), make_clock({1: 1}))
+        detector.on_read(ev.read(1, "x", eid=1), make_clock({1: 2}))
+        # The writer saw the first read but not the second.
+        detector.on_write(ev.write(2, "x", eid=2), make_clock({1: 1, 2: 1}))
+        race = detector.summary.races[0]
+        assert (race.prior_tid, race.prior_local_time) == (1, 2)
+        assert detector.summary.race_count == 1
+
+    def test_write_drops_the_reads_it_was_checked_against(self):
+        detector = RaceDetector()
+        detector.on_read(ev.read(1, "x", eid=0), make_clock({1: 1}))
+        detector.on_read(ev.read(2, "x", eid=1), make_clock({2: 1}))
+        detector.on_write(ev.write(3, "x", eid=2), make_clock({1: 1, 2: 1, 3: 1}))
+        # Ordered after thread 3's write, thread 1 need not know thread 2's
+        # read: the write already ordered it.
+        detector.on_write(ev.write(1, "x", eid=3), make_clock({1: 2, 3: 1}))
+        assert detector.summary.race_count == 0
 
 
 class TestReversiblePairDetector:

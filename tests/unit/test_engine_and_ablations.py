@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import HBAnalysis, SHBAnalysis, analysis_class_by_name
+from repro.analysis import HBAnalysis, SHBAnalysis
 from repro.analysis.ablations import HBDeepCopyAnalysis, SHBDeepCopyAnalysis
 from repro.analysis.engine import PartialOrderAnalysis
 from repro.clocks import TreeClock, VectorClock
@@ -49,11 +49,6 @@ class TestEngine:
         assert result.work is None
         counted = HBAnalysis(TreeClock, count_work=True).run(TraceBuilder().read(1, "x").build())
         assert counted.work is not None and counted.work.increments == 1
-
-    def test_analysis_class_by_name(self):
-        assert analysis_class_by_name("hb") is HBAnalysis
-        with pytest.raises(ValueError):
-            analysis_class_by_name("CP")
 
 
 class TestAblationVariants:

@@ -1,57 +1,9 @@
-"""Unit tests for epochs and the work counter / clock context plumbing."""
+"""Unit tests for the work counter / clock context plumbing."""
 
 import pytest
 
-from repro.clocks import (
-    CLOCK_CLASSES,
-    ClockContext,
-    Epoch,
-    TreeClock,
-    VectorClock,
-    WorkCounter,
-    clock_class_by_name,
-    clock_name,
-    epoch_of,
-    is_empty,
-)
+from repro.clocks import ClockContext, TreeClock, VectorClock, WorkCounter, clock_name
 from repro.clocks.base import vt_equal, vt_get, vt_join, vt_leq
-from repro.clocks.epoch import EMPTY_EPOCH
-
-
-class TestEpoch:
-    def test_happens_before_true_when_clock_knows_enough(self, context):
-        clock = VectorClock(context)
-        clock.increment(1, 5)
-        assert Epoch(tid=1, clk=5).happens_before(clock)
-        assert Epoch(tid=1, clk=3).happens_before(clock)
-
-    def test_happens_before_false_when_clock_is_behind(self, context):
-        clock = VectorClock(context)
-        clock.increment(1, 2)
-        assert not Epoch(tid=1, clk=3).happens_before(clock)
-
-    def test_happens_before_works_with_tree_clocks(self, context):
-        clock = TreeClock(context, owner=1)
-        clock.increment(1, 4)
-        assert Epoch(tid=1, clk=4).happens_before(clock)
-        assert not Epoch(tid=1, clk=5).happens_before(clock)
-
-    def test_epoch_of(self, context):
-        clock = VectorClock(context)
-        clock.increment(2, 7)
-        assert epoch_of(clock, 2) == Epoch(tid=2, clk=7)
-
-    def test_is_empty(self):
-        assert is_empty(None)
-        assert is_empty(EMPTY_EPOCH)
-        assert is_empty(Epoch(tid=3, clk=0))
-        assert not is_empty(Epoch(tid=3, clk=1))
-
-    def test_str_format(self):
-        assert str(Epoch(tid=2, clk=9)) == "9@t2"
-
-    def test_empty_epoch_happens_before_everything(self, context):
-        assert EMPTY_EPOCH.happens_before(VectorClock(context))
 
 
 class TestWorkCounter:
@@ -121,18 +73,6 @@ class TestVectorTimeHelpers:
 
 
 class TestRegistry:
-    def test_clock_classes_registry(self):
-        assert CLOCK_CLASSES["VC"] is VectorClock
-        assert CLOCK_CLASSES["TC"] is TreeClock
-
-    def test_clock_class_by_name_is_case_insensitive(self):
-        assert clock_class_by_name("vc") is VectorClock
-        assert clock_class_by_name("Tc") is TreeClock
-
-    def test_clock_class_by_name_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            clock_class_by_name("mystery")
-
     def test_clock_name(self):
         assert clock_name(VectorClock) == "VC"
         assert clock_name(TreeClock) == "TC"

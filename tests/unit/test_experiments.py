@@ -41,6 +41,10 @@ class TestExperimentConfig:
         classes = FAST.analysis_classes()
         assert [cls.PARTIAL_ORDER for cls in classes] == ["MAZ", "SHB", "HB"]
 
+    def test_analysis_classes_accept_any_case(self):
+        classes = ExperimentConfig(orders=("maz", "Shb", "hb")).analysis_classes()
+        assert [cls.PARTIAL_ORDER for cls in classes] == ["MAZ", "SHB", "HB"]
+
     def test_analysis_classes_rejects_unknown_order(self):
         with pytest.raises(ValueError):
             ExperimentConfig(orders=("HB", "XYZ")).analysis_classes()

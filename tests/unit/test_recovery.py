@@ -4,7 +4,7 @@ The durability contract under test is *atomic or detectable*: journal
 appends are single-line ``os.write`` calls whose only possible tear is
 the final line (skipped by the lenient reader), and snapshot/quarantine
 documents go through tmp + ``os.replace`` so a reader only ever sees a
-complete file.  The torn-write helpers of :mod:`repro.faults` model the
+complete file.  The torn-write helpers of :mod:`faults` model the
 crashes.
 """
 
@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.faults import append_garbage, tear_tail
+from faults import append_garbage, tear_tail
 from repro.recovery import (
     JOURNAL_SCHEMA,
     JobJournal,

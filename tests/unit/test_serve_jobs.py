@@ -1,19 +1,16 @@
-"""Unit tests for the sharded job queue, scheduler and worker pool."""
+"""Unit tests for the job queue, scheduler and worker pool."""
 
 import time
 
 import pytest
 
+from faults import FaultyTask
 from repro import Session, TraceBuilder
 from repro.trace.io import save_trace
 from repro.serve.corpus import TraceCorpus
-from repro.serve.jobs import AnalysisJob, JobQueue, JobStatus, Scheduler, job_id_of, shard_of
+from repro.serve.jobs import JobStatus, Scheduler, job_id_of
 from repro.serve.pool import WorkerPool, WorkerTask, execute_task, run_batch
 from repro.serve.results import ResultsStore
-
-
-def make_job(digest: str, spec: str = "hb+tc") -> AnalysisJob:
-    return AnalysisJob(job_id=job_id_of(digest, spec), digest=digest, spec=spec, trace_name="t")
 
 
 @pytest.fixture
@@ -33,42 +30,67 @@ def trace_file(tmp_path, racy_trace):
     return path
 
 
+def recording_scheduler(corpus, max_inflight):
+    """A scheduler whose pool records dispatched tasks and runs nothing."""
+    scheduler = Scheduler(corpus, ResultsStore(), workers=1, max_inflight=max_inflight)
+    dispatched = []
+    scheduler.pool.submit = dispatched.append
+    return scheduler, dispatched
+
+
 class TestJobQueue:
-    def test_cells_of_one_trace_share_a_shard(self):
-        queue = JobQueue(num_shards=4)
-        digest = "ab" * 32
-        shards = {queue.push(make_job(digest, spec)) for spec in ("hb+tc", "hb+vc", "shb+tc")}
-        assert shards == {shard_of(digest, 4)}
-        assert len(queue) == 3
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        return TraceCorpus(tmp_path / "corpus")
 
-    def test_pop_round_robins_across_shards(self):
-        queue = JobQueue(num_shards=4)
-        # Two traces in different shards, several cells each: pops must
-        # interleave the traces instead of draining one first.
-        first, second = "00" * 32, "01" * 32
-        assert shard_of(first, 4) != shard_of(second, 4)
-        for spec in ("hb+tc", "hb+vc"):
-            queue.push(make_job(first, spec))
-            queue.push(make_job(second, spec))
-        popped = [queue.pop().digest for _ in range(4)]
-        assert popped[:2] != [first, first] and popped[:2] != [second, second]
-        assert queue.pop() is None
+    @pytest.fixture
+    def digest(self, corpus):
+        entry, _ = corpus.ingest(TraceBuilder(name="a").write(1, "x").build())
+        return entry.digest
 
-    def test_depths_reports_per_shard_backlog(self):
-        queue = JobQueue(num_shards=2)
-        digest = "ff" * 32
-        queue.push(make_job(digest))
-        depths = queue.depths()
-        assert sum(depths) == 1 and len(depths) == 2
+    def test_cells_of_two_traces_dispatch_in_submission_order(self, corpus, digest):
+        second, _ = corpus.ingest(TraceBuilder(name="b").write(2, "y").build())
+        scheduler, dispatched = recording_scheduler(corpus, max_inflight=1)
+        specs = ["hb+tc", "hb+vc", "shb+tc"]
+        scheduler.submit(digest, specs)
+        scheduler.submit(second.digest, specs)
+        # One slot: each completion dispatches the oldest pending cell.
+        for _ in range(2 * len(specs) - 1):
+            scheduler._on_result(dispatched[-1].task_id, {}, None, 1)
+        expected = [job_id_of(d, spec) for d in (digest, second.digest) for spec in specs]
+        assert [task.task_id for task in dispatched] == expected
 
-    def test_shard_of_is_stable(self):
-        digest = "abcdef00" + "00" * 28
-        assert shard_of(digest, 8) == shard_of(digest, 8)
-        assert 0 <= shard_of(digest, 8) < 8
+    def test_cells_past_max_inflight_wait_pending(self, corpus, digest):
+        scheduler, dispatched = recording_scheduler(corpus, max_inflight=2)
+        scheduler.submit(digest, ["hb+tc", "hb+vc", "shb+tc"])
+        assert len(dispatched) == 2
+        counts = scheduler.counts()
+        assert counts["running"] == 2 and counts["pending"] == 1
+        assert scheduler.status_snapshot()["inflight"] == 2
+        # A completion frees one slot, which the pending cell takes.
+        scheduler._on_result(dispatched[0].task_id, {}, None, 1)
+        assert [task.task_id for task in dispatched[2:]] == [job_id_of(digest, "shb+tc")]
+        assert scheduler.counts()["pending"] == 0
 
-    def test_queue_requires_a_shard(self):
-        with pytest.raises(ValueError):
-            JobQueue(num_shards=0)
+    def test_resubmitting_a_pending_cell_queues_it_once(self, corpus, digest):
+        scheduler, dispatched = recording_scheduler(corpus, max_inflight=1)
+        scheduler.submit(digest, ["hb+tc", "hb+vc"])
+        # Both the running and the pending cell are reported, not re-queued.
+        queued, cached, _ = scheduler.submit(digest, ["HB+tree", "hb+vc"])
+        assert queued == [job_id_of(digest, "hb+tc"), job_id_of(digest, "hb+vc")]
+        assert cached == [] and scheduler.counts()["pending"] == 1
+        while scheduler.counts()["running"]:
+            scheduler._on_result(dispatched[-1].task_id, {}, None, 1)
+        assert [task.task_id for task in dispatched] == queued
+
+    def test_wait_idle_waits_for_pending_and_running_cells(self, corpus, digest):
+        scheduler, dispatched = recording_scheduler(corpus, max_inflight=1)
+        scheduler.submit(digest, ["hb+tc", "hb+vc"])
+        assert not scheduler.wait_idle(timeout=0.05)  # one running, one pending
+        scheduler._on_result(dispatched[0].task_id, {}, None, 1)
+        assert not scheduler.wait_idle(timeout=0.05)  # the second cell now runs
+        scheduler._on_result(dispatched[1].task_id, {}, None, 1)
+        assert scheduler.wait_idle(timeout=1)
 
 
 EXECUTE_SPECS = [
@@ -140,8 +162,8 @@ class TestWorkerPool:
             results = pool.run_batch(
                 [
                     WorkerTask(task_id="ok", trace_path=str(trace_file), spec="hb+tc+detect"),
-                    WorkerTask(
-                        task_id="boom", trace_path=str(trace_file), spec="hb+tc", fault="exit"
+                    FaultyTask(
+                        WorkerTask(task_id="boom", trace_path=str(trace_file), spec="hb+tc")
                     ),
                 ],
                 timeout=60,
@@ -188,7 +210,7 @@ class TestWorkerPool:
 
 
 class TestPoolCounters:
-    """The supervision tallies behind ``repro serve status`` — always on,
+    """The supervision tallies behind ``repro status`` — always on,
     registry or not (the bugfix: retries/crashes/timeouts used to be
     swallowed by the retry machinery and never surfaced)."""
 
@@ -219,14 +241,14 @@ class TestPoolCounters:
             pool.run_batch(
                 [
                     WorkerTask(task_id="ok", trace_path=str(trace_file), spec="hb+tc"),
-                    WorkerTask(
-                        task_id="boom", trace_path=str(trace_file), spec="hb+tc", fault="exit"
+                    FaultyTask(
+                        WorkerTask(task_id="boom", trace_path=str(trace_file), spec="hb+tc")
                     ),
                 ],
                 timeout=60,
             )
             counters = pool.counters()
-            # fault="exit" crashes on both attempts: retried once, then
+            # The faulty task crashes on both attempts: retried once, then
             # failed terminally.  The clean task completes normally.
             assert counters["jobs_done"] == 1
             assert counters["crashes"] == 2
@@ -338,7 +360,6 @@ class TestScheduler:
             assert scheduler.wait_idle(timeout=60)
             snapshot = scheduler.status_snapshot(detail=True)
             assert snapshot["jobs"]["done"] == 1
-            assert len(snapshot["shards"]) == 8
             job_row = snapshot["job_list"][0]
             assert job_row["status"] == JobStatus.DONE.value
             assert job_row["attempts"] == 1

@@ -1,13 +1,15 @@
-"""Unit tests for the serve line protocol framing and address parsing."""
+"""Unit tests for the serve line protocol framing, address parsing and flags."""
 
 import io
 
 import pytest
 
-from repro.serve.client import parse_address
+from repro.cli import main as repro_main
+from repro.serve.client import ServeClient, parse_address
 from repro.serve.protocol import (
     DEFAULT_PORT,
     PROTOCOL,
+    MessageTooLarge,
     ProtocolError,
     encode_message,
     error_response,
@@ -15,6 +17,7 @@ from repro.serve.protocol import (
     read_message,
     write_message,
 )
+from repro.serve.server import MAX_REQUEST_BYTES
 
 
 class TestFraming:
@@ -60,6 +63,39 @@ class TestFraming:
         wire = encode_message({"op": "feed", "lines": ["T1|w(x)"]})
         assert wire.endswith(b"\n") and wire.count(b"\n") == 1
 
+    def test_limit_bounds_the_frame_and_the_bytes_read(self):
+        frame = encode_message({"op": "ping"})
+        assert read_message(io.BytesIO(frame), limit=len(frame)) == {"op": "ping"}
+        with pytest.raises(MessageTooLarge, match="frame limit"):
+            read_message(io.BytesIO(frame), limit=len(frame) - 1)
+        # An endless line is refused after limit + 1 bytes, not buffered whole.
+        stream = io.BytesIO(b"x" * 10_000)
+        with pytest.raises(ProtocolError):
+            read_message(stream, limit=100)
+        assert stream.tell() == 101
+
+    def test_limit_applies_to_each_frame(self):
+        frame = encode_message({"op": "ping"})
+        stream = io.BytesIO(b"\n\n" + frame + frame)
+        # Blank lines are skipped; each frame is measured on its own.
+        assert read_message(stream, limit=len(frame)) == {"op": "ping"}
+        assert read_message(stream, limit=len(frame)) == {"op": "ping"}
+        assert read_message(stream, limit=len(frame)) is None
+
+
+class TestRequestCap:
+    def test_cap_fits_the_largest_unstreamed_submission(self):
+        # submit_file sends up to STREAM_THRESHOLD_BYTES of STD text in one
+        # frame.  JSON escapes only the newline of each STD line, so twice
+        # the threshold leaves room for the escapes and the envelope.
+        threshold = ServeClient.STREAM_THRESHOLD_BYTES
+        assert MAX_REQUEST_BYTES == 2 * threshold
+        text = "\n".join(["T1|r(x)"] * 1000)
+        frame = encode_message(
+            {"op": "submit", "text": text, "fmt": "std", "specs": ["hb+tc"], "tags": []}
+        )
+        assert len(frame) / len(text) < MAX_REQUEST_BYTES / threshold
+
 
 class TestResponses:
     def test_ok_response(self):
@@ -87,3 +123,12 @@ class TestParseAddress:
     def test_invalid_port_raises(self):
         with pytest.raises(ValueError, match="port must be an integer"):
             parse_address("host:http")
+
+
+class TestServeFlags:
+    @pytest.mark.parametrize("flags", [["--shards", "8"], ["--chaos"]], ids=["shards", "chaos"])
+    def test_removed_flags_are_usage_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(["serve", *flags])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

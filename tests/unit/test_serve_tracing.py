@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from faults import FaultyTask
 from repro.obs import context as obs_context
 from repro.obs.merge import load_spans
 from repro.obs.tracing import configure_tracing, shutdown_tracing, tracing_enabled
@@ -133,13 +134,15 @@ class TestPoolCrashRetryTracing:
         try:
             results = pool.run_batch(
                 [
-                    WorkerTask(
-                        task_id="boom-once",
-                        trace_path=str(colf_trace),
-                        spec="hb",
-                        fault="exit_once",
-                        traceparent=ctx.to_traceparent(),
-                        obs_dir=str(obs_dir),
+                    FaultyTask(
+                        WorkerTask(
+                            task_id="boom-once",
+                            trace_path=str(colf_trace),
+                            spec="hb",
+                            traceparent=ctx.to_traceparent(),
+                            obs_dir=str(obs_dir),
+                        ),
+                        times=1,
                     )
                 ],
                 timeout=60,
