@@ -31,11 +31,7 @@ class HBDeepCopyAnalysis(HBAnalysis):
     PARTIAL_ORDER = "HB"
 
     def _on_release(self, event: Event, clock: Clock) -> None:
-        lock_clock = self.clock_of_lock(event.target)
-        if hasattr(lock_clock, "copy_from"):
-            lock_clock.copy_from(clock)
-        else:  # pragma: no cover - vector clocks: copy is already flat
-            lock_clock.monotone_copy(clock)
+        self.clock_of_lock(event.target).copy_from(clock)
 
 
 class SHBDeepCopyAnalysis(SHBAnalysis):
@@ -44,11 +40,7 @@ class SHBDeepCopyAnalysis(SHBAnalysis):
     PARTIAL_ORDER = "SHB"
 
     def _on_write(self, event: Event, clock: Clock) -> None:
-        last_write = self.last_write_clock(event.target)
-        if hasattr(last_write, "copy_from"):
-            last_write.copy_from(clock)
-        else:  # pragma: no cover - vector clocks: copy is already flat
-            last_write.copy_check_monotone(clock)
+        self.last_write_clock(event.target).copy_from(clock)
 
     def _on_write_detect(self, event: Event, clock: Clock) -> None:
         # SHBAnalysis binds this variant when a detector is attached;

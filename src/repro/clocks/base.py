@@ -139,23 +139,17 @@ class ClockContext:
     threads: Sequence[int]
     counter: Optional[WorkCounter] = None
     index_of: Dict[int, int] = field(init=False)
-    #: Shared tree-clock work lists (updated-node stack, traversal frames,
-    #: recycled-node free list).  Clock operations are single-threaded and
-    #: non-reentrant within one analysis run, so one set per context
-    #: serves every tree clock of the run — O(1) memory instead of
+    #: Shared tree-clock free list: nodes a deep copy drops, recycled by
+    #: later attaches and copies of any tree clock of the run.  Clock
+    #: operations are single-threaded within one analysis run, so one
+    #: list per context serves every tree clock — O(1) memory instead of
     #: per-clock lists on analyses that keep one clock per variable.
-    tc_stack: list = field(init=False, repr=False)
-    tc_frame_nodes: list = field(init=False, repr=False)
-    tc_frame_children: list = field(init=False, repr=False)
     tc_free: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ordered = list(dict.fromkeys(self.threads))
         self.threads = ordered
         self.index_of = {tid: position for position, tid in enumerate(ordered)}
-        self.tc_stack = []
-        self.tc_frame_nodes = []
-        self.tc_frame_children = []
         self.tc_free = []
 
     @property
@@ -213,6 +207,9 @@ class Clock(Protocol):
 
     def copy_check_monotone(self, other: "Clock") -> None:
         """In-place copy of ``other`` without the monotonicity assumption."""
+
+    def copy_from(self, other: "Clock") -> None:
+        """Unconditional in-place copy of ``other`` (Θ(size) time)."""
 
     def leq(self, other: "Clock") -> bool:
         """Whether ``self ⊑ other`` holds."""

@@ -27,16 +27,22 @@ and the child lists kept as intrusive doubly-linked lists so that both
 ``pushChild`` and node detachment are O(1).
 
 Beyond the algorithmic structure, the hot path (one join or monotone
-copy per synchronization event) is tuned to avoid per-event allocation,
-which dominates the constant factor in CPython:
+copy per synchronization event) is tuned for the constant factor, which
+in CPython is interpreter overhead per operation rather than the few
+entries each operation processes:
 
-* the paper's ``detachNodes`` + ``attachNodes`` passes are fused into a
-  single :meth:`_apply_updated_nodes` sweep (one stack drain and one
-  thread-map lookup per updated node instead of two);
-* the traversal work lists (the updated-node stack and the pruned
-  pre-order frames) live on the shared :class:`ClockContext` and are
-  reused across operations instead of being allocated per call, with the
-  frame tuples replaced by two parallel lists;
+* the paper's ``getUpdatedNodes``, ``detachNodes`` and ``attachNodes``
+  passes are one pruned pre-order walk over ``other`` (:meth:`_graft`):
+  each progressed node is unlinked and re-attached the moment the walk
+  finds it, with no intermediate stack and no second sweep;
+* an insertion cursor per expanded node places its re-attached children
+  in ``other``'s sibling order (the first at the front, each later one
+  right after the previous), which is the order the paper's stack drain
+  produces;
+* each descent into a progressed node with children pushes one tuple
+  frame (resume sibling, parent, the parent's *pre-op* clock for the
+  indirect-monotonicity test, cursor) on the walk's own stack; a
+  progressed leaf pushes nothing;
 * nodes dropped by a deep copy go onto the context's shared **free
   list** and are recycled by later attaches and copies of any clock, so
   steady-state operation allocates no :class:`TreeClockNode` objects;
@@ -46,7 +52,10 @@ which dominates the constant factor in CPython:
 
 The differential test harness (``tests/differential/``) pins these
 optimizations to the semantics of the plain vector clock: every mutation
-is cross-checked against ``VectorClock`` and ``validate_structure()``.
+is cross-checked against ``VectorClock`` and ``validate_structure()``,
+and against a verbatim copy of the earlier two-pass kernel (the paper's
+``getUpdatedNodes``, then one fused detach + attach sweep), which must
+build the same tree with the same work counts.
 """
 
 from __future__ import annotations
@@ -113,9 +122,9 @@ class TreeClock:
         self.owner = owner
         self._root: Optional[TreeClockNode] = None
         self._nodes: Dict[int, TreeClockNode] = {}
-        # The join/copy work lists and the recycled-node free list live on
-        # the shared context (empty between operations), so per-variable
-        # auxiliary clocks stay as small as a dict plus two pointers.
+        # The recycled-node free list lives on the shared context, so
+        # per-variable auxiliary clocks stay as small as a dict plus two
+        # pointers.
         if owner is not None:
             root = TreeClockNode(owner, 0, None)
             self._root = root
@@ -201,19 +210,16 @@ class TreeClock:
             if counter is not None:
                 counter.record_join(processed=processed, updated=updated)
             return
-        if other_root.clk <= self.get(other_root.tid):
+        local = self._nodes.get(other_root.tid)
+        if other_root.clk <= (0 if local is None else local.clk):
             # Direct monotonicity at the root: nothing in `other` is new.
             if counter is not None:
                 counter.record_join(processed=1, updated=0)
             return
 
-        stack = self.context.tc_stack
-        processed = 1 + self._gather_updated_nodes(stack, other_root, old_root_tid=None)
-        updated = self._apply_updated_nodes(stack)
-
+        subtree_root, processed, updated = self._graft(other_root, None)
         # Place the updated subtree under the root of this clock, at the
         # front of its child list (it carries the freshest attachment clock).
-        subtree_root = self._nodes[other_root.tid]
         root = self._root
         if subtree_root is not root:
             subtree_root.aclk = root.clk
@@ -240,14 +246,9 @@ class TreeClock:
             return
 
         old_root = self._root
-        stack = self.context.tc_stack
-        processed = 1 + self._gather_updated_nodes(
-            stack, other_root, old_root_tid=None if old_root is None else old_root.tid
+        new_root, processed, updated = self._graft(
+            other_root, None if old_root is None else old_root.tid
         )
-        updated = self._apply_updated_nodes(stack)
-
-        new_root = self._nodes[other_root.tid]
-        new_root.parent = None
         new_root.aclk = None
         self._root = new_root
         if old_root is not None and old_root is not new_root and old_root.parent is None:
@@ -355,7 +356,12 @@ class TreeClock:
         return {tid: node.clk for tid, node in self._nodes.items() if node.clk}
 
     def nodes(self) -> Iterator[TreeClockNode]:
-        """Iterate all nodes in pre-order from the root, then any detached nodes."""
+        """Iterate all nodes in pre-order from the root, then any detached nodes.
+
+        Children are visited first to last (most recently attached
+        first), so the pre-order is the order :func:`render_tree_clock`
+        prints.
+        """
         seen = set()
         if self._root is not None:
             stack = [self._root]
@@ -363,7 +369,8 @@ class TreeClock:
                 node = stack.pop()
                 seen.add(node.tid)
                 yield node
-                stack.extend(node.children())
+                # Pushed reversed, so they pop first to last.
+                stack.extend(reversed(list(node.children())))
         for tid, node in self._nodes.items():
             if tid not in seen:
                 yield node
@@ -445,133 +452,139 @@ class TreeClock:
             parent.first_child.prev_sibling = child
         parent.first_child = child
 
-    def _gather_updated_nodes(
-        self,
-        stack: List[TreeClockNode],
-        other_root: TreeClockNode,
-        old_root_tid: Optional[int],
-    ) -> int:
-        """The paper's ``getUpdatedNodesJoin`` / ``getUpdatedNodesCopy``.
+    def _graft(
+        self, other_root: TreeClockNode, old_root_tid: Optional[int]
+    ) -> Tuple[TreeClockNode, int, int]:
+        """The paper's ``getUpdatedNodes`` + ``detachNodes`` + ``attachNodes`` in one walk.
 
-        Performs a pruned pre-order traversal of ``other``'s tree starting
-        at ``other_root`` and fills ``stack`` with the nodes of ``other``
-        whose clock has progressed compared to this clock (children before
-        parents, so that popping yields parents first).  When
-        ``old_root_tid`` is given (the monotone-copy case) the node of
-        that thread is pushed even if it has not progressed, so that the
-        old root gets repositioned under the new one.
+        A pruned pre-order traversal of ``other``'s tree from
+        ``other_root``.  Every node of ``other`` whose clock has progressed
+        compared to this clock is unlinked from its local position and
+        re-attached under its ``other`` parent's counterpart the moment
+        the walk finds it.  When ``old_root_tid`` is given (the
+        monotone-copy case) the node of that thread is repositioned even
+        if it has not progressed, so that the old root lands under the
+        new one.  The local counterpart of ``other_root`` itself is
+        unlinked and updated but left detached; the caller places it.
 
-        Returns the number of child-node examinations performed — the
-        "light gray" area of Figures 4 and 5, i.e. the quantity that
-        defines ``TCWork``.
+        Two details keep the single pass equal to the paper's three:
+
+        * an insertion *cursor* per expanded node: its first re-attached
+          child goes to the front of the child list and each later one
+          right after the previous one, so ``other``'s sibling order
+          (descending ``aclk``) is kept;
+        * indirect monotonicity compares a child's ``aclk`` against the
+          expanded node's *pre-op* clock, which the descent carries in
+          its frame, since the walk has already updated the node itself.
+
+        Returns ``(local counterpart of other_root, entries_processed,
+        entries_updated)``: one for the root plus each child-node
+        examination (the "light gray" area of Figures 4 and 5, which
+        defines ``TCWork``), and the entries whose clock value actually
+        changed (this operation's contribution to ``VTWork``).
         """
-        examined = 0
-        nodes_get = self._nodes.get
-        stack_push = stack.append
-        # Each frame is (node_of_other, next_child_to_examine), kept as
-        # two parallel reused lists so the hot path allocates nothing.
-        context = self.context
-        fnodes = context.tc_frame_nodes
-        fchildren = context.tc_frame_children
-        fnodes_push = fnodes.append
-        fchildren_push = fchildren.append
-        fnodes_push(other_root)
-        fchildren_push(other_root.first_child)
-        while fnodes:
-            node = fnodes.pop()
-            child = fchildren.pop()
-            descended = False
-            while child is not None:
-                examined += 1
-                local = nodes_get(child.tid)
-                if (0 if local is None else local.clk) < child.clk:
-                    # Progressed: recurse into the child, resume this node later.
-                    fnodes_push(node)
-                    fchildren_push(child.next_sibling)
-                    fnodes_push(child)
-                    fchildren_push(child.first_child)
-                    descended = True
-                    break
-                if old_root_tid is not None and child.tid == old_root_tid:
-                    # Monotone copy: the old root must be repositioned even
-                    # though its clock has not progressed.
-                    stack_push(child)
-                aclk = child.aclk
-                if aclk is not None:
-                    parent_local = nodes_get(node.tid)
-                    if aclk <= (0 if parent_local is None else parent_local.clk):
-                        # Indirect monotonicity: all remaining (older) siblings
-                        # are already known to this clock.
-                        break
-                child = child.next_sibling
-            if not descended:
-                stack_push(node)
-        return examined
-
-    def _apply_updated_nodes(self, stack: List[TreeClockNode]) -> int:
-        """The paper's ``detachNodes`` + ``attachNodes``, fused into one sweep.
-
-        Pops the updated nodes gathered by :meth:`_gather_updated_nodes`
-        (parents first) and, for each, unlinks its local counterpart from
-        its old position and re-attaches it at the front of its new
-        parent's child list.  Fusing the two passes is safe because the
-        gather stack contains, for every updated node, all of its
-        ancestors on ``other``'s tree path — so a node's new parent has
-        always been re-attached before the node itself is processed —
-        and unlinking only touches the node's own sibling/parent links.
-
-        Nodes for previously unknown threads come from the free list
-        when possible.  Returns the number of entries whose clock value
-        actually changed (this operation's contribution to ``VTWork``).
-        """
-        updated = 0
         nodes = self._nodes
         nodes_get = nodes.get
         free = self.context.tc_free
-        while stack:
-            other_node = stack.pop()
-            tid = other_node.tid
-            local = nodes_get(tid)
-            if local is None:
-                if free:
-                    local = free.pop()
-                    local.tid = tid
-                    local.clk = 0
-                    local.aclk = None
-                else:
-                    local = TreeClockNode(tid)
-                nodes[tid] = local
+        tid = other_root.tid
+        parent = nodes_get(tid)
+        if parent is None:
+            parent_clk = 0
+            if free:
+                parent = free.pop()
+                parent.tid = tid
             else:
-                # Unlink from the old position (inlined sibling removal).
-                parent = local.parent
-                if parent is not None:
-                    previous = local.prev_sibling
-                    following = local.next_sibling
-                    if previous is not None:
-                        previous.next_sibling = following
+                parent = TreeClockNode(tid)
+            nodes[tid] = parent
+        else:
+            parent_clk = parent.clk
+            old_parent = parent.parent
+            if old_parent is not None:
+                previous = parent.prev_sibling
+                following = parent.next_sibling
+                if previous is None:
+                    old_parent.first_child = following
+                else:
+                    previous.next_sibling = following
+                if following is not None:
+                    following.prev_sibling = previous
+                parent.parent = None
+                parent.prev_sibling = None
+                parent.next_sibling = None
+        clk = other_root.clk
+        parent.clk = clk
+        updated = 0 if parent_clk == clk else 1
+        processed = 1
+        root = parent
+        # Each descent into a progressed child with children pushes one
+        # frame (resume sibling, parent, parent's pre-op clock, cursor).
+        frames: List[Tuple[Optional[TreeClockNode], TreeClockNode, int, TreeClockNode]] = []
+        cursor: Optional[TreeClockNode] = None
+        child = other_root.first_child
+        while True:
+            while child is not None:
+                processed += 1
+                tid = child.tid
+                clk = child.clk
+                local = nodes_get(tid)
+                before = 0 if local is None else local.clk
+                if before < clk or tid == old_root_tid:
+                    if local is None:
+                        if free:
+                            local = free.pop()
+                            local.tid = tid
+                        else:
+                            local = TreeClockNode(tid)
+                        nodes[tid] = local
                     else:
-                        parent.first_child = following
+                        # Unlink from the old position (inlined sibling removal).
+                        old_parent = local.parent
+                        if old_parent is not None:
+                            previous = local.prev_sibling
+                            following = local.next_sibling
+                            if previous is None:
+                                old_parent.first_child = following
+                            else:
+                                previous.next_sibling = following
+                            if following is not None:
+                                following.prev_sibling = previous
+                    if before != clk:
+                        updated += 1
+                        local.clk = clk
+                    # Re-attach right after the cursor (at the front first).
+                    local.aclk = child.aclk
+                    local.parent = parent
+                    local.prev_sibling = cursor
+                    if cursor is None:
+                        following = parent.first_child
+                        parent.first_child = local
+                    else:
+                        following = cursor.next_sibling
+                        cursor.next_sibling = local
+                    local.next_sibling = following
                     if following is not None:
-                        following.prev_sibling = previous
-                    local.parent = None
-                    local.prev_sibling = None
-                    local.next_sibling = None
-            if local.clk != other_node.clk:
-                updated += 1
-                local.clk = other_node.clk
-            other_parent = other_node.parent
-            if other_parent is not None:
-                local.aclk = other_node.aclk
-                parent_local = nodes[other_parent.tid]
-                # Inlined pushChild (hot path).
-                local.parent = parent_local
-                local.prev_sibling = None
-                head = parent_local.first_child
-                local.next_sibling = head
-                if head is not None:
-                    head.prev_sibling = local
-                parent_local.first_child = local
-        return updated
+                        following.prev_sibling = local
+                    cursor = local
+                    if before < clk:
+                        # Progressed: descend, resume at the next sibling later.
+                        grandchild = child.first_child
+                        if grandchild is None:
+                            child = child.next_sibling
+                        else:
+                            frames.append((child.next_sibling, parent, parent_clk, cursor))
+                            parent = local
+                            parent_clk = before
+                            cursor = None
+                            child = grandchild
+                        continue
+                if child.aclk <= parent_clk:
+                    # Indirect monotonicity: all remaining (older) siblings
+                    # are already known to this clock.
+                    break
+                child = child.next_sibling
+            if not frames:
+                return root, processed, updated
+            child, parent, parent_clk, cursor = frames.pop()
 
     def _recycle(self, node: TreeClockNode) -> None:
         """Clear ``node``'s links and park it on the context's free list.

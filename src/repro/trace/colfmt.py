@@ -66,6 +66,7 @@ import struct
 import sys
 import zlib
 from array import array
+from itertools import repeat
 from pathlib import Path
 from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -572,7 +573,9 @@ class ColfReader:
 
     def _materialize(self, segment: ColfSegment) -> List[Event]:
         """Decode one segment into events: three C-speed column passes
-        plus a ``map(Event, ...)`` construction loop."""
+        plus a C-level construction loop (``tuple.__new__`` mapped over
+        the zipped columns, bypassing the namedtuple's Python
+        ``__new__``)."""
         offset, count = segment.offset, segment.count
         data = self._data
         kind_objects = self._kind_objects
@@ -612,7 +615,8 @@ class ColfReader:
                 f"entries) at byte offset {offset + 5 * count + 4 * bad}"
             )
         first = segment.first_eid
-        return list(map(Event, range(first, first + count), tids, kinds, targets))
+        rows = zip(range(first, first + count), tids, kinds, targets)
+        return list(map(tuple.__new__, repeat(Event), rows))
 
     def iter_batches(self, batch_size: Optional[int] = None) -> Iterator[List[Event]]:
         """Decode the trace as event batches.

@@ -28,6 +28,12 @@ class OpKind(enum.Enum):
     BEGIN = "begin"
     END = "end"
 
+    # Members are identity-compared singletons, so the C-level identity
+    # hash is consistent with equality.  ``Enum`` hashes by name in
+    # Python, which would cost a Python call on every dispatch-table and
+    # kind-set lookup of the per-event walk.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 
@@ -70,8 +76,10 @@ class Event(NamedTuple):
     path (millions of events flow through the batched pipeline per
     walk), and tuple construction costs roughly half of what a frozen
     dataclass ``__init__`` (four ``object.__setattr__`` calls) does.
-    The bulk decoders build events with ``map(Event, ...)`` over column
-    iterables, which keeps the whole construction loop in C.
+    The colf decoder goes further and builds events with
+    ``tuple.__new__(Event, row)`` mapped over zipped columns, which
+    skips the namedtuple's Python-level ``__new__`` and keeps the whole
+    construction loop in C.
 
     Attributes
     ----------

@@ -1,67 +1,299 @@
-"""Differential fuzzing: optimized TreeClock ≡ VectorClock ≡ dict model.
+"""Differential fuzzing: optimized TreeClock ≡ two-pass reference ≡ VectorClock ≡ dict model.
 
-The tree-clock hot path is aggressively optimized (fused detach/attach,
-node free-list recycling, reused traversal scratch lists, in-place deep
-copies).  None of that may ever be observable: after *every* mutation a
-tree clock must represent exactly the vector time the plain vector clock
-and the reference dictionary model compute, and its structural
-invariants (:meth:`TreeClock.validate_structure`) must hold.  Checking
-after every single mutation — not just at the end — is what catches
-free-list reuse bugs: a recycled node with a stale link corrupts the
-tree long before it changes the final vector time.
+The tree-clock hot path is aggressively optimized (one-pass join and
+monotone copy with an insertion cursor, node free-list recycling, reused
+traversal frames, in-place deep copies).  None of that may ever be
+observable: after *every* mutation a tree clock must represent exactly
+the vector time the plain vector clock and the reference dictionary
+model compute, and its structural invariants
+(:meth:`TreeClock.validate_structure`) must hold.  Checking after every
+single mutation — not just at the end — is what catches free-list reuse
+bugs: a recycled node with a stale link corrupts the tree long before it
+changes the final vector time.
+
+Equal vector times do not pin the kernel's *work*: a tree with a
+different shape prunes differently later, and ``TCWork`` could drift
+while every vector time stays right.  So the module also keeps the
+earlier two-pass kernel verbatim (:class:`ReferenceTreeClock`: the
+paper's ``getUpdatedNodes`` gathers the progressed nodes onto a stack,
+then one sweep fuses ``detachNodes`` and ``attachNodes``)
+and requires the optimized kernel to build the same tree — rows
+``(tid, clk, aclk, parent tid)`` in pre-order — with the same
+``entries_processed`` / ``entries_updated`` counts.
 
 Two granularities:
 
 * **op-level** — hypothesis generates raw clock-operation sequences
   (increment / join / monotone-copy / copy-check-monotone over thread
-  and auxiliary clocks) and replays them against TreeClock, VectorClock
-  and a plain-dict model simultaneously;
+  and auxiliary clocks) and replays them against TreeClock, the
+  reference, VectorClock and a plain-dict model simultaneously;
 * **trace-level** — random well-formed traces run through the real
-  HB/SHB/MAZ analyses with both clock classes, comparing per-event
-  timestamps, race streams and the data-structure-independent ``VTWork``
-  counter.
+  HB/SHB/MAZ analyses with all three clock classes, comparing per-event
+  timestamps, race streams, the data-structure-independent ``VTWork``
+  counter, and against the reference the full work counters and the
+  shape of every thread, lock, last-write and last-read clock.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import random
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import HBAnalysis, MAZAnalysis, SHBAnalysis
-from repro.clocks import ClockContext, TreeClock, VectorClock
+from repro.clocks import ClockContext, TreeClock, VectorClock, WorkCounter
 from repro.clocks.base import VectorTime, vt_join, vt_leq
+from repro.clocks.tree_clock import TreeClockNode
 from util_traces import make_random_trace
+
+
+class ReferenceTreeClock(TreeClock):
+    """The two-pass tree-clock kernel, kept verbatim as the oracle.
+
+    ``join`` and ``monotone_copy`` are the paper's ``getUpdatedNodes``
+    (a pruned pre-order traversal that stacks the progressed nodes of
+    ``other``, children before parents) followed by ``detachNodes`` +
+    ``attachNodes`` fused into one sweep that pops parents first and
+    pushes each node at the front of its new parent's child list.  Its
+    work lists are fresh per operation; from :class:`TreeClock` it
+    inherits only the node free list, the deep copy and the accessors.
+    """
+
+    __slots__ = ()
+
+    def join(self, other: "TreeClock") -> None:
+        counter = self.context.counter
+        other_root = other._root
+        if other_root is None:
+            # Joining the all-zero vector time is a no-op.
+            if counter is not None:
+                counter.record_join(processed=0, updated=0)
+            return
+        if self._root is None:
+            # An un-owned empty clock has no root to attach under; the join
+            # degenerates to a full copy.  The partial-order algorithms never
+            # hit this case (only thread clocks, which own a root, join).
+            updated, processed = self._deep_copy_from(other)
+            if counter is not None:
+                counter.record_join(processed=processed, updated=updated)
+            return
+        if other_root.clk <= self.get(other_root.tid):
+            # Direct monotonicity at the root: nothing in `other` is new.
+            if counter is not None:
+                counter.record_join(processed=1, updated=0)
+            return
+
+        stack: List[TreeClockNode] = []
+        processed = 1 + self._gather_updated_nodes(stack, other_root, old_root_tid=None)
+        updated = self._apply_updated_nodes(stack)
+
+        # Place the updated subtree under the root of this clock, at the
+        # front of its child list (it carries the freshest attachment clock).
+        subtree_root = self._nodes[other_root.tid]
+        root = self._root
+        if subtree_root is not root:
+            subtree_root.aclk = root.clk
+            self._push_child(subtree_root, root)
+        if counter is not None:
+            counter.record_join(processed=processed, updated=updated)
+
+    def monotone_copy(self, other: "TreeClock") -> None:
+        counter = self.context.counter
+        other_root = other._root
+        if other_root is None:
+            # self ⊑ 0 implies self is the zero vector already.
+            if counter is not None:
+                counter.record_copy(processed=0, updated=0)
+            return
+
+        old_root = self._root
+        stack: List[TreeClockNode] = []
+        processed = 1 + self._gather_updated_nodes(
+            stack, other_root, old_root_tid=None if old_root is None else old_root.tid
+        )
+        updated = self._apply_updated_nodes(stack)
+
+        new_root = self._nodes[other_root.tid]
+        new_root.parent = None
+        new_root.aclk = None
+        self._root = new_root
+        if old_root is not None and old_root is not new_root and old_root.parent is None:
+            # The pruned traversal never examined the old root's thread
+            # (an ancestor in `other` was already fully known), so it was
+            # not repositioned and would be left unreachable.  Re-attach
+            # it under the new root with the freshest attachment clock.
+            old_root.aclk = new_root.clk
+            self._push_child(old_root, new_root)
+        if counter is not None:
+            counter.record_copy(processed=processed, updated=updated)
+
+    def _gather_updated_nodes(
+        self,
+        stack: List[TreeClockNode],
+        other_root: TreeClockNode,
+        old_root_tid: Optional[int],
+    ) -> int:
+        examined = 0
+        nodes_get = self._nodes.get
+        stack_push = stack.append
+        # Each frame is (node_of_other, next_child_to_examine), kept as
+        # two parallel lists.
+        fnodes: List[TreeClockNode] = []
+        fchildren: List[Optional[TreeClockNode]] = []
+        fnodes_push = fnodes.append
+        fchildren_push = fchildren.append
+        fnodes_push(other_root)
+        fchildren_push(other_root.first_child)
+        while fnodes:
+            node = fnodes.pop()
+            child = fchildren.pop()
+            descended = False
+            while child is not None:
+                examined += 1
+                local = nodes_get(child.tid)
+                if (0 if local is None else local.clk) < child.clk:
+                    # Progressed: recurse into the child, resume this node later.
+                    fnodes_push(node)
+                    fchildren_push(child.next_sibling)
+                    fnodes_push(child)
+                    fchildren_push(child.first_child)
+                    descended = True
+                    break
+                if old_root_tid is not None and child.tid == old_root_tid:
+                    # Monotone copy: the old root must be repositioned even
+                    # though its clock has not progressed.
+                    stack_push(child)
+                aclk = child.aclk
+                if aclk is not None:
+                    parent_local = nodes_get(node.tid)
+                    if aclk <= (0 if parent_local is None else parent_local.clk):
+                        # Indirect monotonicity: all remaining (older) siblings
+                        # are already known to this clock.
+                        break
+                child = child.next_sibling
+            if not descended:
+                stack_push(node)
+        return examined
+
+    def _apply_updated_nodes(self, stack: List[TreeClockNode]) -> int:
+        updated = 0
+        nodes = self._nodes
+        nodes_get = nodes.get
+        free = self.context.tc_free
+        while stack:
+            other_node = stack.pop()
+            tid = other_node.tid
+            local = nodes_get(tid)
+            if local is None:
+                if free:
+                    local = free.pop()
+                    local.tid = tid
+                    local.clk = 0
+                    local.aclk = None
+                else:
+                    local = TreeClockNode(tid)
+                nodes[tid] = local
+            else:
+                # Unlink from the old position (inlined sibling removal).
+                parent = local.parent
+                if parent is not None:
+                    previous = local.prev_sibling
+                    following = local.next_sibling
+                    if previous is not None:
+                        previous.next_sibling = following
+                    else:
+                        parent.first_child = following
+                    if following is not None:
+                        following.prev_sibling = previous
+                    local.parent = None
+                    local.prev_sibling = None
+                    local.next_sibling = None
+            if local.clk != other_node.clk:
+                updated += 1
+                local.clk = other_node.clk
+            other_parent = other_node.parent
+            if other_parent is not None:
+                local.aclk = other_node.aclk
+                parent_local = nodes[other_parent.tid]
+                # Inlined pushChild.
+                local.parent = parent_local
+                local.prev_sibling = None
+                head = parent_local.first_child
+                local.next_sibling = head
+                if head is not None:
+                    head.prev_sibling = local
+                parent_local.first_child = local
+        return updated
+
+
+ShapeRow = Tuple[int, int, Optional[int], Optional[int]]
+
+
+def _shape(clock: TreeClock) -> List[ShapeRow]:
+    """The tree as pre-order rows ``(tid, clk, aclk, parent tid)``."""
+    return [
+        (node.tid, node.clk, node.aclk, None if node.parent is None else node.parent.tid)
+        for node in clock.nodes()
+    ]
+
+
+def _clock_maps(analysis) -> Dict[Tuple[str, object], TreeClock]:
+    """Every thread, lock, last-write and last-read clock of a finished run."""
+    clocks: Dict[Tuple[str, object], TreeClock] = {}
+    for label, attribute in (
+        ("thread", "thread_clocks"),
+        ("lock", "lock_clocks"),
+        ("write", "_last_write_clocks"),
+        ("read", "_last_read_clocks"),
+    ):
+        for key, clock in getattr(analysis, attribute, {}).items():
+            clocks[(label, key)] = clock
+    return clocks
+
+
+def _assert_same_work(actual: WorkCounter, expected: WorkCounter, where: str) -> None:
+    assert (actual.entries_processed, actual.entries_updated) == (
+        expected.entries_processed,
+        expected.entries_updated,
+    ), f"TreeClock work diverged from the two-pass reference {where}"
+
 
 NUM_THREADS = 4
 NUM_AUX = 3
 
+#: Opcodes of the op-level tests: "inc" (thread increments), "join_aux"
+#: (thread joins aux), "join_thread" (thread joins thread), "copy_aux"
+#: (aux <- thread; monotone when the model says it is, checked
+#: otherwise), "copy_check" (aux <- thread via copy_check_monotone).
+OPCODES = ["inc", "inc", "inc", "join_aux", "join_thread", "copy_aux", "copy_check"]
 
-def _new_universe():
-    """Fresh TC / VC / model universes over the same threads and aux slots."""
-    threads = list(range(1, NUM_THREADS + 1))
-    tc_context = ClockContext(threads=list(threads))
+
+def _new_universe(num_threads: int = NUM_THREADS):
+    """Fresh TC / reference / VC / model universes over the same threads and aux slots."""
+    threads = list(range(1, num_threads + 1))
+    tc_context = ClockContext(threads=list(threads), counter=WorkCounter())
+    ref_context = ClockContext(threads=list(threads), counter=WorkCounter())
     vc_context = ClockContext(threads=list(threads))
     tc = {tid: TreeClock(tc_context, owner=tid) for tid in threads}
+    ref = {tid: ReferenceTreeClock(ref_context, owner=tid) for tid in threads}
     vc = {tid: VectorClock(vc_context, owner=tid) for tid in threads}
     model: Dict[int, VectorTime] = {tid: {} for tid in threads}
     for aux in range(NUM_AUX):
         key = f"aux{aux}"
         tc[key] = TreeClock(tc_context, owner=None)
+        ref[key] = ReferenceTreeClock(ref_context, owner=None)
         vc[key] = VectorClock(vc_context, owner=None)
         model[key] = {}
-    return threads, tc, vc, model
+    return threads, tc, ref, vc, model
 
 
-#: One op: (opcode, actor, target).  Opcodes: "inc" (thread increments),
-#: "join_aux" (thread joins aux), "join_thread" (thread joins thread),
-#: "copy_aux" (aux <- thread; monotone when the model says it is, checked
-#: otherwise), "copy_check" (aux <- thread via copy_check_monotone).
+#: One op: (opcode, actor, target).
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(["inc", "inc", "inc", "join_aux", "join_thread", "copy_aux", "copy_check"]),
+        st.sampled_from(OPCODES),
         st.integers(min_value=1, max_value=NUM_THREADS),
         st.integers(min_value=0, max_value=max(NUM_AUX - 1, NUM_THREADS)),
     ),
@@ -70,7 +302,7 @@ _OPS = st.lists(
 )
 
 
-def _assert_agree(key, tc, vc, model) -> None:
+def _assert_agree(key, tc, ref, vc, model) -> None:
     tc_dict = tc[key].as_dict()
     vc_dict = vc[key].as_dict()
     expected = {tid: value for tid, value in model[key].items() if value}
@@ -78,16 +310,16 @@ def _assert_agree(key, tc, vc, model) -> None:
     assert vc_dict == expected, f"VectorClock diverged from model on {key}"
     problems = tc[key].validate_structure()
     assert problems == [], f"TreeClock invariants violated on {key}: {problems}"
+    assert _shape(tc[key]) == _shape(ref[key]), f"TreeClock shape diverged from the reference on {key}"
 
 
-@settings(max_examples=40, deadline=None)
-@given(ops=_OPS)
-def test_op_sequences_tc_equals_vc_equals_model(ops: List[Tuple[str, int, int]]) -> None:
-    """Replay raw op sequences against TC, VC and the dict model in lockstep."""
-    threads, tc, vc, model = _new_universe()
+def _replay_in_lockstep(ops: List[Tuple[str, int, int]], num_threads: int = NUM_THREADS) -> None:
+    """Replay ops against TC, the reference, VC and the dict model, checking after each."""
+    threads, tc, ref, vc, model = _new_universe(num_threads)
 
     def bump(tid: int) -> None:
         tc[tid].increment(tid)
+        ref[tid].increment(tid)
         vc[tid].increment(tid)
         model[tid][tid] = model[tid].get(tid, 0) + 1
 
@@ -104,13 +336,15 @@ def test_op_sequences_tc_equals_vc_equals_model(ops: List[Tuple[str, int, int]])
         elif opcode == "join_aux":
             aux = f"aux{target % NUM_AUX}"
             tc[actor].join(tc[aux])
+            ref[actor].join(ref[aux])
             vc[actor].join(vc[aux])
             model[actor] = vt_join(model[actor], model[aux])
             touched = [actor]
         elif opcode == "join_thread":
-            other = threads[target % NUM_THREADS]
+            other = threads[target % num_threads]
             if other != actor:
                 tc[actor].join(tc[other])
+                ref[actor].join(ref[other])
                 vc[actor].join(vc[other])
                 model[actor] = vt_join(model[actor], model[other])
             touched = [actor]
@@ -120,22 +354,55 @@ def test_op_sequences_tc_equals_vc_equals_model(ops: List[Tuple[str, int, int]])
                 # The release pattern: the precondition aux ⊑ C_t holds,
                 # so the sublinear monotone copy is legal.
                 tc[aux].monotone_copy(tc[actor])
+                ref[aux].monotone_copy(ref[actor])
                 vc[aux].monotone_copy(vc[actor])
             else:
                 tc[aux].copy_check_monotone(tc[actor])
+                ref[aux].copy_check_monotone(ref[actor])
                 vc[aux].copy_check_monotone(vc[actor])
             model[aux] = dict(model[actor])
             touched = [aux]
         else:  # copy_check
             aux = f"aux{target % NUM_AUX}"
             tc[aux].copy_check_monotone(tc[actor])
+            ref[aux].copy_check_monotone(ref[actor])
             vc[aux].copy_check_monotone(vc[actor])
             model[aux] = dict(model[actor])
             touched = [aux]
         for key in touched:
-            _assert_agree(key, tc, vc, model)
+            _assert_agree(key, tc, ref, vc, model)
+        _assert_same_work(
+            tc[actor].context.counter, ref[actor].context.counter, f"after {opcode} by t{actor}"
+        )
     for key in list(model):
-        _assert_agree(key, tc, vc, model)
+        _assert_agree(key, tc, ref, vc, model)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=_OPS)
+def test_op_sequences_tc_equals_vc_equals_model(ops: List[Tuple[str, int, int]]) -> None:
+    """Replay raw op sequences against TC, the reference, VC and the dict model in lockstep."""
+    _replay_in_lockstep(ops)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_long_op_sequences_tc_equals_reference(seed: int) -> None:
+    """Seeded 300-op sequences over 8 threads, checked like the test above.
+
+    Hypothesis shrinks :data:`_OPS` towards short sequences, and four
+    threads rarely grow a child list in which the order of re-attached
+    siblings matters.  Longer sequences over more threads do: they are
+    what tell an order-preserving kernel from one that only computes the
+    right vector times.
+    """
+    rng = random.Random(seed)
+    num_threads = 8
+    ops = [
+        (rng.choice(OPCODES), rng.randint(1, num_threads), rng.randrange(num_threads))
+        for _ in range(300)
+    ]
+    _replay_in_lockstep(ops, num_threads)
 
 
 @settings(max_examples=25, deadline=None)
@@ -145,14 +412,23 @@ def test_op_sequences_tc_equals_vc_equals_model(ops: List[Tuple[str, int, int]])
 )
 @pytest.mark.parametrize("analysis_class", [HBAnalysis, SHBAnalysis, MAZAnalysis])
 def test_analyses_tc_equals_vc_event_for_event(analysis_class, seed: int, fork_join: bool) -> None:
-    """Full analyses: per-event timestamps, race streams and VTWork agree."""
+    """Full analyses: per-event timestamps, race streams and VTWork agree;
+    TC's work and every clock's shape equal the two-pass reference's."""
     trace = make_random_trace(seed, num_events=120, include_fork_join=fork_join)
     results = {}
-    for clock_class in (TreeClock, VectorClock):
+    analyses = {}
+    for clock_class in (TreeClock, ReferenceTreeClock, VectorClock):
         analysis = analysis_class(
             clock_class, capture_timestamps=True, count_work=True, detect=True
         )
         results[clock_class] = analysis.run(trace)
+        analyses[clock_class] = analysis
+    _assert_same_work(results[TreeClock].work, results[ReferenceTreeClock].work, "on the trace")
+    tc_clocks = _clock_maps(analyses[TreeClock])
+    ref_clocks = _clock_maps(analyses[ReferenceTreeClock])
+    assert tc_clocks.keys() == ref_clocks.keys()
+    for key, clock in tc_clocks.items():
+        assert _shape(clock) == _shape(ref_clocks[key]), f"shape of {key} diverged from the reference"
     tc_result = results[TreeClock]
     vc_result = results[VectorClock]
     assert tc_result.timestamps == vc_result.timestamps
