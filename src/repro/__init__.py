@@ -121,7 +121,6 @@ from .api import (
     EventSource,
     FileSource,
     GeneratorSource,
-    QueueSource,
     Session,
     SessionResult,
     TraceSource,
@@ -166,7 +165,6 @@ __all__ = [
     "HBAnalysis",
     "MAZAnalysis",
     "OpKind",
-    "QueueSource",
     "Race",
     "SHBAnalysis",
     "Session",

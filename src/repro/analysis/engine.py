@@ -238,23 +238,17 @@ class PartialOrderAnalysis:
         Together with :meth:`restore_state` this is the explicit
         serialization surface of the engine: everything a run holds in
         live objects — the clock context's thread universe, every
-        non-empty thread/lock clock as a vector time plus its tree
-        anchor, subclass maps, detector state, timestamps and work
-        counts — captured between two ``feed_batch`` calls.  Feeding the
-        remaining events into a restored analysis yields the same
-        timestamps, the same races in the same order and the same check
-        counts as the uninterrupted run; work counters are the one
-        exception for tree clocks (a re-seeded tree is flat, so its
-        traversal work can differ).
+        thread/lock clock as its exact :meth:`Clock.snapshot` (in
+        creation order, empty ones included), subclass maps, detector
+        state, timestamps and work counts — captured between two
+        ``feed_batch`` calls.  Feeding the remaining events into a
+        restored analysis yields the same timestamps, the same races in
+        the same order, the same check counts and the same work counters
+        as the uninterrupted run.
         """
         context = self.context
         if context is None:
             raise RuntimeError("snapshot_state() called before begin()")
-        thread_clocks = []
-        for tid, clock in self.thread_clocks.items():
-            vector_time = clock.as_dict()
-            if vector_time:
-                thread_clocks.append([tid, encode_vt(vector_time)])
         counter = context.counter
         return {
             "version": ENGINE_STATE_VERSION,
@@ -263,7 +257,7 @@ class PartialOrderAnalysis:
             "events_fed": self._events_fed,
             "elapsed_ns": time.perf_counter_ns() - self._started_ns,
             "threads": list(context.threads),
-            "thread_clocks": thread_clocks,
+            "thread_clocks": [[tid, clock.snapshot()] for tid, clock in self.thread_clocks.items()],
             "lock_clocks": encode_clock_map(self.lock_clocks),
             "timestamps": (
                 None
@@ -288,12 +282,10 @@ class PartialOrderAnalysis:
         """Resume a run from a :meth:`snapshot_state` payload.
 
         Starts a fresh run (:meth:`begin`) with the snapshot's thread
-        universe, then seeds every clock via ``seed_vector_time`` —
-        thread clocks anchored at their owner, lock clocks at the last
-        releasing thread recorded in the snapshot.  The analysis must be
-        configured identically (same order, same ``detect`` /
-        ``capture_timestamps`` / ``count_work`` switches) to the one
-        that took the snapshot.
+        universe, then rebuilds every clock with :meth:`Clock.restore`.
+        The analysis must be configured identically (same order, same
+        clock, same ``detect`` / ``capture_timestamps`` / ``count_work``
+        switches) to the one that took the snapshot.
         """
         if state.get("version") != ENGINE_STATE_VERSION:
             raise ValueError(
@@ -305,13 +297,10 @@ class PartialOrderAnalysis:
                 f"not {self.PARTIAL_ORDER!r}"
             )
         self.begin(threads=state["threads"], trace_name=str(state["trace_name"]))
-        for tid, pairs in state["thread_clocks"]:  # type: ignore[union-attr]
-            tid = int(tid)
-            self.clock_of_thread(tid).seed_vector_time(decode_vt(pairs), anchor=tid)
-        for encoded, pairs, anchor in state["lock_clocks"]:  # type: ignore[union-attr]
-            self.clock_of_lock(decode_key(encoded)).seed_vector_time(
-                decode_vt(pairs), anchor=anchor
-            )
+        for tid, snapshot in state["thread_clocks"]:  # type: ignore[union-attr]
+            self.clock_of_thread(tid).restore(snapshot)
+        for encoded, snapshot in state["lock_clocks"]:  # type: ignore[union-attr]
+            self.clock_of_lock(decode_key(encoded)).restore(snapshot)
         self._restore_extra(state["extra"])  # type: ignore[arg-type]
         timestamps = state.get("timestamps")
         if self.capture_timestamps:

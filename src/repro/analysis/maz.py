@@ -28,7 +28,7 @@ from ..trace.trace import Trace
 from .detectors import ReversiblePairDetector
 from .engine import PartialOrderAnalysis
 from .result import AnalysisResult, DetectionSummary
-from .serial import decode_key, decode_vt, encode_clock_map, encode_key, encode_vt
+from .serial import decode_key, encode_clock_map, encode_key
 
 
 class MAZAnalysis(PartialOrderAnalysis):
@@ -102,7 +102,10 @@ class MAZAnalysis(PartialOrderAnalysis):
         variable = event.target
         clock.join(self.last_write_clock(variable))
         readers = self.readers_since_write(variable)
-        for reader_tid in readers:
+        # Readers join in tid order.  A set's own order depends on its
+        # hash-table history, which a restored checkpoint cannot rebuild,
+        # and the join order shapes the tree clocks and their work.
+        for reader_tid in sorted(readers):
             clock.join(self.last_read_clock(reader_tid, variable))
         self.last_write_clock(variable).monotone_copy(clock)
         readers.clear()
@@ -115,16 +118,13 @@ class MAZAnalysis(PartialOrderAnalysis):
     def _snapshot_extra(self) -> Dict[str, object]:
         extra = super()._snapshot_extra()
         extra["writes"] = encode_clock_map(self._last_write_clocks)
-        reads = []
-        for (tid, variable), clock in self._last_read_clocks.items():
-            vector_time = clock.as_dict()
-            if vector_time:
-                reads.append([tid, encode_key(variable), encode_vt(vector_time)])
-        extra["reads"] = reads
+        extra["reads"] = [
+            [tid, encode_key(variable), clock.snapshot()]
+            for (tid, variable), clock in self._last_read_clocks.items()
+        ]
         extra["readers"] = [
             [encode_key(variable), sorted(tids)]
             for variable, tids in self._readers_since_write.items()
-            if tids
         ]
         if self._detector is not None:
             extra["detector"] = self._detector.snapshot()
@@ -132,17 +132,10 @@ class MAZAnalysis(PartialOrderAnalysis):
 
     def _restore_extra(self, extra: Dict[str, object]) -> None:
         super()._restore_extra(extra)
-        for encoded, pairs, anchor in extra["writes"]:  # type: ignore[union-attr]
-            self.last_write_clock(decode_key(encoded)).seed_vector_time(
-                decode_vt(pairs), anchor=anchor
-            )
-        for tid, encoded, pairs in extra["reads"]:  # type: ignore[union-attr]
-            tid = int(tid)
-            # A thread's last-read clock is a monotone copy of its own
-            # clock at read time, so the reading thread is the anchor.
-            self.last_read_clock(tid, decode_key(encoded)).seed_vector_time(
-                decode_vt(pairs), anchor=tid
-            )
+        for encoded, snapshot in extra["writes"]:  # type: ignore[union-attr]
+            self.last_write_clock(decode_key(encoded)).restore(snapshot)
+        for tid, encoded, snapshot in extra["reads"]:  # type: ignore[union-attr]
+            self.last_read_clock(tid, decode_key(encoded)).restore(snapshot)
         for encoded, tids in extra["readers"]:  # type: ignore[union-attr]
             self.readers_since_write(decode_key(encoded)).update(int(t) for t in tids)
         if self._detector is not None:

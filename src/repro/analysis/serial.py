@@ -12,21 +12,24 @@ mapping travels as an association list (JSON arrays preserve order, and
 detector iteration order — hence race order and check counts — depends
 on dict insertion order).
 
-Vector times are encoded the same way: ``[[tid, clk], ...]`` pairs, in
-insertion order, with only non-zero entries (mirroring
-:meth:`Clock.as_dict`).
+Clocks travel as their own exact snapshots (:meth:`Clock.snapshot`: a
+tree clock's pre-order rows, a vector clock's length and non-zero
+entries), so a restored walk has the uninterrupted walk's clocks, not
+just its vector times.  Timestamps, which are plain vector times, are
+``[[tid, clk], ...]`` pairs in insertion order, with only non-zero
+entries (mirroring :meth:`Clock.as_dict`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from ..clocks.base import VectorTime
+from ..clocks.base import Clock, VectorTime
 from .result import Race
 
 #: Version stamp of the engine-state payload produced by
 #: :meth:`PartialOrderAnalysis.snapshot_state`.
-ENGINE_STATE_VERSION = 1
+ENGINE_STATE_VERSION = 2
 
 
 def encode_key(key: object) -> List[object]:
@@ -60,19 +63,6 @@ def encode_vt(vector_time: VectorTime) -> List[List[int]]:
 def decode_vt(pairs: Sequence[Sequence[int]]) -> VectorTime:
     """Inverse of :func:`encode_vt` (keys normalized back to ``int``)."""
     return {int(tid): int(clk) for tid, clk in pairs}
-
-
-def clock_anchor(clock: object) -> Optional[int]:
-    """The thread a clock's state is anchored at, for re-seeding.
-
-    For a :class:`~repro.clocks.TreeClock` this is the root's thread —
-    ``seed_vector_time`` needs it to rebuild a (flat) tree around the
-    same anchor, which for lock/last-write clocks is the last thread
-    that released/wrote.  Vector clocks have no root and ignore the
-    anchor.
-    """
-    root = getattr(clock, "root", None)
-    return None if root is None else root.tid
 
 
 def race_to_record(race: Race) -> Dict[str, object]:
@@ -117,15 +107,10 @@ def decode_int_map(pairs: Sequence[Sequence[int]]) -> Dict[int, int]:
     return {int(tid): int(clk) for tid, clk in pairs}
 
 
-def encode_clock_map(clocks: Dict[object, object]) -> List[List[object]]:
-    """A keyed clock map as ``[key, vt, anchor]`` triples.
+def encode_clock_map(clocks: Dict[object, Clock]) -> List[List[object]]:
+    """A keyed clock map as ``[key, clock.snapshot()]`` pairs, in insertion order.
 
-    Empty clocks (never written) are skipped — they are recreated
-    lazily on first touch, exactly as during a live run.
+    Empty clocks are kept: a vector clock's entry-array length, and the
+    map's order, are part of the walk's state.
     """
-    encoded: List[List[object]] = []
-    for key, clock in clocks.items():
-        vector_time = clock.as_dict()  # type: ignore[attr-defined]
-        if vector_time:
-            encoded.append([encode_key(key), encode_vt(vector_time), clock_anchor(clock)])
-    return encoded
+    return [[encode_key(key), clock.snapshot()] for key, clock in clocks.items()]

@@ -26,7 +26,7 @@ from ..trace.trace import Trace
 from .detectors import RaceDetector
 from .engine import EventHandler, PartialOrderAnalysis
 from .result import AnalysisResult, DetectionSummary
-from .serial import decode_key, decode_vt, encode_clock_map
+from .serial import decode_key, encode_clock_map
 
 
 class SHBAnalysis(PartialOrderAnalysis):
@@ -92,10 +92,8 @@ class SHBAnalysis(PartialOrderAnalysis):
 
     def _restore_extra(self, extra: Dict[str, object]) -> None:
         super()._restore_extra(extra)
-        for encoded, pairs, anchor in extra["writes"]:  # type: ignore[union-attr]
-            self.last_write_clock(decode_key(encoded)).seed_vector_time(
-                decode_vt(pairs), anchor=anchor
-            )
+        for encoded, snapshot in extra["writes"]:  # type: ignore[union-attr]
+            self.last_write_clock(decode_key(encoded)).restore(snapshot)
         if self._detector is not None:
             detector_state = extra.get("detector")
             if detector_state is None:

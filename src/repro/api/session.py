@@ -304,16 +304,15 @@ class Session:
     def checkpoint(self) -> Dict[str, object]:
         """Serialize the in-flight walk to a JSON-safe payload.
 
-        Captures every spec's full engine state (clocks, detector maps,
-        timestamps, work counts — see
+        Captures every spec's full engine state (every clock's exact
+        snapshot, detector maps, timestamps, work counts — see
         :meth:`~repro.analysis.engine.PartialOrderAnalysis.snapshot_state`)
         plus the session's own bookkeeping, between two feed calls.  A
         fresh session constructed with the *same specs* can
         :meth:`restore` the payload and continue feeding from the next
-        event: the finished results are identical to an uninterrupted
-        walk (work counters excepted for tree clocks, whose re-seeded
-        tree shapes can differ).  This is what lets a serve streaming
-        session survive a server restart.
+        event: the finished results, work counters included, are
+        identical to an uninterrupted walk.  This is what lets a serve
+        streaming session survive a server restart.
         """
         if not self._runners:
             raise RuntimeError("checkpoint() called before begin()")

@@ -19,11 +19,11 @@ one-walk-many-analyses contract.
 Sources are consumed at two granularities: ``events()``, the per-event
 protocol surface, and ``event_batches(batch_size)``, lists of up to
 ``batch_size`` events.  Each built-in source implements only its natural
-one.  ``TraceSource``, ``GeneratorSource``, ``FileSource``, ``ColfSource``
-and ``QueueSource`` produce batches (tuple slices,
-:func:`~repro.trace.io.iter_trace_chunks`, colf segments, a greedy queue
-drain), and their ``events()`` is the one generic flatten of those
-batches; ``CaptureSource`` replays a recorder per event.  :func:`iter_event_batches` is the adapter
+one.  ``TraceSource``, ``GeneratorSource``, ``FileSource`` and
+``ColfSource`` produce batches (tuple slices,
+:func:`~repro.trace.io.iter_trace_chunks`, colf segments), and their
+``events()`` is the one generic flatten of those batches;
+``CaptureSource`` replays a recorder per event.  :func:`iter_event_batches` is the adapter
 ``Session.run`` walks through: it uses the native batches when a source
 has them and otherwise cuts the plain ``events()`` iterator with the
 shared chunker (:func:`~repro.trace.io.iter_batches`), so a minimal
@@ -36,7 +36,6 @@ so ``Session.run`` accepts any of them directly.
 
 from __future__ import annotations
 
-import queue
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Union, runtime_checkable
 
@@ -81,7 +80,7 @@ def iter_event_batches(
 
     The single entry point bulk consumers use: a source exposing
     ``event_batches()`` streams through it (chunked decode for files,
-    tuple slicing for in-memory traces, greedy drain for queues); any
+    tuple slicing for in-memory traces, segments for colf); any
     other source has its per-event ``events()`` iterator cut into
     ``batch_size`` lists by :func:`~repro.trace.io.iter_batches`.  Either
     way the concatenation of the batches is exactly the event stream.
@@ -343,98 +342,6 @@ class CaptureSource:
         self.recorder.unsubscribe(self._deliver)
         session, self._session = self._session, None
         return session.finish()
-
-
-class QueueSource(_BatchSource):
-    """Source bridging a producer thread to a session walk.
-
-    The producer side calls :meth:`put` for every event and :meth:`close`
-    when the stream ends; the consumer side hands the source to
-    ``Session.run`` (typically on a separate thread), whose
-    :meth:`event_batches` iteration blocks on the internal queue until
-    events arrive and terminates when the source is closed.  This is the
-    handoff the :mod:`repro.serve` streaming-ingest path uses: the socket
-    handler thread feeds parsed events in, a walk thread analyzes them as
-    they arrive, and races surface through the session's ``on_race``
-    callback while the producer is still sending.
-
-    ``maxsize`` bounds the queue (0 = unbounded); a bounded queue applies
-    backpressure to the producer when analysis falls behind.  The thread
-    universe is unknown upfront, so clocks grow dynamically.  The event
-    stream is consumable once.
-    """
-
-    _SENTINEL = object()
-
-    def __init__(self, name: str = "queue", maxsize: int = 0) -> None:
-        self.name = name
-        self.events_emitted = 0
-        self._queue: "queue.Queue[object]" = queue.Queue(maxsize)
-        self._closed = False
-
-    def put(self, event: Event, timeout: Optional[float] = None) -> None:
-        """Hand one event to the consumer side (blocks when bounded and full)."""
-        if self._closed:
-            raise RuntimeError("cannot put() into a closed QueueSource")
-        self._queue.put(event, timeout=timeout)
-
-    def close(self) -> None:
-        """End the stream: the consuming iteration drains and terminates.
-
-        Never blocks, even when a bounded queue is full with a dead
-        consumer: the closed flag is set first and the sentinel enqueue
-        is only a fast-path wakeup — a live consumer that misses it
-        still notices the flag once the queue drains.
-        """
-        if not self._closed:
-            self._closed = True
-            try:
-                self._queue.put_nowait(self._SENTINEL)
-            except queue.Full:
-                pass
-
-    @property
-    def closed(self) -> bool:
-        """Whether the producer side has ended the stream."""
-        return self._closed
-
-    def threads(self) -> None:
-        return None
-
-    def event_batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Event]]:
-        """Native batches: greedy drain, never waiting to fill a batch.
-
-        Blocks only for the *first* event of each batch, then takes
-        whatever else is already queued (up to ``batch_size``) without
-        waiting — a streaming producer keeps its live latency (each
-        event is analyzed as soon as the walk is idle), while a fast
-        producer naturally coalesces into full batches.
-        """
-        get = self._queue.get
-        get_nowait = self._queue.get_nowait
-        sentinel = self._SENTINEL
-        while True:
-            try:
-                item = get(timeout=0.1)
-            except queue.Empty:
-                if self._closed:
-                    return
-                continue
-            if item is sentinel:
-                return
-            batch: List[Event] = [item]  # type: ignore[list-item]
-            while len(batch) < batch_size:
-                try:
-                    item = get_nowait()
-                except queue.Empty:
-                    break
-                if item is sentinel:
-                    self.events_emitted += len(batch)
-                    yield batch
-                    return
-                batch.append(item)  # type: ignore[arg-type]
-            self.events_emitted += len(batch)
-            yield batch
 
 
 SourceLike = Union[

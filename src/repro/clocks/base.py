@@ -217,6 +217,16 @@ class Clock(Protocol):
     def as_dict(self) -> VectorTime:
         """A snapshot of the represented vector time."""
 
+    def snapshot(self) -> object:
+        """This clock's exact state as a JSON-safe value; records no work."""
+
+    def restore(self, snapshot: object) -> None:
+        """Overwrite this clock with a :meth:`snapshot` value; records no work.
+
+        Assumes the context's thread universe already holds every thread
+        the snapshot names (the engines restore the universe first).
+        """
+
 
 def clock_name(clock_class: type) -> str:
     """Short display name of a clock class ("VC", "TC", …)."""

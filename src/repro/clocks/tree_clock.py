@@ -289,71 +289,70 @@ class TreeClock:
         if counter is not None:
             counter.record_copy(processed=processed, updated=updated)
 
-    def seed_vector_time(self, vector_time: VectorTime, anchor: Optional[int] = None) -> None:
-        """Overwrite this clock with an absolute vector-time snapshot.
+    # -- snapshots and introspection ------------------------------------------------------
 
-        Used by the engines' ``restore_state`` to rebuild a checkpointed
-        clock before the walk resumes.  The result is a *flat* tree: a
-        root ``(anchor, vector_time[anchor])`` with every other non-zero
-        entry as a direct child carrying ``aclk = root.clk``.
+    def as_dict(self) -> VectorTime:
+        """Snapshot of the vector time represented by this clock."""
+        return {tid: node.clk for tid, node in self._nodes.items() if node.clk}
 
-        ``anchor`` must be the thread whose clock snapshot this vector
-        time is (the owning thread for thread clocks — the default —
-        the last releasing thread for lock clocks, the last writer for
-        last-write clocks).  That choice is what keeps the tree-clock
-        pruning rules sound on the seeded state: any clock that knows
-        ``(anchor, root.clk)`` can only have learned it from the
-        anchor's state at that local time, which contains every seeded
-        entry — exactly the snapshot property ``join`` relies on.  The
-        flat shape is structurally valid (equal child ``aclk`` values
-        satisfy the descending-order invariant) and, because all
-        children share ``aclk = root.clk``, indirect monotonicity never
-        fires unless the whole clock is already known, so replayed
-        vector times are identical to the sequential run's.
+    def snapshot(self) -> List[List[object]]:
+        """The exact tree as pre-order ``[tid, clk, aclk, depth]`` rows.
 
-        Seeding is state restoration, not analysis work: no work-counter
-        events are recorded.
+        Children come first to last (the order :meth:`nodes` yields) and
+        the root is the one row at depth 0 (``aclk`` ``None``); an empty
+        clock is ``[]``.  :meth:`restore` rebuilds the same tree, so a
+        restored walk does the uninterrupted walk's work.  Records no
+        work.
         """
-        for node in list(self._nodes.values()):
+        rows: List[List[object]] = []
+        if self._root is None:
+            return rows
+        stack: List[Tuple[TreeClockNode, int]] = [(self._root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            rows.append([node.tid, node.clk, node.aclk, depth])
+            # Pushed reversed, so they pop first to last.
+            stack.extend(reversed([(child, depth + 1) for child in node.children()]))
+        return rows
+
+    def restore(self, rows: List[List[object]]) -> None:
+        """Overwrite this clock with the tree a :meth:`snapshot` describes.
+
+        Each row's parent is the latest row one level up, kept on a path
+        stack indexed by depth, and each row goes after its previous
+        sibling.  The threads must already be in the context's universe.
+        Records no work.
+        """
+        for node in self._nodes.values():
             self._recycle(node)
-        self._nodes = {}
+        nodes: Dict[int, TreeClockNode] = {}
+        self._nodes = nodes
         self._root = None
-        if anchor is None:
-            anchor = self.owner
-        if anchor is None:
-            if vector_time:
-                raise ValueError(
-                    "seeding a non-empty vector time into an un-owned tree clock "
-                    "requires an anchor thread"
-                )
-            return
-        context = self.context
-        if anchor not in context.index_of:
-            context.add_thread(anchor)
-        root = TreeClockNode(anchor, vector_time.get(anchor, 0), None)
-        self._root = root
-        self._nodes[anchor] = root
-        free = context.tc_free
-        for tid, clk in vector_time.items():
-            if tid == anchor or not clk:
-                continue
-            if tid not in context.index_of:
-                context.add_thread(tid)
+        free = self.context.tc_free
+        path: List[TreeClockNode] = []
+        for tid, clk, aclk, depth in rows:
+            if not 0 <= depth <= len(path) or (depth == 0) != (self._root is None):
+                raise ValueError(f"malformed tree-clock snapshot row {[tid, clk, aclk, depth]!r}")
             if free:
                 node = free.pop()
                 node.tid = tid
             else:
                 node = TreeClockNode(tid)
             node.clk = clk
-            node.aclk = root.clk
-            self._nodes[tid] = node
-            self._push_child(node, root)
-
-    # -- snapshots and introspection ------------------------------------------------------
-
-    def as_dict(self) -> VectorTime:
-        """Snapshot of the vector time represented by this clock."""
-        return {tid: node.clk for tid, node in self._nodes.items() if node.clk}
+            node.aclk = aclk
+            nodes[tid] = node
+            if depth == 0:
+                self._root = node
+            else:
+                parent = node.parent = path[depth - 1]
+                previous = path[depth] if depth < len(path) else None
+                node.prev_sibling = previous
+                if previous is None:
+                    parent.first_child = node
+                else:
+                    previous.next_sibling = node
+                del path[depth:]
+            path.append(node)
 
     def nodes(self) -> Iterator[TreeClockNode]:
         """Iterate all nodes in pre-order from the root, then any detached nodes.

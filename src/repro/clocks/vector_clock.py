@@ -121,29 +121,6 @@ class VectorClock:
         other_values = other._values
         return all(value <= other_values[index] for index, value in enumerate(self._values))
 
-    def seed_vector_time(self, vector_time: VectorTime, anchor: Optional[int] = None) -> None:
-        """Overwrite this clock with an absolute vector-time snapshot.
-
-        Used by the engines' ``restore_state`` to rebuild a checkpointed
-        clock before the walk resumes.  Every thread named in
-        ``vector_time`` is registered with the context if needed; entries
-        not named are reset to 0.  Seeding is state *restoration*, not
-        analysis work, so no work-counter events are recorded.  ``anchor`` is accepted for signature parity with
-        :meth:`TreeClock.seed_vector_time` (vector clocks have no
-        structural root, so it is ignored).
-        """
-        context = self.context
-        for tid in vector_time:
-            if tid not in context.index_of:
-                context.add_thread(tid)
-        self._grow()
-        values = self._values
-        for index in range(len(values)):
-            values[index] = 0
-        index_of = context.index_of
-        for tid, clk in vector_time.items():
-            values[index_of[tid]] = clk
-
     # -- snapshots and debugging -----------------------------------------------------
 
     def as_dict(self) -> VectorTime:
@@ -154,6 +131,31 @@ class VectorClock:
             for tid, index in self.context.index_of.items()
             if index < len(values) and values[index]
         }
+
+    def snapshot(self) -> List[object]:
+        """The exact state as ``[length, [[tid, clk], ...]]``.
+
+        ``length`` is the entry array's length, which a join or copy
+        counts as its processed entries; in a growing universe it depends
+        on when the clock was created.  The pairs are the non-zero
+        entries in thread order.  Records no work.
+        """
+        threads = self.context.threads
+        values = self._values
+        return [len(values), [[threads[index], clk] for index, clk in enumerate(values) if clk]]
+
+    def restore(self, snapshot: List[object]) -> None:
+        """Overwrite this clock with a :meth:`snapshot` value.
+
+        The threads must already be in the context's universe.  Records
+        no work.
+        """
+        length, pairs = snapshot
+        values = [0] * length  # type: ignore[operator]
+        index_of = self.context.index_of
+        for tid, clk in pairs:  # type: ignore[union-attr]
+            values[index_of[tid]] = clk
+        self._values = values
 
     def as_list(self) -> List[int]:
         """The raw entry list, ordered by the context's thread order."""

@@ -32,6 +32,7 @@ _PHASE_RULES: Tuple[Tuple[str, str], ...] = (
     ("serve.op.submit", "submit"),
     ("serve.op.analyze", "submit"),
     ("serve.op.stream", "submit"),
+    ("serve.op.feed", "analyze"),
     ("serve.stream", "submit"),
     ("job.queue_wait", "queue"),
     ("job.persist", "persist"),

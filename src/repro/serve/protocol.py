@@ -27,9 +27,10 @@ handlers):
     ``repro status --watch`` polls.
 ``stream_begin`` / ``feed`` / ``stream_end``
     Streaming ingest: events arrive as STD lines (``line`` or a batched
-    ``lines`` list), are fed into an incremental session while the
-    producer is still sending, and every ``feed`` response carries the
-    races found since the previous one.  ``stream_begin`` may carry
+    ``lines`` list) and each ``feed`` is analyzed by an incremental
+    session before the server answers it, so every ``feed`` response
+    carries the races its batch completed while the producer is still
+    sending.  ``stream_begin`` may carry
     ``checkpoint=true`` (plus an optional ``checkpoint_every`` event
     cadence): the server then periodically persists the session's full
     analysis state so the stream survives a server crash.

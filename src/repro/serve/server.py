@@ -12,21 +12,19 @@ Two ingestion shapes:
   content-addressed into the corpus and (trace × spec) jobs fan out
   across the worker pool; results are read back with ``results``.
 * **streaming ingest** (``stream_begin`` / ``feed`` / ``stream_end``) —
-  events arrive one STD line at a time (or batched) and flow through a
-  :class:`~repro.api.sources.QueueSource` into an incremental
-  :class:`~repro.api.Session` running on a per-stream walk thread;
-  races stream back in the ``feed`` responses *while the producer is
-  still sending*, exactly the online-detection story of
-  ``repro capture``, but across a socket.  With ``save=true`` the
-  streamed events are additionally ingested into the corpus at stream
-  end.
+  events arrive one STD line at a time (or batched) and each ``feed``
+  is analyzed by an incremental :class:`~repro.api.Session` in the
+  connection's handler thread before its reply goes out, so each reply
+  carries the races its batch completed *while the producer is still
+  sending*, exactly the online-detection story of ``repro capture``,
+  but across a socket.  With ``save=true`` the streamed events are
+  additionally ingested into the corpus at stream end.
 """
 
 from __future__ import annotations
 
 import gzip
 import os
-import queue
 import socketserver
 import tempfile
 import threading
@@ -36,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.result import Race
 from ..analysis.serial import race_from_record, race_to_record
-from ..api import QueueSource, Session
+from ..api import Session
 from ..api.spec import coerce_spec
 from ..cli_util import package_version
 from ..obs import context as obs_context
@@ -79,32 +77,27 @@ MAX_REQUEST_BYTES = 64 * 1024 * 1024
 
 
 class _StreamState:
-    """One connection's live streaming-ingest session.
+    """One connection's streaming-ingest session.
 
-    Memory is bounded in both directions: the handoff to the walk thread
-    goes through a *bounded* :class:`QueueSource` (a producer outpacing
-    the analysis blocks in ``feed`` — backpressure through the socket
-    instead of unbounded buffering), and ``save=true`` spools the
-    incoming events to a gzipped temp file instead of keeping them in
-    RAM, so streaming a multi-gigabyte trace costs O(queue) memory.
+    Events are analyzed inline, in the connection's handler thread: when
+    a ``feed`` returns, the session has absorbed its whole batch, so the
+    reply carries every race that batch completed.  Memory is bounded in
+    both directions: the handler reads the next frame only after it has
+    analyzed the current one (backpressure through the socket, one frame
+    of at most ``MAX_REQUEST_BYTES`` at a time), and ``save=true`` spools
+    the incoming events to a gzipped file instead of keeping them in
+    RAM, so streaming a multi-gigabyte trace costs O(frame) memory.
 
-    Checkpointed streams (``checkpoint=true`` at ``stream_begin``) trade
-    the walk thread for durability: events are analyzed *synchronously*
-    in the handler thread, so between two ``feed`` messages the session
-    is quiescent and every piece of state (engine clocks, detector maps,
-    spool byte offset, reported races) refers to the same event prefix.
-    Every ``checkpoint_every`` events the spool's gzip member is closed
-    and a versioned snapshot is atomically replaced on disk; after a
-    ``kill -9`` of the server, ``stream_resume`` rebuilds the stream at
-    the last checkpoint and tells the producer which event offset to
-    re-feed from.
+    Between two ``feed`` messages the session is quiescent, so every
+    piece of state (engine clocks, detector maps, spool byte offset,
+    reported races) refers to the same event prefix.  A checkpointed
+    stream (``checkpoint=true`` at ``stream_begin``) uses that: every
+    ``checkpoint_every`` events the spool's gzip member is closed and a
+    versioned snapshot is atomically replaced on disk; after a ``kill
+    -9`` of the server, ``stream_resume`` rebuilds the stream at the
+    last checkpoint and tells the producer which event offset to re-feed
+    from.
     """
-
-    #: Events buffered between the socket handler and the walk thread.
-    QUEUE_BOUND = 8192
-
-    #: Seconds a feed waits on a full queue before declaring the walk stalled.
-    FEED_TIMEOUT = 30.0
 
     #: Default events between checkpoints when the client enables
     #: checkpointing without choosing a cadence.
@@ -115,19 +108,13 @@ class _StreamState:
         name: str,
         specs: Sequence[str],
         save: bool,
-        context: Optional[obs_context.TraceContext] = None,
         checkpoint_dir: Optional[Union[str, Path]] = None,
         checkpoint_every: int = 0,
     ) -> None:
         self.name = name
         self.save = save
-        #: The stream's distributed trace context, captured at
-        #: stream_begin: the walk thread runs under it so the live
-        #: session's spans parent into the client's trace.
-        self._context = context
         self.spec_keys = [coerce_spec(spec).key for spec in specs]
         self._races: List[Race] = []
-        self._races_lock = threading.Lock()
         self.events_sent = 0
         # One caching parser per stream: the thread/op tokens of a live
         # trace repeat as heavily as a file's, so after warmup each
@@ -159,43 +146,26 @@ class _StreamState:
                 os.close(handle)
                 self.spool_path = Path(raw_path)
                 self._spool = gzip.open(self.spool_path, "wt", encoding="utf-8")
-        self.result = None
-        self._walk_error: Optional[BaseException] = None
-        # Ingest-only streams (no specs, save=true) skip the live session
-        # entirely: events only flow to the spool.  This is the bounded-
-        # memory upload path big `repro submit`s use before `analyze`.
-        if self.spec_keys and self.snapshot_path is None:
-            self.source: Optional[QueueSource] = QueueSource(name=name, maxsize=self.QUEUE_BOUND)
-            self.session: Optional[Session] = Session(self.spec_keys, on_race=self._collect_race)
-            self._walk: Optional[threading.Thread] = threading.Thread(
-                target=self._run_walk, daemon=True
-            )
-            self._walk.start()
-        elif self.spec_keys:
-            # Checkpointed: no walk thread — feeds run the analysis
-            # inline so a snapshot taken between feeds is exact.
-            self.source = None
-            self.session = Session(self.spec_keys, on_race=self._collect_race)
+        self._error: Optional[BaseException] = None
+        # Ingest-only streams (no specs, save=true) have no session:
+        # events only flow to the spool.  This is the bounded-memory
+        # upload path big `repro submit`s use before `analyze`.
+        self.session: Optional[Session] = None
+        if self.spec_keys:
+            self.session = Session(self.spec_keys, on_race=self._races.append)
             self.session.begin(name=name)
-            self._walk = None
-        else:
-            self.source = None
-            self.session = None
-            self._walk = None
 
     @classmethod
-    def resume(
-        cls,
-        name: str,
-        checkpoint_dir: Union[str, Path],
-        context: Optional[obs_context.TraceContext] = None,
-    ) -> "_StreamState":
+    def resume(cls, name: str, checkpoint_dir: Union[str, Path]) -> "_StreamState":
         """Rebuild a checkpointed stream from its last on-disk snapshot.
 
-        Raises :class:`SnapshotError` when no usable checkpoint exists.
-        The save spool (if any) is truncated back to the byte offset the
-        snapshot recorded — events spooled after the checkpoint were
-        never durably acknowledged and will be re-fed by the producer.
+        Raises :class:`SnapshotError` when no usable checkpoint exists,
+        and ``ValueError`` when the session refuses the snapshot's
+        engine state (e.g. a payload of an older version).  Only a
+        snapshot the session accepted touches the save spool: it is then
+        truncated back to the byte offset the snapshot recorded — events
+        spooled after the checkpoint were never durably acknowledged and
+        will be re-fed by the producer.
         """
         path = snapshot_path_for_stream(checkpoint_dir, name)
         payload = read_snapshot(path)
@@ -207,14 +177,12 @@ class _StreamState:
         every = int(payload.get("checkpoint_every") or cls.CHECKPOINT_EVERY)
         # Construct with save=False — opening the spool "wt" here would
         # truncate the very bytes the resume needs — then re-attach it.
-        state = cls(
-            name,
-            specs,
-            save=False,
-            context=context,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=every,
-        )
+        state = cls(name, specs, save=False, checkpoint_dir=checkpoint_dir, checkpoint_every=every)
+        session_state = payload.get("session")
+        if state.session is not None:
+            if not isinstance(session_state, dict):
+                raise SnapshotError(f"checkpoint {path} carries no session state")
+            state.session.restore(session_state)
         state.save = bool(payload.get("save"))
         if state.save:
             spool_bytes = int(payload.get("spool_bytes") or 0)
@@ -231,16 +199,12 @@ class _StreamState:
             # Appending opens a new gzip member; readers concatenate
             # members transparently, so the final ingest sees one trace.
             state._spool = gzip.open(spool_path, "at", encoding="utf-8")
-        session_state = payload.get("session")
-        if state.session is not None:
-            if not isinstance(session_state, dict):
-                raise SnapshotError(f"checkpoint {path} carries no session state")
-            state.session.restore(session_state)
         state.events_sent = int(payload.get("events") or 0)
         state._last_checkpoint_events = state.events_sent
         races = payload.get("races")
         if isinstance(races, list):
-            state._races = [race_from_record(record) for record in races]
+            # In place: the session's on_race appends to this very list.
+            state._races[:] = [race_from_record(record) for record in races]
         return state
 
     def checkpoint_now(self) -> Path:
@@ -254,8 +218,6 @@ class _StreamState:
             self._spool.close()
             spool_bytes = os.path.getsize(self.spool_path)  # type: ignore[arg-type]
             self._spool = gzip.open(self.spool_path, "at", encoding="utf-8")
-        with self._races_lock:
-            races = [race_to_record(race) for race in self._races]
         payload: Dict[str, object] = {
             "name": self.name,
             "specs": list(self.spec_keys),
@@ -263,53 +225,30 @@ class _StreamState:
             "checkpoint_every": self.checkpoint_every,
             "events": self.events_sent,
             "spool_bytes": spool_bytes,
-            "races": races,
+            "races": [race_to_record(race) for race in self._races],
             "session": self.session.checkpoint() if self.session is not None else None,
         }
         self._last_checkpoint_events = self.events_sent
         return write_snapshot(self.snapshot_path, payload)
 
-    def _collect_race(self, race: Race) -> None:
-        with self._races_lock:
-            self._races.append(race)
-
-    def _run_walk(self) -> None:
-        try:
-            assert self.session is not None and self.source is not None
-            # Fresh thread = fresh contextvars: re-attach the stream's
-            # trace context explicitly or the walk's spans orphan.
-            with obs_context.use_context(self._context):
-                self.result = self.session.run(self.source)
-        except BaseException as error:  # noqa: BLE001 - re-raised at stream_end
-            self._walk_error = error
-
-    def feed_line(self, line: str) -> Optional[Event]:
-        """Parse one STD line and hand it to the walk; ``None`` for blanks."""
-        fed = self.feed_lines((line,))
-        return fed[0] if fed else None
-
     def feed_lines(self, lines: Sequence[str]) -> List[Event]:
-        """Parse a batch of STD lines and hand them to the walk as one unit.
+        """Parse a batch of STD lines, analyze it, then spool and count it.
 
         The whole batch is parsed first (through the per-stream token
-        cache), enqueued, and then spooled/counted with one write per
-        batch — the walk thread's greedy batch drain sees it as one
-        ``feed_batch``, so protocol messages carrying many lines cost
-        per-batch, not per-event, overhead on the analysis side.
-        Returns the parsed events (blanks/comments excluded).
+        cache) and fed to the session as one ``feed_batch``.  When this
+        returns, the session has absorbed the batch, the races it
+        completed are in :meth:`races_since`, and a checkpoint taken
+        here covers exactly these events.  Returns the parsed events
+        (blanks/comments excluded).
 
-        Error atomicity is split by error class.  A *malformed line*
-        (deterministic — a retry cannot fix it) rejects the whole
-        message before anything is fed: the producer can repair the bad
-        line and resend the entire message without double-feeding.
-        *Backpressure* (transient ``queue.Full``) keeps the prefix
-        property instead: every event that did reach the walk is
-        spooled and counted before the error surfaces, so
-        ``events_sent``, the save spool and the analyzed stream never
-        disagree.
+        A *malformed line* rejects the whole message before anything is
+        fed: the producer can repair the bad line and resend the entire
+        message without double-feeding.  A batch whose *analysis* raises
+        marks the stream failed; later feeds and :meth:`finish` report
+        that failure.
         """
-        if self._walk_error is not None:
-            raise RuntimeError(f"stream analysis failed: {self._walk_error}")
+        if self._error is not None:
+            raise RuntimeError(f"stream analysis failed: {self._error}")
         parse = self._parser.parse
         eid = self.events_sent
         events: List[Event] = []
@@ -321,29 +260,15 @@ class _StreamState:
             eid += 1
         if not events:
             return events
-        if self.source is not None:
-            put = self.source.put
-            delivered = 0
-            try:
-                for event in events:
-                    put(event, timeout=self.FEED_TIMEOUT)
-                    delivered += 1
-            except queue.Full:
-                self._commit(events[:delivered])
-                raise RuntimeError(
-                    f"stream backlog full after {self.FEED_TIMEOUT}s: the analysis "
-                    "walk cannot keep up or has stalled"
-                ) from None
-        elif self.session is not None:
-            # Checkpointed streams analyze inline (no walk thread): when
-            # this returns, the session has fully absorbed the batch and
-            # a checkpoint taken below covers exactly these events.
+        if self.session is not None:
             try:
                 self.session.feed_batch(events)
             except BaseException as error:
-                self._walk_error = error
+                self._error = error
                 raise
-        self._commit(events)
+        if self._spool is not None:
+            self._spool.write("".join(std_line(event) + "\n" for event in events))
+        self.events_sent = eid
         if (
             self.snapshot_path is not None
             and self.checkpoint_every > 0
@@ -352,45 +277,24 @@ class _StreamState:
             self.checkpoint_now()
         return events
 
-    def _commit(self, events: Sequence[Event]) -> None:
-        """Record events that reached the walk: spool them, advance the count."""
-        if not events:
-            return
-        if self._spool is not None:
-            self._spool.write("".join(std_line(event) + "\n" for event in events))
-        self.events_sent = events[-1].eid + 1
-
     def races_since(self, cursor: int) -> Tuple[List[Dict[str, object]], int]:
         """Races reported after ``cursor``, plus the new cursor."""
-        with self._races_lock:
-            fresh = [race.as_dict() for race in self._races[cursor:]]
-            return fresh, len(self._races)
+        fresh = [race.as_dict() for race in self._races[cursor:]]
+        return fresh, len(self._races)
 
-    def finish(self, timeout: float = 60.0):
-        """Close the stream and join the walk; returns the SessionResult.
+    def finish(self):
+        """Close the stream; returns the SessionResult.
 
-        Ingest-only streams (no specs) have no walk and return ``None``.
+        Ingest-only streams (no specs) have no session and return ``None``.
         """
-        if self.source is not None:
-            self.source.close()
         if self._spool is not None:
             self._spool.close()
             self._spool = None
-        if self._walk is not None:
-            self._walk.join(timeout)
-            if self._walk.is_alive():
-                raise RuntimeError("stream analysis walk did not finish")
-            if self._walk_error is not None:
-                raise RuntimeError(f"stream analysis failed: {self._walk_error}")
-            self.discard_snapshot()
-            return self.result
-        if self._walk_error is not None:
-            raise RuntimeError(f"stream analysis failed: {self._walk_error}")
-        if self.session is not None:
-            # Synchronous (checkpointed) stream: close it inline.
-            self.result = self.session.finish()
+        if self._error is not None:
+            raise RuntimeError(f"stream analysis failed: {self._error}")
+        result = self.session.finish() if self.session is not None else None
         self.discard_snapshot()
-        return self.result
+        return result
 
     def discard_spool(self) -> None:
         """Delete the save spool (after ingest, or on teardown)."""
@@ -413,11 +317,9 @@ class _StreamState:
         freshly attempted) snapshot and the spool it references stay on
         disk so ``stream_resume`` can pick the stream back up.
         """
-        if self.source is not None and not self.source.closed:
-            self.source.close()
         if self.snapshot_path is not None:
             try:
-                if self._walk_error is None:
+                if self._error is None:
                     self.checkpoint_now()
             except Exception as error:  # noqa: BLE001 - best-effort final snapshot
                 log.warning("final checkpoint of stream %r failed: %s", self.name, error)
@@ -426,8 +328,6 @@ class _StreamState:
                 self._spool = None
         else:
             self.discard_spool()
-        if self._walk is not None:
-            self._walk.join(5.0)
 
 
 class ServeHandler(socketserver.StreamRequestHandler):
@@ -465,8 +365,9 @@ class ServeHandler(socketserver.StreamRequestHandler):
             else:
                 # Context propagation: the request's traceparent (if any)
                 # becomes the ambient context for everything this op does
-                # — the serve.op.* span parents under it, and work handed
-                # onward (scheduler jobs, stream walks) captures it.
+                # — the serve.op.* span parents under it (a stream's
+                # analysis runs inside serve.op.feed), and scheduler jobs
+                # handed onward capture it.
                 remote = obs_context.context_from_message(request)
                 token = (
                     obs_context.attach_context(remote) if remote is not None else None
@@ -680,7 +581,6 @@ class ServeHandler(socketserver.StreamRequestHandler):
             name=name,
             specs=[str(s) for s in specs],
             save=save,
-            context=obs_context.active_context(),
             checkpoint_dir=self.server.recovery_dir if checkpoint else None,
             checkpoint_every=checkpoint_every if checkpoint else 0,
         )
@@ -703,11 +603,7 @@ class ServeHandler(socketserver.StreamRequestHandler):
         if not name:
             return error_response("stream_resume needs the stream 'name'")
         try:
-            stream = _StreamState.resume(
-                name,
-                self.server.recovery_dir,
-                context=obs_context.active_context(),
-            )
+            stream = _StreamState.resume(name, self.server.recovery_dir)
         except SnapshotError as error:
             return error_response(str(error))
         self._stream = stream

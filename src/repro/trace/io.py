@@ -210,7 +210,8 @@ class StdParser:
                 if cached is None:
                     cached = self._parse_op_token(parts[1])
                 if cached is not None:
-                    return Event(eid=eid, tid=tid, kind=cached[0], target=cached[1])
+                    # Skips the namedtuple's Python-level __new__ (see Event).
+                    return tuple.__new__(Event, (eid, tid, cached[0], cached[1]))
         return parse_std_line(raw_line, eid, line_number)
 
     def _parse_op_token(self, op_token: str) -> Optional[Tuple[OpKind, Optional[object]]]:
@@ -318,7 +319,7 @@ class CsvParser:
         if tid is None:
             tid = int(tid_text)
             self._tid_cache[tid_text] = tid
-        return Event(eid=eid, tid=tid, kind=cached[0], target=cached[1])
+        return tuple.__new__(Event, (eid, tid, cached[0], cached[1]))
 
 
 def iter_csv(lines: Iterable[str]) -> Iterator[Event]:

@@ -180,9 +180,9 @@ class TestServerEndToEnd:
             server.close()
 
     def test_race_reports_arrive_before_stream_end(self, tmp_path):
-        # A trace whose race completes early: the feed responses (not
-        # just stream_end) must carry it — that is the "races as they
-        # are found" contract.
+        # A trace whose race completes early: the reply to the feed that
+        # completes it (not just stream_end) must carry it — that is the
+        # "races as they are found" contract.
         from repro import TraceBuilder
 
         builder = TraceBuilder(name="early-race")
@@ -196,13 +196,12 @@ class TestServerEndToEnd:
         try:
             with ServeClient(host, port) as client:
                 stream = client.stream_begin("early", ["shb+tc+detect"])
-                races_before_end = 0
-                for event in trace:
-                    races_before_end += len(stream.feed(event)["races"])
-                    if races_before_end:
-                        break
+                first, second = trace.events[:2]
+                assert stream.feed(first)["races"] == []
+                reply = stream.feed(second)  # the write that completes the race
+                assert [race["event_eid"] for race in reply["races"]] == [1]
+                assert reply["race_count"] == 1
                 stream.end()
-                assert races_before_end > 0
         finally:
             server.close()
 

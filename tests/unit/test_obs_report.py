@@ -72,6 +72,7 @@ class TestPhases:
         assert phase_of("job.queue_wait") == "queue"
         assert phase_of("worker.task") == "analyze"
         assert phase_of("session.run") == "analyze"
+        assert phase_of("serve.op.feed") == "analyze"  # a stream analyzes inline
         assert phase_of("job.persist") == "persist"
         assert phase_of("something.else") is None
 

@@ -9,6 +9,7 @@ crashes.
 """
 
 import json
+import socket
 
 import pytest
 
@@ -25,6 +26,8 @@ from repro.recovery import (
     snapshot_path_for_stream,
     write_snapshot,
 )
+from repro.serve.protocol import encode_message, read_message
+from repro.serve.server import ServeHandler, _StreamState
 
 
 class TestJobJournal:
@@ -125,6 +128,45 @@ class TestSnapshots:
         other = snapshot_path_for_stream(tmp_path, "other")
         assert first == again and first != other
         assert first.parent == tmp_path and first.name.startswith("stream-")
+
+
+class _HandlerHost:
+    """The server attributes a ServeHandler reads for stream ops."""
+
+    obs_registry = None
+
+    def __init__(self, recovery_dir):
+        self.recovery_dir = recovery_dir
+
+
+def answer(recovery_dir, request):
+    """One request through a ServeHandler over a socket pair (no TCP server)."""
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        ours.sendall(encode_message(request))
+        ours.shutdown(socket.SHUT_WR)
+        ServeHandler(theirs, ("socketpair", 0), _HandlerHost(recovery_dir))
+        theirs.shutdown(socket.SHUT_WR)
+        with ours.makefile("rb") as reader:
+            return read_message(reader)
+
+
+class TestStreamResume:
+    def test_refused_resume_leaves_the_spool_untouched(self, tmp_path):
+        """A snapshot the session refuses must not truncate or append to the spool."""
+        stream = _StreamState("old", ["hb+tc+detect"], save=True, checkpoint_dir=tmp_path)
+        stream.feed_lines(["T1|w(x)", "T2|w(x)", "T1|r(x)"])
+        stream.abort()  # writes a final checkpoint and keeps it and its spool
+        payload = read_snapshot(stream.snapshot_path)
+        for state in payload["session"]["analyses"].values():
+            state["version"] = 1  # written before exact clock snapshots
+        write_snapshot(stream.snapshot_path, payload)
+        spool = stream.spool_path.read_bytes()
+
+        response = answer(tmp_path, {"op": "stream_resume", "name": "old"})
+        assert not response["ok"]
+        assert "unsupported engine snapshot version 1" in response["error"]
+        assert stream.spool_path.read_bytes() == spool
 
 
 class TestQuarantineStore:

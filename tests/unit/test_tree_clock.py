@@ -1,5 +1,7 @@
 """Unit tests for the tree clock data structure (:mod:`repro.clocks.tree_clock`)."""
 
+import json
+
 import pytest
 
 from repro.clocks import ClockContext, TreeClock, VectorClock, WorkCounter
@@ -330,35 +332,112 @@ class TestWorkAccounting:
         assert counter.entries_updated == 0
 
 
-class TestClockSeeding:
-    @pytest.mark.parametrize("clock_class", [VectorClock, TreeClock])
-    def test_seed_round_trips_vector_time(self, clock_class):
-        context = ClockContext(threads=[1, 2, 3])
-        clock = clock_class(context, owner=1)
-        clock.seed_vector_time({1: 7, 2: 3}, anchor=1)
-        assert clock.as_dict() == {1: 7, 2: 3}
-        assert clock.get(3) == 0
+def grown_clock(clock_class, context: ClockContext):
+    """Thread 1's clock after learning 2 (who knew 3) and then 4.
 
-    @pytest.mark.parametrize("clock_class", [VectorClock, TreeClock])
-    def test_seed_registers_unknown_threads(self, clock_class):
-        context = ClockContext(threads=[1])
-        clock = clock_class(context, owner=1)
-        clock.seed_vector_time({1: 2, 8: 5}, anchor=1)
-        assert 8 in context.index_of
-        assert clock.get(8) == 5
+    As a tree clock: root (1, 6) with children (4, 1, aclk 6) and
+    (2, 4, aclk 5), and (3, 2, aclk 4) under 2.
+    """
+    c3 = clock_class(context, owner=3)
+    c3.increment(3, 2)
+    c2 = clock_class(context, owner=2)
+    c2.increment(2, 4)
+    c2.join(c3)
+    c4 = clock_class(context, owner=4)
+    c4.increment(4, 1)
+    c1 = clock_class(context, owner=1)
+    c1.increment(1, 5)
+    c1.join(c2)
+    c1.increment(1)
+    c1.join(c4)
+    return c1
 
-    @pytest.mark.parametrize("clock_class", [VectorClock, TreeClock])
-    def test_seeded_clock_joins_like_sequential(self, clock_class):
-        context = ClockContext(threads=[1, 2])
-        seeded = clock_class(context, owner=1)
-        seeded.seed_vector_time({1: 4, 2: 2}, anchor=1)
-        other = clock_class(context, owner=2)
-        other.seed_vector_time({1: 1, 2: 6}, anchor=2)
-        seeded.join(other)
-        assert seeded.as_dict() == {1: 4, 2: 6}
 
-    def test_tree_clock_seed_requires_anchor_presence(self):
-        context = ClockContext(threads=[1, 2])
-        clock = TreeClock(context, owner=None)
+def round_trip(clock, owner=None):
+    """A fresh clock of the same class restored from ``clock``'s JSON snapshot."""
+    restored = type(clock)(clock.context, owner=owner)
+    restored.restore(json.loads(json.dumps(clock.snapshot())))
+    return restored
+
+
+def node_rows(clock: TreeClock):
+    return [
+        (node.tid, node.clk, node.aclk, None if node.parent is None else node.parent.tid)
+        for node in clock.nodes()
+    ]
+
+
+class TestClockSnapshot:
+    def test_tree_clock_snapshot_is_pre_order_rows_with_depth(self):
+        clock = grown_clock(TreeClock, make_context())
+        assert clock.snapshot() == [[1, 6, None, 0], [4, 1, 6, 1], [2, 4, 5, 1], [3, 2, 4, 2]]
+
+    def test_tree_clock_restores_the_exact_tree(self):
+        original = grown_clock(TreeClock, make_context())
+        restored = round_trip(original, owner=1)
+        assert node_rows(restored) == node_rows(original)
+        assert restored.depth() == original.depth() == 3
+        assert restored.validate_structure() == []
+
+    def test_tree_clock_restore_replaces_a_non_empty_clock(self):
+        context = make_context()
+        restored = grown_clock(TreeClock, context)
+        restored.restore(TreeClock(context).snapshot())
+        assert restored.root is None
+        assert restored.as_dict() == {}
+        assert restored.validate_structure() == []
+
+    def test_malformed_tree_snapshot_is_refused(self):
+        clock = TreeClock(make_context())
         with pytest.raises(ValueError):
-            clock.seed_vector_time({1: 3, 2: 1})  # anchorless auxiliary clock
+            clock.restore([[1, 1, None, 0], [2, 1, 1, 2]])  # skips a level
+        with pytest.raises(ValueError):
+            clock.restore([[1, 1, None, 0], [2, 1, None, 0]])  # a second root
+
+    def test_vector_clock_keeps_entries_and_array_length(self):
+        """The array length is state: a join counts it as processed entries."""
+        counter = WorkCounter()
+        context = ClockContext(threads=[1, 2], counter=counter)
+        original = VectorClock(context, owner=1)
+        original.increment(1, 3)
+        other = VectorClock(context, owner=2)
+        other.increment(2, 1)
+        context.add_thread(3)  # the universe grows after the clocks were made
+        restored = round_trip(original, owner=1)
+        assert restored.snapshot() == original.snapshot() == [2, [[1, 3]]]
+        counter.reset()
+        original.join(other)
+        restored.join(other)
+        assert counter.entries_processed == 2 + 2  # neither grows to k = 3
+        assert restored.as_dict() == original.as_dict() == {1: 3, 2: 1}
+
+    @pytest.mark.parametrize("clock_class", [TreeClock, VectorClock])
+    def test_join_after_restore_matches_the_original(self, clock_class):
+        counter = WorkCounter()
+        context = make_context()
+        context.counter = counter
+        original = grown_clock(clock_class, context)
+        restored = round_trip(original, owner=1)
+        c3 = clock_class(context, owner=3)
+        c3.increment(3, 7)
+        other = clock_class(context, owner=6)
+        other.increment(6, 2)
+        other.join(c3)
+        other.increment(6)
+        work = []
+        for clock in (original, restored):
+            counter.reset()
+            clock.join(other)
+            work.append((counter.entries_processed, counter.entries_updated))
+        assert work[0] == work[1]
+        assert restored.as_dict() == original.as_dict() == {1: 6, 2: 4, 3: 7, 4: 1, 6: 3}
+        assert restored.snapshot() == original.snapshot()
+
+    @pytest.mark.parametrize("clock_class", [TreeClock, VectorClock])
+    def test_snapshot_and_restore_record_no_work(self, clock_class):
+        counter = WorkCounter()
+        context = make_context()
+        original = grown_clock(clock_class, context)
+        context.counter = counter
+        round_trip(original, owner=1)
+        assert counter == WorkCounter()
