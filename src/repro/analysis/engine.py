@@ -122,7 +122,10 @@ class PartialOrderAnalysis:
         self._events_fed = 0
         self._timestamps: Optional[List[VectorTime]] = None
         self._started_ns = 0
-        self._dispatch: Dict[OpKind, EventHandler] = {}
+        # Holds bound methods of this analysis, i.e. a reference cycle:
+        # built by begin() and dropped by finish(), so a finished run is
+        # freed by reference counting, clocks and detector maps included.
+        self._dispatch: Optional[Dict[OpKind, EventHandler]] = None
 
     # -- clock management ----------------------------------------------------------
 
@@ -372,8 +375,10 @@ class PartialOrderAnalysis:
         context = self.context
         if context is None:
             raise RuntimeError("feed_batch() called before begin()")
-        thread_clocks = self.thread_clocks
         dispatch = self._dispatch
+        if dispatch is None:
+            raise RuntimeError("feed_batch() called after finish(); begin() a new run first")
+        thread_clocks = self.thread_clocks
         timestamps = self._timestamps
         for event in events:
             tid = event.tid
@@ -398,6 +403,7 @@ class PartialOrderAnalysis:
         if context is None:
             raise RuntimeError("finish() called before begin()")
         elapsed_ns = time.perf_counter_ns() - self._started_ns
+        self._dispatch = None
         clock_name = getattr(self.clock_class, "SHORT_NAME", self.clock_class.__name__)
         detection = self._detection_summary()
         registry = obs_metrics.get_registry()

@@ -309,7 +309,7 @@ class CaptureSource:
             if location is not None:
                 self._locations[seq] = location
             self.events_emitted += 1
-            yield Event(eid=seq, tid=tid, kind=kind, target=target)
+            yield tuple.__new__(Event, (seq, tid, kind, target))
 
     # -- live subscription -------------------------------------------------------------
 
@@ -333,7 +333,7 @@ class CaptureSource:
             self._locations[seq] = location
         self.events_emitted += 1
         assert self._session is not None
-        self._session.feed(Event(eid=seq, tid=tid, kind=kind, target=target))
+        self._session.feed(tuple.__new__(Event, (seq, tid, kind, target)))
 
     def finish(self) -> "SessionResult":
         """Detach the live session and return its final result."""

@@ -18,8 +18,8 @@ rather than noticed months later.  This package provides exactly that:
   per-spec feed timing; ``paper``: the Table-2 and Figure-10 cells that
   :mod:`repro.experiments` renders its tables from);
 * :mod:`repro.bench.runner` — the measurement discipline (warmup runs,
-  N timed repeats, best-of-N as the headline number, GC disabled while
-  timing);
+  N timed repeats, best-of-N as the headline number, the garbage
+  collector on while timing and its time per repeat recorded);
 * :mod:`repro.bench.artifact` — the schema-versioned ``BENCH_<suite>.json``
   artifact format (write / load / validate);
 * :mod:`repro.bench.compare` — artifact diffing: compare a current run

@@ -1,4 +1,4 @@
-"""The measurement discipline: warmup, repeats, best-of-N, GC off.
+"""The measurement discipline: warmup, repeats, best-of-N, GC time recorded.
 
 Python timing is noisy — allocator state, dict resizing, branch caches
 in the interpreter loop, a GC pass landing mid-measurement.  The runner
@@ -12,9 +12,13 @@ therefore applies the standard discipline uniformly to every case:
   best estimate of the true cost, since noise in user-space timing is
   strictly additive — next to their median and interquartile range
   (``median_ns`` / ``iqr_ns``, :func:`median_iqr`), which show the spread;
-* the cyclic garbage collector is disabled while timing (allocation
-  behaviour is part of what the clock optimizations target, and a
-  collection pass landing inside one repeat would swamp it).
+* a full collection runs before each case, and the cyclic garbage
+  collector stays on while timing, as it is when the program runs:
+  what a walk leaves for the collector is part of its cost.  Each
+  repeat's collector time goes into the case's ``meta["gc_ns"]`` (one
+  entry per repeat, from a :data:`gc.callbacks` hook, which runs only
+  at collections in this process), so a repeat that a collection
+  landed in shows as such.
 """
 
 from __future__ import annotations
@@ -121,24 +125,38 @@ class BenchCaseResult:
         return payload
 
 
-def _timed_runs(fn: Callable[[], object], config: BenchConfig) -> List[int]:
-    """Apply the warmup/repeat discipline to ``fn``; returns raw ns per repeat."""
-    gc_was_enabled = gc.isenabled()
+def _timed_runs(fn: Callable[[], object], config: BenchConfig) -> Tuple[List[int], List[int]]:
+    """Apply the warmup/repeat discipline to ``fn``.
+
+    Returns the raw wall ns of each repeat and the ns the cyclic garbage
+    collector ran inside each repeat.
+    """
+    perf = time.perf_counter_ns
+    # [ns collecting so far, start of the running collection]
+    collector = [0, 0]
+
+    def on_collection(phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            collector[1] = perf()
+        else:
+            collector[0] += perf() - collector[1]
+
     gc.collect()
-    gc.disable()
+    gc.callbacks.append(on_collection)
     try:
         for _ in range(config.warmup):
             fn()
         runs: List[int] = []
-        perf = time.perf_counter_ns
+        gc_ns: List[int] = []
         for _ in range(config.repeats):
+            collected = collector[0]
             started = perf()
             fn()
             runs.append(perf() - started)
-        return runs
+            gc_ns.append(collector[0] - collected)
+        return runs, gc_ns
     finally:
-        if gc_was_enabled:
-            gc.enable()
+        gc.callbacks.remove(on_collection)
 
 
 def _scenario_trace(params: Mapping[str, object]):
@@ -150,7 +168,7 @@ def _run_clock_ops_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult
     trace = _scenario_trace(case.params)
     log: ClockOpLog = record_clock_ops(trace, order=str(case.params.get("order", "hb")))
     clock_class = CLOCKS.get(str(case.params["clock"]))
-    runs = _timed_runs(lambda: replay_clock_ops(clock_class, log), config)
+    runs, gc_ns = _timed_runs(lambda: replay_clock_ops(clock_class, log), config)
     return BenchCaseResult(
         name=case.name,
         kind=case.kind,
@@ -162,6 +180,7 @@ def _run_clock_ops_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult
             "joins": log.num_joins,
             "copies": log.num_copies,
             "threads": len(log.threads),
+            "gc_ns": gc_ns,
         },
     )
 
@@ -204,7 +223,7 @@ def _run_session_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
         for key, analysis_result in result:
             sub.setdefault(key, []).append(analysis_result.elapsed_ns)
 
-    runs = _timed_runs(one_walk, config)
+    runs, gc_ns = _timed_runs(one_walk, config)
     # Warmup walks also appended to ``sub``; keep only the timed tail so
     # every series has exactly ``repeats`` entries.
     sub = {key: series[-config.repeats :] for key, series in sub.items()}
@@ -215,7 +234,11 @@ def _run_session_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
         events=events,
         runs_ns=runs,
         sub=sub,
-        meta={"specs": specs, "source": str(case.params.get("source", "scenario"))},
+        meta={
+            "specs": specs,
+            "source": str(case.params.get("source", "scenario")),
+            "gc_ns": gc_ns,
+        },
     )
 
 
@@ -246,9 +269,9 @@ def _run_obs_session_case(case: BenchCase, config: BenchConfig) -> BenchCaseResu
     was_enabled = registry.enabled
     registry.disable()
     try:
-        disabled = _timed_runs(one_walk, config)
+        disabled, gc_ns = _timed_runs(one_walk, config)
         registry.enable()
-        enabled = _timed_runs(one_walk, config)
+        enabled, _ = _timed_runs(one_walk, config)
     finally:
         registry.enabled = was_enabled
         registry.reset()
@@ -265,6 +288,7 @@ def _run_obs_session_case(case: BenchCase, config: BenchConfig) -> BenchCaseResu
             "enabled_overhead_pct": round(overhead_pct, 2),
             "disabled_best_ns": min(disabled),
             "enabled_best_ns": min(enabled),
+            "gc_ns": gc_ns,
         },
     )
 
@@ -315,7 +339,7 @@ def _run_serve_jobs_case(case: BenchCase, config: BenchConfig) -> BenchCaseResul
                     raise RuntimeError(f"serve bench job {task_id} failed: {error}")
 
         try:
-            runs = _timed_runs(one_batch, config)
+            runs, gc_ns = _timed_runs(one_batch, config)
         finally:
             if not pool.close(timeout=10.0):
                 pool.terminate()
@@ -332,6 +356,7 @@ def _run_serve_jobs_case(case: BenchCase, config: BenchConfig) -> BenchCaseResul
             "traces": len(entries),
             "workers": int(params["workers"]),
             "jobs_per_sec": round(jobs / (min(runs) / 1e9), 3),
+            "gc_ns": gc_ns,
         },
     )
 
@@ -374,7 +399,7 @@ def _run_serve_ingest_case(case: BenchCase, config: BenchConfig) -> BenchCaseRes
                         stream.feed_lines(lines[start : start + batch])
                     stream.end()
 
-                runs = _timed_runs(one_stream, config)
+                runs, gc_ns = _timed_runs(one_stream, config)
             finally:
                 client.close()
         finally:
@@ -389,6 +414,7 @@ def _run_serve_ingest_case(case: BenchCase, config: BenchConfig) -> BenchCaseRes
             "batch": batch,
             "specs": specs,
             "events_per_sec": round(len(lines) / (min(runs) / 1e9), 1),
+            "gc_ns": gc_ns,
         },
     )
 
@@ -449,7 +475,7 @@ def _run_decode_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
         else:
             raise ValueError(f"unknown decode mode {mode!r} for format {fmt!r}")
 
-        runs = _timed_runs(one_decode, config)
+        runs, gc_ns = _timed_runs(one_decode, config)
     return BenchCaseResult(
         name=case.name,
         kind=case.kind,
@@ -460,6 +486,7 @@ def _run_decode_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
             "fmt": fmt,
             "mode": mode,
             "events_per_sec": round(len(trace) / (min(runs) / 1e9), 1),
+            "gc_ns": gc_ns,
         },
     )
 
@@ -505,7 +532,7 @@ def _run_pipeline_walk_case(case: BenchCase, config: BenchConfig) -> BenchCaseRe
                 session.finish()
 
             try:
-                runs = _timed_runs(one_walk, config)
+                runs, gc_ns = _timed_runs(one_walk, config)
             finally:
                 source.close()
     else:
@@ -530,7 +557,7 @@ def _run_pipeline_walk_case(case: BenchCase, config: BenchConfig) -> BenchCaseRe
         else:
             raise ValueError(f"unknown pipeline walk mode {mode!r}")
 
-        runs = _timed_runs(one_walk, config)
+        runs, gc_ns = _timed_runs(one_walk, config)
     return BenchCaseResult(
         name=case.name,
         kind=case.kind,
@@ -541,6 +568,7 @@ def _run_pipeline_walk_case(case: BenchCase, config: BenchConfig) -> BenchCaseRe
             "mode": mode,
             "specs": specs,
             "events_per_sec": round(len(trace) / (min(runs) / 1e9), 1),
+            "gc_ns": gc_ns,
         },
     )
 

@@ -198,7 +198,7 @@ class TraceRecorder:
         """
         merged = self.raw_events()
         events = [
-            Event(eid=position, tid=tid, kind=kind, target=target)
+            tuple.__new__(Event, (position, tid, kind, target))
             for position, (_, tid, kind, target, _) in enumerate(merged)
         ]
         locations = [location for (_, _, _, _, location) in merged]

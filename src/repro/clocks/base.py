@@ -15,7 +15,19 @@ paper).  This module defines
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Protocol, Sequence, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Mapping,
+    Optional,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
+
+if TYPE_CHECKING:
+    from .tree_clock import TreeClockPool
 
 VectorTime = Dict[int, int]
 """A vector time as a plain dictionary; missing threads implicitly map to 0."""
@@ -139,18 +151,19 @@ class ClockContext:
     threads: Sequence[int]
     counter: Optional[WorkCounter] = None
     index_of: Dict[int, int] = field(init=False)
-    #: Shared tree-clock free list: nodes a deep copy drops, recycled by
-    #: later attaches and copies of any tree clock of the run.  Clock
-    #: operations are single-threaded within one analysis run, so one
-    #: list per context serves every tree clock — O(1) memory instead of
-    #: per-clock lists on analyses that keep one clock per variable.
-    tc_free: list = field(init=False, repr=False)
+    #: The tree-clock node pool (:class:`~repro.clocks.tree_clock.TreeClockPool`),
+    #: made by the context's first tree clock.  Every tree clock of the
+    #: run stores its nodes as int indices into the pool's parallel
+    #: lists and recycles dropped indices through its one free list, so
+    #: no node is an object the cyclic garbage collector tracks.  Clock
+    #: operations are single-threaded within one analysis run, and the
+    #: pool lives and dies with its context.
+    tc_pool: Optional["TreeClockPool"] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ordered = list(dict.fromkeys(self.threads))
         self.threads = ordered
         self.index_of = {tid: position for position, tid in enumerate(ordered)}
-        self.tc_free = []
 
     @property
     def num_threads(self) -> int:

@@ -26,6 +26,26 @@ recursive traversals made iterative (as in the authors' Java artifact)
 and the child lists kept as intrusive doubly-linked lists so that both
 ``pushChild`` and node detachment are O(1).
 
+**Node layout.**  A node is an ``int`` index into the
+:class:`TreeClockPool` of the clocks' :class:`~repro.clocks.base.ClockContext`:
+seven parallel lists (``tid``, ``clk``, ``aclk``, ``parent``,
+``first_child``, ``next_sibling``, ``prev_sibling``) hold its fields, and
+``None`` is the nil link and the root's ``aclk``.  A node object with
+parent and sibling back-links would be a container the cyclic garbage
+collector tracks, and a long walk keeps tens of thousands of them alive,
+which every full collection then traverses: on the race-detecting
+perfbench access-detect walks that was 44% of the tree-clock walk time.
+Indices are plain ints, so a tree clock adds one tracked object (itself)
+however many entries it holds, its thread map (``tid`` → index, ints
+only) stays untracked, and a finished run is freed by reference
+counting.  The price is one more bytecode per stored field than a slot
+store, which shows where grafts are large and allocation is rare.
+Indices mean nothing outside their context, so operations between
+clocks of two contexts are refused.  :class:`TreeClockNode` is a read-only view built
+on demand for introspection (:attr:`TreeClock.root`,
+:meth:`TreeClock.node_of`, :meth:`TreeClock.nodes`, the renderer); no
+hot path builds one.
+
 Beyond the algorithmic structure, the hot path (one join or monotone
 copy per synchronization event) is tuned for the constant factor, which
 in CPython is interpreter overhead per operation rather than the few
@@ -43,9 +63,15 @@ entries each operation processes:
   frame (resume sibling, parent, the parent's *pre-op* clock for the
   indirect-monotonicity test, cursor) on the walk's own stack; a
   progressed leaf pushes nothing;
-* nodes dropped by a deep copy go onto the context's shared **free
-  list** and are recycled by later attaches and copies of any clock, so
-  steady-state operation allocates no :class:`TreeClockNode` objects;
+* the walk binds the pool's lists to locals once, so a field access is
+  one list subscript; the clock caches its root's thread (``_root_tid``)
+  and the pool's ``clk`` list (``_clk``), so :meth:`TreeClock.get`,
+  :meth:`~TreeClock.increment`, :meth:`~TreeClock.leq` and ``join``'s
+  direct-monotonicity exit never index the ``tid`` list;
+* indices dropped by a deep copy or a restore go onto the pool's shared
+  **free list**, links and ``aclk`` reset, and are recycled by later
+  attaches and copies of any clock of the context; the pool grows all
+  seven lists in one geometric step when the free list is empty;
 * :meth:`_deep_copy_from` rebuilds in place, reusing this clock's
   existing nodes, and is fully iterative (no recursion, no per-node
   closure calls), so adversarially deep trees cannot blow the stack.
@@ -53,49 +79,123 @@ entries each operation processes:
 The differential test harness (``tests/differential/``) pins these
 optimizations to the semantics of the plain vector clock: every mutation
 is cross-checked against ``VectorClock`` and ``validate_structure()``,
-and against a verbatim copy of the earlier two-pass kernel (the paper's
-``getUpdatedNodes``, then one fused detach + attach sweep), which must
-build the same tree with the same work counts.
+and against a self-contained copy of the earlier two-pass kernel on
+node objects (the paper's ``getUpdatedNodes``, then one fused detach +
+attach sweep), which must build the same tree — equal
+:meth:`~TreeClock.snapshot` rows — with the same work counts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .base import ClockContext, VectorTime
 
+#: Nodes added per growth step of an empty pool; later steps double it.
+_FIRST_POOL_SIZE = 64
 
-class TreeClockNode:
-    """A single node of a tree clock.
 
-    Attributes mirror the paper's ``(tid, clk, aclk)`` triple; ``aclk`` is
-    ``None`` for the root.  Sibling links (``next_sibling`` /
-    ``prev_sibling``) implement the ordered child list, whose head
-    (``first_child``) holds the most recently attached child, i.e. the
-    child with the largest attachment clock.
+class TreeClockPool(NamedTuple):
+    """Struct-of-arrays storage of every tree-clock node of one context.
+
+    Node ``i`` is ``(tid[i], clk[i], aclk[i])`` with links ``parent[i]``,
+    ``first_child[i]``, ``next_sibling[i]`` and ``prev_sibling[i]``, each
+    another index or ``None``.  ``free`` holds the indices no clock
+    uses; a free index has ``None`` links and ``aclk``.  A walk binds
+    all eight lists to locals in one tuple unpack.  Clock operations are
+    single-threaded within one analysis run, so one pool per context
+    serves every tree clock of the run.
     """
 
-    __slots__ = ("tid", "clk", "aclk", "parent", "first_child", "next_sibling", "prev_sibling")
+    tid: List[Optional[int]]
+    clk: List[Optional[int]]
+    aclk: List[Optional[int]]
+    parent: List[Optional[int]]
+    first_child: List[Optional[int]]
+    next_sibling: List[Optional[int]]
+    prev_sibling: List[Optional[int]]
+    free: List[int]
 
-    def __init__(self, tid: int, clk: int = 0, aclk: Optional[int] = None) -> None:
-        self.tid = tid
-        self.clk = clk
-        self.aclk = aclk
-        self.parent: Optional["TreeClockNode"] = None
-        self.first_child: Optional["TreeClockNode"] = None
-        self.next_sibling: Optional["TreeClockNode"] = None
-        self.prev_sibling: Optional["TreeClockNode"] = None
+    @classmethod
+    def empty(cls) -> "TreeClockPool":
+        return cls([], [], [], [], [], [], [], [])
+
+    def grow(self) -> int:
+        """Add one geometric step of nodes; returns one, the rest go on the free list."""
+        start = len(self.tid)
+        extra = start or _FIRST_POOL_SIZE
+        nils = [None] * extra
+        for column in self[:7]:  # every column but the free list
+            column.extend(nils)
+        # Pushed highest first, so the lowest indices are handed out first.
+        self.free.extend(range(start + extra - 1, start, -1))
+        return start
+
+
+class TreeClockNode:
+    """A read-only view of one node of a tree clock.
+
+    Attributes mirror the paper's ``(tid, clk, aclk)`` triple; ``aclk`` is
+    ``None`` for the root.  ``next_sibling`` links the ordered child
+    list, whose head (``first_child``) holds the most recently attached
+    child, i.e. the child with the largest attachment clock.  Views are
+    built on demand over the context's :class:`TreeClockPool` and read
+    the node's current fields; two views of the same node compare equal.
+    """
+
+    __slots__ = ("_pool", "_index")
+
+    def __init__(self, pool: TreeClockPool, index: int) -> None:
+        self._pool = pool
+        self._index = index
+
+    @property
+    def tid(self) -> int:
+        return self._pool.tid[self._index]  # type: ignore[return-value]
+
+    @property
+    def clk(self) -> int:
+        return self._pool.clk[self._index]  # type: ignore[return-value]
+
+    @property
+    def aclk(self) -> Optional[int]:
+        return self._pool.aclk[self._index]
+
+    @property
+    def parent(self) -> Optional["TreeClockNode"]:
+        return _view(self._pool, self._pool.parent[self._index])
+
+    @property
+    def first_child(self) -> Optional["TreeClockNode"]:
+        return _view(self._pool, self._pool.first_child[self._index])
+
+    @property
+    def next_sibling(self) -> Optional["TreeClockNode"]:
+        return _view(self._pool, self._pool.next_sibling[self._index])
 
     def children(self) -> Iterator["TreeClockNode"]:
         """Iterate children from the most recently attached to the oldest."""
-        child = self.first_child
+        pool = self._pool
+        child = pool.first_child[self._index]
         while child is not None:
-            yield child
-            child = child.next_sibling
+            yield TreeClockNode(pool, child)
+            child = pool.next_sibling[child]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TreeClockNode):
+            return NotImplemented
+        return other._pool is self._pool and other._index == self._index
+
+    def __hash__(self) -> int:
+        return hash((id(self._pool), self._index))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         aclk = "⊥" if self.aclk is None else self.aclk
         return f"(t{self.tid}, {self.clk}, {aclk})"
+
+
+def _view(pool: TreeClockPool, index: Optional[int]) -> Optional[TreeClockNode]:
+    return None if index is None else TreeClockNode(pool, index)
 
 
 class TreeClock:
@@ -104,8 +204,9 @@ class TreeClock:
     Parameters
     ----------
     context:
-        Shared :class:`~repro.clocks.base.ClockContext` (thread universe
-        and optional work counter).
+        Shared :class:`~repro.clocks.base.ClockContext` (thread universe,
+        optional work counter, and the node pool every tree clock of the
+        context draws from).
     owner:
         When given, the clock is initialized as in the paper's ``Init(t)``
         with a root node ``(owner, 0, ⊥)``; thread clocks use this form.
@@ -115,19 +216,27 @@ class TreeClock:
 
     SHORT_NAME = "TC"
 
-    __slots__ = ("context", "owner", "_root", "_nodes")
+    __slots__ = ("context", "owner", "_pool", "_clk", "_root", "_root_tid", "_nodes")
 
     def __init__(self, context: ClockContext, owner: Optional[int] = None) -> None:
         self.context = context
         self.owner = owner
-        self._root: Optional[TreeClockNode] = None
-        self._nodes: Dict[int, TreeClockNode] = {}
-        # The recycled-node free list lives on the shared context, so
-        # per-variable auxiliary clocks stay as small as a dict plus two
-        # pointers.
+        pool = context.tc_pool
+        if pool is None:
+            pool = context.tc_pool = TreeClockPool.empty()
+        self._pool: TreeClockPool = pool
+        self._clk = pool.clk
+        self._root: Optional[int] = None
+        self._root_tid: Optional[int] = None
+        # Ints only, so CPython leaves the dict untracked by the collector.
+        self._nodes: Dict[int, int] = {}
         if owner is not None:
-            root = TreeClockNode(owner, 0, None)
+            free = pool.free
+            root = free.pop() if free else pool.grow()
+            pool.tid[root] = owner
+            pool.clk[root] = 0
             self._root = root
+            self._root_tid = owner
             self._nodes[owner] = root
 
     # -- basic accessors ----------------------------------------------------------
@@ -135,24 +244,24 @@ class TreeClock:
     def get(self, tid: int) -> int:
         """The recorded local time of thread ``tid`` (0 if unknown)."""
         node = self._nodes.get(tid)
-        return node.clk if node is not None else 0
+        return 0 if node is None else self._clk[node]
 
     def increment(self, tid: int, amount: int = 1) -> None:
         """Advance the root thread's clock (``Increment`` in the paper)."""
-        if self._root is None or self._root.tid != tid:
+        if self._root_tid != tid:
             raise ValueError(
                 f"increment of thread t{tid} on a tree clock rooted at "
-                f"{'nothing' if self._root is None else f't{self._root.tid}'}"
+                f"{'nothing' if self._root is None else f't{self._root_tid}'}"
             )
-        self._root.clk += amount
+        self._clk[self._root] += amount  # type: ignore[index]
         counter = self.context.counter
         if counter is not None:
             counter.record_increment()
 
     @property
     def root(self) -> Optional[TreeClockNode]:
-        """The root node (``None`` for an empty auxiliary clock)."""
-        return self._root
+        """A view of the root node (``None`` for an empty auxiliary clock)."""
+        return _view(self._pool, self._root)
 
     @property
     def node_count(self) -> int:
@@ -160,8 +269,8 @@ class TreeClock:
         return len(self._nodes)
 
     def node_of(self, tid: int) -> Optional[TreeClockNode]:
-        """The node of thread ``tid``, if present (``ThrMap`` in the paper)."""
-        return self._nodes.get(tid)
+        """A view of the node of thread ``tid``, if present (``ThrMap`` in the paper)."""
+        return _view(self._pool, self._nodes.get(tid))
 
     # -- comparison ----------------------------------------------------------------
 
@@ -175,13 +284,15 @@ class TreeClock:
         HB/SHB/MAZ algorithms use it).  For arbitrary clocks use
         :meth:`leq_full`.
         """
-        if self._root is None:
+        root = self._root
+        if root is None:
             return True
-        return self._root.clk <= other.get(self._root.tid)
+        return self._clk[root] <= other.get(self._root_tid)  # type: ignore[arg-type]
 
     def leq_full(self, other: "TreeClock") -> bool:
         """Full pointwise comparison ``self ⊑ other`` (Θ(size) time)."""
-        return all(node.clk <= other.get(tid) for tid, node in self._nodes.items())
+        clk = self._clk
+        return all(clk[node] <= other.get(tid) for tid, node in self._nodes.items())
 
     # -- join ------------------------------------------------------------------------
 
@@ -193,16 +304,20 @@ class TreeClock:
         direct-monotonicity check at the root relies on it).  All clocks
         maintained by the analyses satisfy this — thread clocks increment
         before every event's joins, and auxiliary clocks are copies of
-        thread clocks.
+        thread clocks.  Both clocks must share one context.
         """
-        counter = self.context.counter
+        context = self.context
+        if other.context is not context:
+            raise ValueError("cannot join tree clocks of different clock contexts")
+        counter = context.counter
         other_root = other._root
         if other_root is None:
             # Joining the all-zero vector time is a no-op.
             if counter is not None:
                 counter.record_join(processed=0, updated=0)
             return
-        if self._root is None:
+        root = self._root
+        if root is None:
             # An un-owned empty clock has no root to attach under; the join
             # degenerates to a full copy.  The partial-order algorithms never
             # hit this case (only thread clocks, which own a root, join).
@@ -210,8 +325,9 @@ class TreeClock:
             if counter is not None:
                 counter.record_join(processed=processed, updated=updated)
             return
-        local = self._nodes.get(other_root.tid)
-        if other_root.clk <= (0 if local is None else local.clk):
+        clk = self._clk
+        local = self._nodes.get(other._root_tid)  # type: ignore[arg-type]
+        if clk[other_root] <= (0 if local is None else clk[local]):
             # Direct monotonicity at the root: nothing in `other` is new.
             if counter is not None:
                 counter.record_join(processed=1, updated=0)
@@ -220,9 +336,8 @@ class TreeClock:
         subtree_root, processed, updated = self._graft(other_root, None)
         # Place the updated subtree under the root of this clock, at the
         # front of its child list (it carries the freshest attachment clock).
-        root = self._root
-        if subtree_root is not root:
-            subtree_root.aclk = root.clk
+        if subtree_root != root:
+            self._pool.aclk[subtree_root] = clk[root]
             self._push_child(subtree_root, root)
         if counter is not None:
             counter.record_join(processed=processed, updated=updated)
@@ -235,9 +350,13 @@ class TreeClock:
         Exploits the same monotonicity pruning as :meth:`join`; the only
         difference is that the (old) root of this clock is repositioned
         even when its time has not progressed, because the root of the
-        result must carry the same thread as ``other``'s root.
+        result must carry the same thread as ``other``'s root.  Both
+        clocks must share one context.
         """
-        counter = self.context.counter
+        context = self.context
+        if other.context is not context:
+            raise ValueError("cannot copy tree clocks across clock contexts")
+        counter = context.counter
         other_root = other._root
         if other_root is None:
             # self ⊑ 0 implies self is the zero vector already.
@@ -246,12 +365,11 @@ class TreeClock:
             return
 
         old_root = self._root
-        new_root, processed, updated = self._graft(
-            other_root, None if old_root is None else old_root.tid
-        )
-        new_root.aclk = None
+        new_root, processed, updated = self._graft(other_root, self._root_tid)
         self._root = new_root
-        if old_root is not None and old_root is not new_root and old_root.parent is None:
+        self._root_tid = other._root_tid
+        pool = self._pool
+        if old_root is not None and old_root != new_root and pool.parent[old_root] is None:
             # The pruned traversal never examined the old root's thread
             # (an ancestor in `other` was already fully known), so it was
             # not repositioned and would be left unreachable.  Re-attach
@@ -260,7 +378,7 @@ class TreeClock:
             # everything this clock holds — including the old root's
             # subtree — so the aclk invariant holds, and pushing the
             # largest aclk at the front keeps the descending order.
-            old_root.aclk = new_root.clk
+            pool.aclk[old_root] = self._clk[new_root]
             self._push_child(old_root, new_root)
         if counter is not None:
             counter.record_copy(processed=processed, updated=updated)
@@ -293,7 +411,8 @@ class TreeClock:
 
     def as_dict(self) -> VectorTime:
         """Snapshot of the vector time represented by this clock."""
-        return {tid: node.clk for tid, node in self._nodes.items() if node.clk}
+        clk = self._clk
+        return {tid: clk[node] for tid, node in self._nodes.items() if clk[node]}
 
     def snapshot(self) -> List[List[object]]:
         """The exact tree as pre-order ``[tid, clk, aclk, depth]`` rows.
@@ -307,12 +426,14 @@ class TreeClock:
         rows: List[List[object]] = []
         if self._root is None:
             return rows
-        stack: List[Tuple[TreeClockNode, int]] = [(self._root, 0)]
+        pool = self._pool
+        tids, clks, aclks = pool.tid, pool.clk, pool.aclk
+        stack: List[Tuple[int, int]] = [(self._root, 0)]
         while stack:
             node, depth = stack.pop()
-            rows.append([node.tid, node.clk, node.aclk, depth])
+            rows.append([tids[node], clks[node], aclks[node], depth])
             # Pushed reversed, so they pop first to last.
-            stack.extend(reversed([(child, depth + 1) for child in node.children()]))
+            stack.extend(reversed([(child, depth + 1) for child in self._children(node)]))
         return rows
 
     def restore(self, rows: List[List[object]]) -> None:
@@ -325,65 +446,66 @@ class TreeClock:
         """
         for node in self._nodes.values():
             self._recycle(node)
-        nodes: Dict[int, TreeClockNode] = {}
+        nodes: Dict[int, int] = {}
         self._nodes = nodes
         self._root = None
-        free = self.context.tc_free
-        path: List[TreeClockNode] = []
+        self._root_tid = None
+        pool = self._pool
+        tids, clks, aclks, parents, first_child, next_sibling, prev_sibling, free = pool
+        path: List[int] = []
         for tid, clk, aclk, depth in rows:
             if not 0 <= depth <= len(path) or (depth == 0) != (self._root is None):
                 raise ValueError(f"malformed tree-clock snapshot row {[tid, clk, aclk, depth]!r}")
-            if free:
-                node = free.pop()
-                node.tid = tid
-            else:
-                node = TreeClockNode(tid)
-            node.clk = clk
-            node.aclk = aclk
+            node = free.pop() if free else pool.grow()
+            tids[node] = tid
+            clks[node] = clk
+            aclks[node] = aclk
             nodes[tid] = node
             if depth == 0:
                 self._root = node
+                self._root_tid = tid
             else:
-                parent = node.parent = path[depth - 1]
+                parent = parents[node] = path[depth - 1]
                 previous = path[depth] if depth < len(path) else None
-                node.prev_sibling = previous
+                prev_sibling[node] = previous
                 if previous is None:
-                    parent.first_child = node
+                    first_child[parent] = node
                 else:
-                    previous.next_sibling = node
+                    next_sibling[previous] = node
                 del path[depth:]
             path.append(node)
 
     def nodes(self) -> Iterator[TreeClockNode]:
-        """Iterate all nodes in pre-order from the root, then any detached nodes.
+        """Iterate views of all nodes in pre-order from the root, then any detached nodes.
 
         Children are visited first to last (most recently attached
         first), so the pre-order is the order :func:`render_tree_clock`
         prints.
         """
+        pool = self._pool
         seen = set()
         if self._root is not None:
             stack = [self._root]
             while stack:
                 node = stack.pop()
-                seen.add(node.tid)
-                yield node
+                seen.add(pool.tid[node])
+                yield TreeClockNode(pool, node)
                 # Pushed reversed, so they pop first to last.
-                stack.extend(reversed(list(node.children())))
+                stack.extend(reversed(list(self._children(node))))
         for tid, node in self._nodes.items():
             if tid not in seen:
-                yield node
+                yield TreeClockNode(pool, node)
 
     def depth(self) -> int:
         """Height of the tree (0 for an empty clock, 1 for a single root)."""
         if self._root is None:
             return 0
         best = 0
-        stack: List[Tuple[TreeClockNode, int]] = [(self._root, 1)]
+        stack: List[Tuple[int, int]] = [(self._root, 1)]
         while stack:
             node, level = stack.pop()
             best = max(best, level)
-            for child in node.children():
+            for child in self._children(node):
                 stack.append((child, level + 1))
         return best
 
@@ -393,67 +515,85 @@ class TreeClock:
         Verified invariants: the thread map and the tree agree, parent /
         child / sibling pointers are consistent, each thread appears at
         most once, child lists are sorted by descending attachment clock,
-        and every non-root reachable node carries an attachment clock.
+        every non-root reachable node carries an attachment clock, and
+        the cached root thread is the root's.
         """
         problems: List[str] = []
-        reachable: Dict[int, TreeClockNode] = {}
-        if self._root is not None:
-            if self._root.parent is not None:
+        pool = self._pool
+        tids, aclks, parents, prev_sibling = pool.tid, pool.aclk, pool.parent, pool.prev_sibling
+        reachable: Dict[int, int] = {}
+        root = self._root
+        if root is None:
+            if self._root_tid is not None:
+                problems.append(f"empty clock caches root thread t{self._root_tid}")
+        else:
+            if parents[root] is not None:
                 problems.append("root has a parent")
-            if self._root.aclk is not None:
+            if aclks[root] is not None:
                 problems.append("root has an attachment clock")
-            stack = [self._root]
+            if tids[root] != self._root_tid:
+                problems.append(
+                    f"cached root thread t{self._root_tid} is not the root's t{tids[root]}"
+                )
+            stack = [root]
             while stack:
                 node = stack.pop()
-                if node.tid in reachable:
-                    problems.append(f"thread t{node.tid} appears twice in the tree")
+                if tids[node] in reachable:
+                    problems.append(f"thread t{tids[node]} appears twice in the tree")
                     continue
-                reachable[node.tid] = node
+                reachable[tids[node]] = node  # type: ignore[index]
                 previous_aclk: Optional[int] = None
-                previous_child: Optional[TreeClockNode] = None
-                for child in node.children():
-                    if child.parent is not node:
-                        problems.append(f"child t{child.tid} has wrong parent pointer")
-                    if child.prev_sibling is not previous_child:
-                        problems.append(f"child t{child.tid} has wrong prev_sibling pointer")
-                    if child.aclk is None:
-                        problems.append(f"non-root node t{child.tid} has no attachment clock")
-                    elif previous_aclk is not None and child.aclk > previous_aclk:
+                previous_child: Optional[int] = None
+                for child in self._children(node):
+                    if parents[child] != node:
+                        problems.append(f"child t{tids[child]} has wrong parent pointer")
+                    if prev_sibling[child] != previous_child:
+                        problems.append(f"child t{tids[child]} has wrong prev_sibling pointer")
+                    aclk = aclks[child]
+                    if aclk is None:
+                        problems.append(f"non-root node t{tids[child]} has no attachment clock")
+                    elif previous_aclk is not None and aclk > previous_aclk:
                         problems.append(
-                            f"children of t{node.tid} are not in descending aclk order"
+                            f"children of t{tids[node]} are not in descending aclk order"
                         )
-                    previous_aclk = child.aclk if child.aclk is not None else previous_aclk
+                    previous_aclk = aclk if aclk is not None else previous_aclk
                     previous_child = child
                     stack.append(child)
         for tid, node in self._nodes.items():
-            if node.tid != tid:
-                problems.append(f"thread map entry {tid} points at node of t{node.tid}")
+            if tids[node] != tid:
+                problems.append(f"thread map entry {tid} points at node of t{tids[node]}")
         for tid, node in reachable.items():
-            if self._nodes.get(tid) is not node:
+            if self._nodes.get(tid) != node:
                 problems.append(f"reachable node t{tid} is missing from the thread map")
         for tid in self._nodes:
-            if self._root is not None and tid not in reachable:
+            if root is not None and tid not in reachable:
                 problems.append(f"thread map entry t{tid} is not reachable from the root")
         return problems
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TreeClock(root={self._root!r}, entries={len(self._nodes)})"
+        return f"TreeClock(root={self.root!r}, entries={len(self._nodes)})"
 
     # -- internal helpers -----------------------------------------------------------------
 
-    @staticmethod
-    def _push_child(child: TreeClockNode, parent: TreeClockNode) -> None:
-        """The paper's ``pushChild``: attach ``child`` at the front of ``parent``'s list."""
-        child.parent = parent
-        child.prev_sibling = None
-        child.next_sibling = parent.first_child
-        if parent.first_child is not None:
-            parent.first_child.prev_sibling = child
-        parent.first_child = child
+    def _children(self, node: int) -> Iterator[int]:
+        """Iterate ``node``'s children, first to last (introspection only)."""
+        next_sibling = self._pool.next_sibling
+        child = self._pool.first_child[node]
+        while child is not None:
+            yield child
+            child = next_sibling[child]
 
-    def _graft(
-        self, other_root: TreeClockNode, old_root_tid: Optional[int]
-    ) -> Tuple[TreeClockNode, int, int]:
+    def _push_child(self, child: int, parent: int) -> None:
+        """The paper's ``pushChild``: attach ``child`` at the front of ``parent``'s list."""
+        _, _, _, parents, first_child, next_sibling, prev_sibling, _ = self._pool
+        parents[child] = parent
+        prev_sibling[child] = None
+        head = next_sibling[child] = first_child[parent]
+        if head is not None:
+            prev_sibling[head] = child
+        first_child[parent] = child
+
+    def _graft(self, other_root: int, old_root_tid: Optional[int]) -> Tuple[int, int, int]:
         """The paper's ``getUpdatedNodes`` + ``detachNodes`` + ``attachNodes`` in one walk.
 
         A pruned pre-order traversal of ``other``'s tree from
@@ -464,7 +604,8 @@ class TreeClock:
         monotone-copy case) the node of that thread is repositioned even
         if it has not progressed, so that the old root lands under the
         new one.  The local counterpart of ``other_root`` itself is
-        unlinked and updated but left detached; the caller places it.
+        unlinked (its ``aclk`` cleared) and updated but left detached;
+        the caller places it.
 
         Two details keep the single pass equal to the paper's three:
 
@@ -476,129 +617,129 @@ class TreeClock:
           expanded node's *pre-op* clock, which the descent carries in
           its frame, since the walk has already updated the node itself.
 
+        Both clocks' nodes live in the one pool, as disjoint index sets,
+        so the walk reads ``other``'s fields and writes this clock's
+        through the same lists.
+
         Returns ``(local counterpart of other_root, entries_processed,
         entries_updated)``: one for the root plus each child-node
         examination (the "light gray" area of Figures 4 and 5, which
         defines ``TCWork``), and the entries whose clock value actually
         changed (this operation's contribution to ``VTWork``).
         """
+        tids, clks, aclks, parents, first_child, next_sibling, prev_sibling, free = self._pool
         nodes = self._nodes
         nodes_get = nodes.get
-        free = self.context.tc_free
-        tid = other_root.tid
+        tid = tids[other_root]
         parent = nodes_get(tid)
         if parent is None:
             parent_clk = 0
-            if free:
-                parent = free.pop()
-                parent.tid = tid
-            else:
-                parent = TreeClockNode(tid)
+            parent = free.pop() if free else self._pool.grow()
+            tids[parent] = tid
             nodes[tid] = parent
         else:
-            parent_clk = parent.clk
-            old_parent = parent.parent
+            parent_clk = clks[parent]
+            old_parent = parents[parent]
             if old_parent is not None:
-                previous = parent.prev_sibling
-                following = parent.next_sibling
+                previous = prev_sibling[parent]
+                following = next_sibling[parent]
                 if previous is None:
-                    old_parent.first_child = following
+                    first_child[old_parent] = following
                 else:
-                    previous.next_sibling = following
+                    next_sibling[previous] = following
                 if following is not None:
-                    following.prev_sibling = previous
-                parent.parent = None
-                parent.prev_sibling = None
-                parent.next_sibling = None
-        clk = other_root.clk
-        parent.clk = clk
+                    prev_sibling[following] = previous
+                parents[parent] = None
+                prev_sibling[parent] = None
+                next_sibling[parent] = None
+                aclks[parent] = None
+        clk = clks[other_root]
+        clks[parent] = clk
         updated = 0 if parent_clk == clk else 1
         processed = 1
         root = parent
         # Each descent into a progressed child with children pushes one
         # frame (resume sibling, parent, parent's pre-op clock, cursor).
-        frames: List[Tuple[Optional[TreeClockNode], TreeClockNode, int, TreeClockNode]] = []
-        cursor: Optional[TreeClockNode] = None
-        child = other_root.first_child
+        frames: List[Tuple[Optional[int], int, int, Optional[int]]] = []
+        cursor: Optional[int] = None
+        child = first_child[other_root]
         while True:
             while child is not None:
                 processed += 1
-                tid = child.tid
-                clk = child.clk
+                tid = tids[child]
+                clk = clks[child]
                 local = nodes_get(tid)
-                before = 0 if local is None else local.clk
+                before = 0 if local is None else clks[local]
                 if before < clk or tid == old_root_tid:
                     if local is None:
-                        if free:
-                            local = free.pop()
-                            local.tid = tid
-                        else:
-                            local = TreeClockNode(tid)
+                        local = free.pop() if free else self._pool.grow()
+                        tids[local] = tid
                         nodes[tid] = local
                     else:
                         # Unlink from the old position (inlined sibling removal).
-                        old_parent = local.parent
+                        old_parent = parents[local]
                         if old_parent is not None:
-                            previous = local.prev_sibling
-                            following = local.next_sibling
+                            previous = prev_sibling[local]
+                            following = next_sibling[local]
                             if previous is None:
-                                old_parent.first_child = following
+                                first_child[old_parent] = following
                             else:
-                                previous.next_sibling = following
+                                next_sibling[previous] = following
                             if following is not None:
-                                following.prev_sibling = previous
+                                prev_sibling[following] = previous
                     if before != clk:
                         updated += 1
-                        local.clk = clk
+                        clks[local] = clk
                     # Re-attach right after the cursor (at the front first).
-                    local.aclk = child.aclk
-                    local.parent = parent
-                    local.prev_sibling = cursor
+                    aclks[local] = aclks[child]
+                    parents[local] = parent
+                    prev_sibling[local] = cursor
                     if cursor is None:
-                        following = parent.first_child
-                        parent.first_child = local
+                        following = first_child[parent]
+                        first_child[parent] = local
                     else:
-                        following = cursor.next_sibling
-                        cursor.next_sibling = local
-                    local.next_sibling = following
+                        following = next_sibling[cursor]
+                        next_sibling[cursor] = local
+                    next_sibling[local] = following
                     if following is not None:
-                        following.prev_sibling = local
+                        prev_sibling[following] = local
                     cursor = local
                     if before < clk:
                         # Progressed: descend, resume at the next sibling later.
-                        grandchild = child.first_child
+                        grandchild = first_child[child]
                         if grandchild is None:
-                            child = child.next_sibling
+                            child = next_sibling[child]
                         else:
-                            frames.append((child.next_sibling, parent, parent_clk, cursor))
+                            frames.append((next_sibling[child], parent, parent_clk, cursor))
                             parent = local
                             parent_clk = before
                             cursor = None
                             child = grandchild
                         continue
-                if child.aclk <= parent_clk:
+                if aclks[child] <= parent_clk:
                     # Indirect monotonicity: all remaining (older) siblings
                     # are already known to this clock.
                     break
-                child = child.next_sibling
+                child = next_sibling[child]
             if not frames:
                 return root, processed, updated
             child, parent, parent_clk, cursor = frames.pop()
 
-    def _recycle(self, node: TreeClockNode) -> None:
-        """Clear ``node``'s links and park it on the context's free list.
+    def _recycle(self, node: int) -> None:
+        """Clear ``node``'s links and ``aclk`` and park it on the pool's free list.
 
         The free list is shared by every tree clock of the context —
-        safe, because a parked node carries no references and no clock
-        references it — so nodes dropped by one clock's deep copy are
-        recycled by any clock's later attach.
+        safe, because no clock references a parked index — so nodes
+        dropped by one clock's deep copy are recycled by any clock's
+        later attach.
         """
-        node.parent = None
-        node.first_child = None
-        node.prev_sibling = None
-        node.next_sibling = None
-        node.aclk = None
-        self.context.tc_free.append(node)
+        _, _, aclks, parents, first_child, next_sibling, prev_sibling, free = self._pool
+        parents[node] = None
+        first_child[node] = None
+        prev_sibling[node] = None
+        next_sibling[node] = None
+        aclks[node] = None
+        free.append(node)
 
     def _deep_copy_from(self, other: "TreeClock") -> Tuple[int, int]:
         """Rebuild this clock as an exact structural copy of ``other``.
@@ -608,24 +749,29 @@ class TreeClock:
         recycled onto the free list, and new threads draw from it —
         steady-state deep copies allocate nothing.  The traversal is
         iterative, so degenerate deep trees cannot overflow the Python
-        call stack.  Returns ``(entries_changed, entries_processed)``.
+        call stack.  Both clocks must share one context.  Returns
+        ``(entries_changed, entries_processed)``.
         """
+        if other.context is not self.context:
+            raise ValueError("cannot copy tree clocks across clock contexts")
         if other is self:
             return 0, len(self._nodes)
         old_nodes = self._nodes
-        free = self.context.tc_free
+        pool = self._pool
+        tids, clks, aclks, parents, first_child, next_sibling, prev_sibling, free = pool
         other_root = other._root
         if other_root is None:
             # self becomes the all-zero vector time: every node is dropped.
             changed = 0
             for node in old_nodes.values():
-                if node.clk:
+                if clks[node]:
                     changed += 1
                 self._recycle(node)
             self._nodes = {}
             self._root = None
+            self._root_tid = None
             return changed, 0
-        nodes: Dict[int, TreeClockNode] = {}
+        nodes: Dict[int, int] = {}
         self._nodes = nodes
         processed = 0
         changed = 0
@@ -633,48 +779,47 @@ class TreeClock:
         # order; popping reverses them, and attaching each at the front of
         # its parent's child list restores the original order (attachment
         # happens at pop time, so interleaving with subtrees is harmless).
-        originals: List[TreeClockNode] = [other_root]
-        parents: List[Optional[TreeClockNode]] = [None]
+        originals: List[int] = [other_root]
+        copies: List[Optional[int]] = [None]
         while originals:
             original = originals.pop()
-            parent_copy = parents.pop()
-            tid = original.tid
-            node = old_nodes.pop(tid, None)
+            parent_copy = copies.pop()
+            tid = tids[original]
+            node = old_nodes.pop(tid, None)  # type: ignore[arg-type]
             if node is None:
                 old_clk = 0
-                if free:
-                    node = free.pop()
-                    node.tid = tid
-                else:
-                    node = TreeClockNode(tid)
+                node = free.pop() if free else pool.grow()
+                tids[node] = tid
             else:
-                old_clk = node.clk
+                old_clk = clks[node]
             processed += 1
-            if old_clk != original.clk:
+            clk = clks[original]
+            if old_clk != clk:
                 changed += 1
-            nodes[tid] = node
-            node.clk = original.clk
-            node.aclk = original.aclk
-            node.parent = parent_copy
-            node.first_child = None
-            node.prev_sibling = None
+            nodes[tid] = node  # type: ignore[index]
+            clks[node] = clk
+            aclks[node] = aclks[original]
+            parents[node] = parent_copy
+            first_child[node] = None
+            prev_sibling[node] = None
             if parent_copy is None:
-                node.next_sibling = None
+                next_sibling[node] = None
                 self._root = node
+                self._root_tid = tid
             else:
-                head = parent_copy.first_child
-                node.next_sibling = head
+                head = first_child[parent_copy]
+                next_sibling[node] = head
                 if head is not None:
-                    head.prev_sibling = node
-                parent_copy.first_child = node
-            child = original.first_child
+                    prev_sibling[head] = node
+                first_child[parent_copy] = node
+            child = first_child[original]
             while child is not None:
                 originals.append(child)
-                parents.append(node)
-                child = child.next_sibling
+                copies.append(node)
+                child = next_sibling[child]
         # Threads of the old tree that `other` does not know: recycle.
         for node in old_nodes.values():
-            if node.clk:
+            if clks[node]:
                 changed += 1
             self._recycle(node)
         return changed, processed

@@ -316,7 +316,8 @@ class ColfSegment:
     Exposes the raw columns as zero-copy views over the reader's mmap
     (``kind_codes`` / ``tid_indices`` / ``target_indices``) and the
     materialized form via :meth:`events`.  Valid only while the owning
-    :class:`ColfReader` is open.
+    :class:`ColfReader` is open; closing the reader drops its segments,
+    which breaks the segment/reader reference cycle.
     """
 
     __slots__ = ("_reader", "index", "offset", "count", "first_eid", "last_eid")
@@ -688,6 +689,9 @@ class ColfReader:
         self._data = None  # type: ignore[assignment]
         mapped, self._mmap = self._mmap, None
         handle, self._file = self._file, None
+        # Segments point back at the reader; dropping them lets a closed
+        # reader be freed by reference counting.
+        self.segments = ()
         try:
             if data is not None:
                 try:

@@ -76,11 +76,11 @@ class Event(NamedTuple):
     path (millions of events flow through the batched pipeline per
     walk), and tuple construction costs roughly half of what a frozen
     dataclass ``__init__`` (four ``object.__setattr__`` calls) does.
-    The decoders go further and build events with
+    The decoders and the capture paths go further and build events with
     ``tuple.__new__(Event, row)``, which skips the namedtuple's
     Python-level ``__new__``: the STD and CSV parsers once per line,
-    the colf decoder mapped over zipped columns, which keeps its whole
-    construction loop in C.
+    live capture once per delivered event, the colf decoder mapped over
+    zipped columns, which keeps its whole construction loop in C.
 
     Attributes
     ----------

@@ -160,7 +160,7 @@ def parse_std_line(raw_line: str, eid: int, line_number: int = 0) -> Optional[Ev
     kind = _STD_KIND_BY_NAME[op_name]
     tid = int(match.group("tid"))
     target = _parse_target(kind, match.group("target"), line_number)
-    return Event(eid=eid, tid=tid, kind=kind, target=target)
+    return tuple.__new__(Event, (eid, tid, kind, target))
 
 
 class StdParser:

@@ -1,25 +1,26 @@
 """Differential fuzzing: optimized TreeClock ≡ two-pass reference ≡ VectorClock ≡ dict model.
 
 The tree-clock hot path is aggressively optimized (one-pass join and
-monotone copy with an insertion cursor, node free-list recycling, reused
-traversal frames, in-place deep copies).  None of that may ever be
-observable: after *every* mutation a tree clock must represent exactly
-the vector time the plain vector clock and the reference dictionary
-model compute, and its structural invariants
+monotone copy with an insertion cursor, nodes as indices into a
+per-context pool with recycled free indices, in-place deep copies).
+None of that may ever be observable: after *every* mutation a tree clock
+must represent exactly the vector time the plain vector clock and the
+reference dictionary model compute, and its structural invariants
 (:meth:`TreeClock.validate_structure`) must hold.  Checking after every
-single mutation — not just at the end — is what catches free-list reuse
-bugs: a recycled node with a stale link corrupts the tree long before it
-changes the final vector time.
+single mutation — not just at the end — is what catches bugs in recycled
+pool indices: an index recycled with a stale link corrupts the tree long
+before it changes the final vector time.
 
 Equal vector times do not pin the kernel's *work*: a tree with a
 different shape prunes differently later, and ``TCWork`` could drift
 while every vector time stays right.  So the module also keeps the
-earlier two-pass kernel verbatim (:class:`ReferenceTreeClock`: the
-paper's ``getUpdatedNodes`` gathers the progressed nodes onto a stack,
-then one sweep fuses ``detachNodes`` and ``attachNodes``)
-and requires the optimized kernel to build the same tree — rows
-``(tid, clk, aclk, parent tid)`` in pre-order — with the same
-``entries_processed`` / ``entries_updated`` counts.
+earlier two-pass kernel verbatim on object nodes
+(:class:`ReferenceTreeClock`: the paper's ``getUpdatedNodes`` gathers
+the progressed nodes onto a stack, then one sweep fuses ``detachNodes``
+and ``attachNodes``) and requires the optimized kernel to build the same
+tree — equal :meth:`~TreeClock.snapshot` rows ``[tid, clk, aclk,
+depth]`` in pre-order — with the same ``entries_processed`` /
+``entries_updated`` counts.
 
 Two granularities:
 
@@ -37,7 +38,7 @@ Two granularities:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -46,25 +47,94 @@ from hypothesis import strategies as st
 from repro.analysis import HBAnalysis, MAZAnalysis, SHBAnalysis
 from repro.clocks import ClockContext, TreeClock, VectorClock, WorkCounter
 from repro.clocks.base import VectorTime, vt_join, vt_leq
-from repro.clocks.tree_clock import TreeClockNode
 from util_traces import make_random_trace
 
 
-class ReferenceTreeClock(TreeClock):
-    """The two-pass tree-clock kernel, kept verbatim as the oracle.
+class ReferenceNode:
+    """A tree-clock node as an object: ``(tid, clk, aclk)`` plus parent and sibling links."""
+
+    __slots__ = ("tid", "clk", "aclk", "parent", "first_child", "next_sibling", "prev_sibling")
+
+    def __init__(self, tid: int, clk: int = 0, aclk: Optional[int] = None) -> None:
+        self.tid = tid
+        self.clk = clk
+        self.aclk = aclk
+        self.parent: Optional["ReferenceNode"] = None
+        self.first_child: Optional["ReferenceNode"] = None
+        self.next_sibling: Optional["ReferenceNode"] = None
+        self.prev_sibling: Optional["ReferenceNode"] = None
+
+    def children(self) -> Iterator["ReferenceNode"]:
+        child = self.first_child
+        while child is not None:
+            yield child
+            child = child.next_sibling
+
+
+class ReferenceTreeClock:
+    """The two-pass tree-clock kernel on object nodes, kept verbatim as the oracle.
 
     ``join`` and ``monotone_copy`` are the paper's ``getUpdatedNodes``
     (a pruned pre-order traversal that stacks the progressed nodes of
     ``other``, children before parents) followed by ``detachNodes`` +
     ``attachNodes`` fused into one sweep that pops parents first and
     pushes each node at the front of its new parent's child list.  Its
-    work lists are fresh per operation; from :class:`TreeClock` it
-    inherits only the node free list, the deep copy and the accessors.
+    work lists are fresh per operation.  It shares nothing with
+    :class:`TreeClock`: nodes are :class:`ReferenceNode` objects, deep
+    copies rebuild in place, and dropped nodes go onto a free list that
+    every reference clock of the context shares.
     """
 
-    __slots__ = ()
+    SHORT_NAME = "TC"
 
-    def join(self, other: "TreeClock") -> None:
+    __slots__ = ("context", "owner", "_root", "_nodes", "_free")
+
+    def __init__(self, context: ClockContext, owner: Optional[int] = None) -> None:
+        self.context = context
+        self.owner = owner
+        self._root: Optional[ReferenceNode] = None
+        self._nodes: Dict[int, ReferenceNode] = {}
+        if not hasattr(context, "reference_free"):
+            context.reference_free = []  # type: ignore[attr-defined]
+        self._free: List[ReferenceNode] = context.reference_free  # type: ignore[attr-defined]
+        if owner is not None:
+            root = ReferenceNode(owner, 0, None)
+            self._root = root
+            self._nodes[owner] = root
+
+    def get(self, tid: int) -> int:
+        node = self._nodes.get(tid)
+        return node.clk if node is not None else 0
+
+    def increment(self, tid: int, amount: int = 1) -> None:
+        if self._root is None or self._root.tid != tid:
+            raise ValueError(f"increment of thread t{tid} on a reference clock not rooted at it")
+        self._root.clk += amount
+        counter = self.context.counter
+        if counter is not None:
+            counter.record_increment()
+
+    def leq(self, other: "ReferenceTreeClock") -> bool:
+        if self._root is None:
+            return True
+        return self._root.clk <= other.get(self._root.tid)
+
+    def as_dict(self) -> VectorTime:
+        return {tid: node.clk for tid, node in self._nodes.items() if node.clk}
+
+    def snapshot(self) -> List[List[object]]:
+        """Pre-order ``[tid, clk, aclk, depth]`` rows, the format of :meth:`TreeClock.snapshot`."""
+        rows: List[List[object]] = []
+        if self._root is None:
+            return rows
+        stack: List[Tuple[ReferenceNode, int]] = [(self._root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            rows.append([node.tid, node.clk, node.aclk, depth])
+            stack.extend(reversed([(child, depth + 1) for child in node.children()]))
+        return rows
+
+    def join(self, other: "ReferenceTreeClock") -> None:
         counter = self.context.counter
         other_root = other._root
         if other_root is None:
@@ -86,7 +156,7 @@ class ReferenceTreeClock(TreeClock):
                 counter.record_join(processed=1, updated=0)
             return
 
-        stack: List[TreeClockNode] = []
+        stack: List[ReferenceNode] = []
         processed = 1 + self._gather_updated_nodes(stack, other_root, old_root_tid=None)
         updated = self._apply_updated_nodes(stack)
 
@@ -100,7 +170,7 @@ class ReferenceTreeClock(TreeClock):
         if counter is not None:
             counter.record_join(processed=processed, updated=updated)
 
-    def monotone_copy(self, other: "TreeClock") -> None:
+    def monotone_copy(self, other: "ReferenceTreeClock") -> None:
         counter = self.context.counter
         other_root = other._root
         if other_root is None:
@@ -110,7 +180,7 @@ class ReferenceTreeClock(TreeClock):
             return
 
         old_root = self._root
-        stack: List[TreeClockNode] = []
+        stack: List[ReferenceNode] = []
         processed = 1 + self._gather_updated_nodes(
             stack, other_root, old_root_tid=None if old_root is None else old_root.tid
         )
@@ -130,10 +200,25 @@ class ReferenceTreeClock(TreeClock):
         if counter is not None:
             counter.record_copy(processed=processed, updated=updated)
 
+    def copy_check_monotone(self, other: "ReferenceTreeClock") -> None:
+        if self.leq(other):
+            self.monotone_copy(other)
+            return
+        counter = self.context.counter
+        updated, processed = self._deep_copy_from(other)
+        if counter is not None:
+            counter.record_copy(processed=processed, updated=updated)
+
+    def copy_from(self, other: "ReferenceTreeClock") -> None:
+        counter = self.context.counter
+        updated, processed = self._deep_copy_from(other)
+        if counter is not None:
+            counter.record_copy(processed=processed, updated=updated)
+
     def _gather_updated_nodes(
         self,
-        stack: List[TreeClockNode],
-        other_root: TreeClockNode,
+        stack: List[ReferenceNode],
+        other_root: ReferenceNode,
         old_root_tid: Optional[int],
     ) -> int:
         examined = 0
@@ -141,8 +226,8 @@ class ReferenceTreeClock(TreeClock):
         stack_push = stack.append
         # Each frame is (node_of_other, next_child_to_examine), kept as
         # two parallel lists.
-        fnodes: List[TreeClockNode] = []
-        fchildren: List[Optional[TreeClockNode]] = []
+        fnodes: List[ReferenceNode] = []
+        fchildren: List[Optional[ReferenceNode]] = []
         fnodes_push = fnodes.append
         fchildren_push = fchildren.append
         fnodes_push(other_root)
@@ -178,11 +263,11 @@ class ReferenceTreeClock(TreeClock):
                 stack_push(node)
         return examined
 
-    def _apply_updated_nodes(self, stack: List[TreeClockNode]) -> int:
+    def _apply_updated_nodes(self, stack: List[ReferenceNode]) -> int:
         updated = 0
         nodes = self._nodes
         nodes_get = nodes.get
-        free = self.context.tc_free
+        free = self._free
         while stack:
             other_node = stack.pop()
             tid = other_node.tid
@@ -194,7 +279,7 @@ class ReferenceTreeClock(TreeClock):
                     local.clk = 0
                     local.aclk = None
                 else:
-                    local = TreeClockNode(tid)
+                    local = ReferenceNode(tid)
                 nodes[tid] = local
             else:
                 # Unlink from the old position (inlined sibling removal).
@@ -228,16 +313,92 @@ class ReferenceTreeClock(TreeClock):
                 parent_local.first_child = local
         return updated
 
+    @staticmethod
+    def _push_child(child: ReferenceNode, parent: ReferenceNode) -> None:
+        child.parent = parent
+        child.prev_sibling = None
+        child.next_sibling = parent.first_child
+        if parent.first_child is not None:
+            parent.first_child.prev_sibling = child
+        parent.first_child = child
 
-ShapeRow = Tuple[int, int, Optional[int], Optional[int]]
+    def _recycle(self, node: ReferenceNode) -> None:
+        node.parent = None
+        node.first_child = None
+        node.prev_sibling = None
+        node.next_sibling = None
+        node.aclk = None
+        self._free.append(node)
 
-
-def _shape(clock: TreeClock) -> List[ShapeRow]:
-    """The tree as pre-order rows ``(tid, clk, aclk, parent tid)``."""
-    return [
-        (node.tid, node.clk, node.aclk, None if node.parent is None else node.parent.tid)
-        for node in clock.nodes()
-    ]
+    def _deep_copy_from(self, other: "ReferenceTreeClock") -> Tuple[int, int]:
+        """In-place structural copy; returns ``(entries_changed, entries_processed)``."""
+        if other is self:
+            return 0, len(self._nodes)
+        old_nodes = self._nodes
+        free = self._free
+        other_root = other._root
+        if other_root is None:
+            # self becomes the all-zero vector time: every node is dropped.
+            changed = 0
+            for node in old_nodes.values():
+                if node.clk:
+                    changed += 1
+                self._recycle(node)
+            self._nodes = {}
+            self._root = None
+            return changed, 0
+        nodes: Dict[int, ReferenceNode] = {}
+        self._nodes = nodes
+        processed = 0
+        changed = 0
+        # Pre-order walk over `other`, pushing children in first-to-last
+        # order; popping reverses them, and attaching each at the front of
+        # its parent's child list restores the original order.
+        originals: List[ReferenceNode] = [other_root]
+        parents: List[Optional[ReferenceNode]] = [None]
+        while originals:
+            original = originals.pop()
+            parent_copy = parents.pop()
+            tid = original.tid
+            node = old_nodes.pop(tid, None)
+            if node is None:
+                old_clk = 0
+                if free:
+                    node = free.pop()
+                    node.tid = tid
+                else:
+                    node = ReferenceNode(tid)
+            else:
+                old_clk = node.clk
+            processed += 1
+            if old_clk != original.clk:
+                changed += 1
+            nodes[tid] = node
+            node.clk = original.clk
+            node.aclk = original.aclk
+            node.parent = parent_copy
+            node.first_child = None
+            node.prev_sibling = None
+            if parent_copy is None:
+                node.next_sibling = None
+                self._root = node
+            else:
+                head = parent_copy.first_child
+                node.next_sibling = head
+                if head is not None:
+                    head.prev_sibling = node
+                parent_copy.first_child = node
+            child = original.first_child
+            while child is not None:
+                originals.append(child)
+                parents.append(node)
+                child = child.next_sibling
+        # Threads of the old tree that `other` does not know: recycle.
+        for node in old_nodes.values():
+            if node.clk:
+                changed += 1
+            self._recycle(node)
+        return changed, processed
 
 
 def _clock_maps(analysis) -> Dict[Tuple[str, object], TreeClock]:
@@ -310,7 +471,7 @@ def _assert_agree(key, tc, ref, vc, model) -> None:
     assert vc_dict == expected, f"VectorClock diverged from model on {key}"
     problems = tc[key].validate_structure()
     assert problems == [], f"TreeClock invariants violated on {key}: {problems}"
-    assert _shape(tc[key]) == _shape(ref[key]), f"TreeClock shape diverged from the reference on {key}"
+    assert tc[key].snapshot() == ref[key].snapshot(), f"TreeClock shape diverged from the reference on {key}"
 
 
 def _replay_in_lockstep(ops: List[Tuple[str, int, int]], num_threads: int = NUM_THREADS) -> None:
@@ -428,7 +589,7 @@ def test_analyses_tc_equals_vc_event_for_event(analysis_class, seed: int, fork_j
     ref_clocks = _clock_maps(analyses[ReferenceTreeClock])
     assert tc_clocks.keys() == ref_clocks.keys()
     for key, clock in tc_clocks.items():
-        assert _shape(clock) == _shape(ref_clocks[key]), f"shape of {key} diverged from the reference"
+        assert clock.snapshot() == ref_clocks[key].snapshot(), f"shape of {key} diverged from the reference"
     tc_result = results[TreeClock]
     vc_result = results[VectorClock]
     assert tc_result.timestamps == vc_result.timestamps

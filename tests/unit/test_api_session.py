@@ -288,8 +288,9 @@ class TestRunSourceLifetime:
     def test_colf_path_runs_leave_no_open_files(self, small_trace, tmp_path):
         path = tmp_path / "t.colf"
         save_trace(small_trace, path, fmt="colf")
-        # A colf reader and its segments form a reference cycle, so with
-        # the cyclic collector off only an explicit close frees the file.
+        # With the cyclic collector off, the file must be freed by the
+        # walk's explicit close (which also drops the reader's segments,
+        # so the closed reader is freed by reference counting).
         gc.collect()
         gc.disable()
         try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
@@ -28,7 +29,7 @@ from repro.bench import (
 )
 from repro.bench.cli import main as bench_main
 from repro.bench.kernels import OP_COPY_AUX, OP_INC, OP_JOIN_AUX
-from repro.bench.runner import BenchCaseResult
+from repro.bench.runner import BenchCaseResult, _timed_runs
 from repro.clocks import TreeClock, VectorClock
 from repro.clocks.base import WorkCounter
 from repro.trace import TraceBuilder
@@ -112,6 +113,19 @@ class TestRunnerAndArtifact:
         assert len(result.runs_ns) == 2
         assert result.best_ns == min(result.runs_ns)
         assert result.meta["ops"] > 60
+        assert len(result.meta["gc_ns"]) == 2
+
+    def test_timing_keeps_the_collector_on_and_records_its_time(self):
+        enabled = []
+
+        def collecting_walk():
+            enabled.append(gc.isenabled())
+            gc.collect()
+
+        runs, gc_ns = _timed_runs(collecting_walk, BenchConfig(warmup=1, repeats=3))
+        assert enabled == [True] * 4
+        assert len(runs) == len(gc_ns) == 3
+        assert all(0 < collected <= run for collected, run in zip(gc_ns, runs))
 
     def test_run_case_session_collects_per_spec_times(self):
         case = suite_cases("session", events=60)[0]

@@ -17,7 +17,6 @@ from contextlib import contextmanager
 
 from repro.clocks import ClockContext, TreeClock, VectorClock
 from repro.clocks.render import render_clock, render_tree_clock
-from repro.clocks.tree_clock import TreeClockNode
 
 DEPTH = 3000
 
@@ -35,14 +34,8 @@ def recursion_limit(limit: int):
 def chain_clock(context: ClockContext, depth: int = DEPTH) -> TreeClock:
     """A tree clock whose tree is a single chain of ``depth`` nodes."""
     clock = TreeClock(context, owner=0)
-    clock.increment(0)
-    previous = clock.root
-    for tid in range(1, depth):
-        node = TreeClockNode(tid, 1, 1)
-        clock._nodes[tid] = node
-        node.parent = previous
-        previous.first_child = node
-        previous = node
+    # Snapshot rows: thread t sits at depth t, under thread t - 1.
+    clock.restore([[0, 1, None, 0]] + [[tid, 1, 1, tid] for tid in range(1, depth)])
     return clock
 
 

@@ -91,6 +91,18 @@ class TestIncrementalProtocol:
         with pytest.raises(RuntimeError):
             HBAnalysis(TreeClock).finish()
 
+    def test_feed_after_finish_raises_until_the_next_begin(self):
+        trace = mixed_trace()
+        analysis = HBAnalysis(TreeClock, detect=True)
+        analysis.begin()
+        analysis.feed(trace[0])
+        analysis.finish()
+        with pytest.raises(RuntimeError, match="after finish"):
+            analysis.feed(trace[1])
+        analysis.begin()
+        analysis.feed(trace[0])
+        assert analysis.finish().num_events == 1
+
     def test_run_is_reusable_after_incremental_use(self):
         trace = mixed_trace()
         analysis = HBAnalysis(TreeClock, detect=True)

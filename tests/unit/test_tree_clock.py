@@ -59,8 +59,18 @@ class TestGetIncrement:
 
     def test_node_of_returns_thread_map_entry(self):
         clock = TreeClock(make_context(), owner=1)
-        assert clock.node_of(1) is clock.root
+        assert clock.node_of(1) == clock.root
         assert clock.node_of(2) is None
+
+    def test_clocks_of_two_contexts_do_not_mix(self):
+        """Nodes are indices into their context's pool, meaningless in another."""
+        ours = TreeClock(make_context(), owner=1)
+        theirs = TreeClock(make_context(), owner=2)
+        theirs.increment(2)
+        for operation in (ours.join, ours.monotone_copy, ours.copy_check_monotone, ours.copy_from):
+            with pytest.raises(ValueError, match="context"):
+                operation(theirs)
+        assert ours.snapshot() == [[1, 0, None, 0]]
 
 
 def build_clock(context: ClockContext, owner: int, local_time: int) -> TreeClock:

@@ -32,6 +32,19 @@ def walk_uncut(spec, events):
     return Session([spec]).run(Trace(events), batch_size=len(events))[spec]
 
 
+def walk_uncut_growing(spec, events):
+    """An uncut walk that begins without a thread list, as a checkpointed one does.
+
+    Its thread universe grows as threads appear, so vector clocks are
+    created and grown at the same points as in the checkpointed walk:
+    their array lengths, and so their work counts, follow the universe.
+    """
+    session = Session([spec])
+    session.begin(name="t")
+    session.feed_batch(list(Trace(events)))
+    return session.finish()[spec]
+
+
 def walk_across(boundary, spec, events, cut, tmp_path):
     """Walk ``events`` with a ``boundary``-kind cut before event ``cut``.
 
@@ -145,10 +158,21 @@ class TestCutInside:
         assert actual.num_threads == 2
 
     def test_work_counters_carry_across_boundary(self, tmp_path, boundary, clock):
-        """Operation counts are exact across every cut."""
-        events = [ev.write(1 + (i % 3), f"x{i % 2}") for i in range(60)]
+        """Work counts are exact across every cut, so every clock's shape is.
+
+        Four threads hand two locks round, so HB joins and copies on
+        both sides of each cut, and tree clocks grow chains that a
+        restore must rebuild exactly: a flattened tree prunes
+        differently and shifts ``entries_processed``.
+        """
+        events = []
+        for i in range(20):
+            tid, lock = 1 + (i % 4), "m0" if i % 3 else "m1"
+            events += [ev.acquire(tid, lock), ev.write(tid, f"x{i % 2}"), ev.release(tid, lock)]
         spec = f"hb+{clock}+work"
         actual = walk_across(boundary, spec, events, 16, tmp_path).work
-        expected = walk_uncut(spec, events).work
+        uncut = walk_uncut_growing if boundary == "checkpoint" else walk_uncut
+        expected = uncut(spec, events).work
         assert actual.increments == 60  # one per event
+        assert actual.joins == actual.copies == 20
         assert actual == expected
