@@ -22,28 +22,54 @@ and each entry's stored ``format``.  Version-1 indexes (whose traces
 are gzipped STD under ``<digest>.std.gz``) still load: their entries
 keep ``format: "std.gz"`` and are read through the text decoders.
 
-Ingest is streaming: events flow through a bounded-memory pipeline
-(hash + stats + colf segment writer), so a multi-gigabyte trace file
-never materializes in memory.
+Ingest is streaming, through one core with two front ends.  STD text
+(the ``submit`` op, stream spools, ``.std``/``.std.gz`` files) goes
+line by line; every other source (CSV, colf, a :class:`Trace`, an event
+iterable) goes event by event.  Both store each event as a cached
+*thread record* and *op record*: the canonical line's ``T<tid>|`` and
+``<op>(<target>)|`` bytes plus the event's colf cells and sync flag.  A
+line whose thread and op tokens were seen before costs two dict hits
+and no parse; an event whose tid and ``(kind, target)`` were seen
+before costs two dict hits and no render.  Batches of records then feed
+one digest update and one colf column append.  The record caches live
+for one ingest and are cleared whenever one reaches
+:data:`RECORD_CACHE_LIMIT` keys, so memory stays O(distinct targets)
+plus O(batch), and a multi-gigabyte trace file never materializes in
+memory.  Digests, stored bytes and statistics are exactly those of
+rendering, hashing and writing event by event
+(``tests/differential/test_ingest_differential.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
+import io
 import json
 import os
 import threading
 import time
 import zlib
+from array import array
 from dataclasses import dataclass, replace
+from itertools import chain, count, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..api.sources import FileSource
 from ..trace.colfmt import ColfWriter
-from ..trace.event import Event, OpKind
-from ..trace.io import TraceFormatError, infer_format, iter_trace_file, std_line
+from ..trace.event import ACCESS_KINDS, LOCK_KINDS, SYNC_KINDS, Event
+from ..trace.io import (
+    DEFAULT_BATCH_SIZE,
+    StdParser,
+    TraceFormatError,
+    infer_format,
+    iter_csv,
+    iter_trace_file,
+    open_trace_text,
+    std_line,
+    std_token_shape,
+)
 from ..trace.trace import Trace
 
 #: Schema identifier of the corpus index; bumped on breaking layout changes.
@@ -58,9 +84,6 @@ _LEGACY_FORMAT = "std.gz"
 
 #: Stored-file format of freshly ingested entries.
 _NATIVE_FORMAT = "colf"
-
-#: Event kinds counted as synchronization for the per-trace statistics.
-_SYNC_KINDS = (OpKind.ACQUIRE, OpKind.RELEASE, OpKind.FORK, OpKind.JOIN)
 
 
 class CorpusError(ValueError):
@@ -146,6 +169,182 @@ class CorpusEntry:
 IngestSource = Union[str, Path, Trace, Iterable[Event]]
 
 
+#: Each record cache of one ingest is cleared when it reaches this many
+#: keys.  Thread records are keyed per distinct thread token (or tid) and
+#: op records per distinct op token (or kind and target), which is
+#: O(distinct targets) like the parser's own token caches; the bound
+#: keeps a trace whose every line names a new variable from growing them
+#: further.  A cleared record is rebuilt on its next use.
+RECORD_CACHE_LIMIT = 1 << 14
+
+#: Target types whose equal values render equal STD text.  Only events
+#: with an int tid and such a target share records; any other event
+#: gets records of its own.
+_PLAIN_TARGETS = frozenset({str, int, type(None)})
+
+#: An eid and the line's newline as ASCII bytes, from an int eid.
+_EID_LINE = b"%d\n".__mod__
+
+_EID = itemgetter(0)
+
+
+def _format_eid_line(eid: object) -> bytes:
+    """An eid as :func:`std_line` renders it, with the newline, in UTF-8."""
+    return f"{eid}\n".encode("utf-8")
+
+
+class _Ingest:
+    """One ingest in progress: digest, colf columns, counts, record caches.
+
+    The canonical STD line :func:`~repro.trace.io.std_line` renders for
+    an event is ``T<tid>|`` + ``<op>(<target>)|`` + ``<eid>``.  Its
+    first part depends on the thread alone and its second on the
+    operation alone, so each event is stored as two *records*:
+
+    * a thread record ``(b"T<tid>|", colf thread slot)``;
+    * an op record ``(b"<op>(<target>)|", colf kind code, colf target
+      slot, is sync)``.
+
+    Both are cut from one ``std_line`` when either is first needed, and
+    cached: STD lines key them on their thread and op tokens, events on
+    ``tid`` and ``(kind, target)``.  So the line is rendered, the colf
+    cells are interned and the thread/lock/variable sets are updated
+    only when an event names a new thread or a new operation, not once
+    per event.  Records are batched: one digest update over the batch's
+    lines and one :meth:`ColfWriter.append_columns` per batch.  The
+    digest input and the stored bytes are exactly those of rendering,
+    hashing and writing event by event.
+    """
+
+    __slots__ = (
+        "writer", "hasher", "thread_records", "op_records", "num_events",
+        "sync_events", "threads", "locks", "variables",
+    )
+
+    def __init__(self, writer: ColfWriter) -> None:
+        self.writer = writer
+        self.hasher = hashlib.sha256()
+        self.thread_records: Dict[object, tuple] = {}
+        self.op_records: Dict[object, tuple] = {}
+        self.num_events = 0
+        self.sync_events = 0
+        self.threads: set = set()
+        self.locks: set = set()
+        self.variables: set = set()
+
+    # -- the two front ends ------------------------------------------------------------
+
+    def std_file(self, path: Union[str, Path]) -> None:
+        """Ingest an STD text file (gzip by content), line by line."""
+        with open_trace_text(path) as handle:
+            self.std_lines(handle)
+
+    def std_lines(self, lines: Iterable[str]) -> None:
+        """Ingest STD text lines.
+
+        A line of :func:`std_token_shape` takes its records from the
+        caches by its thread and op tokens, so a line of known tokens
+        costs two dict hits and no parse.  Every other line, and each
+        line with a new token, goes through ``StdParser.parse``, which
+        assigns the eids and raises the errors :func:`iter_std` does.
+        """
+        parser = StdParser()
+        get_thread = self.thread_records.get
+        get_op = self.op_records.get
+        threads: List[tuple] = []
+        ops: List[tuple] = []
+        append_thread = threads.append
+        append_op = ops.append
+        first = 0
+        for line_number, raw_line in enumerate(lines, start=1):
+            line = raw_line.strip()
+            if not line or line[0] == "#":
+                continue
+            parts = line.split("|")
+            if std_token_shape(parts):
+                thread = get_thread(parts[0])
+                op = get_op(parts[1])
+                if thread is None or op is None:
+                    event = parser.parse(raw_line, first + len(ops), line_number)
+                    thread, op = self._records(event)
+                    if parser.cached(parts[0], parts[1]):
+                        self._remember(parts[0], thread, parts[1], op)
+            else:
+                thread, op = self._records(parser.parse(raw_line, first + len(ops), line_number))
+            append_thread(thread)
+            append_op(op)
+            if len(ops) == DEFAULT_BATCH_SIZE:
+                self._add(threads, ops, map(_EID_LINE, range(first, first + len(ops))))
+                first += len(ops)
+                threads.clear()
+                ops.clear()
+        self._add(threads, ops, map(_EID_LINE, range(first, first + len(ops))))
+
+    def events(self, events: Iterable[Event]) -> None:
+        """Ingest events: CSV and colf decodes, a :class:`Trace`, any iterable."""
+        get_thread = self.thread_records.get
+        get_op = self.op_records.get
+        iterator = iter(events)
+        while True:
+            chunk = list(islice(iterator, DEFAULT_BATCH_SIZE))
+            if not chunk:
+                return
+            threads = []
+            ops = []
+            for event in chunk:
+                tid = event[1]
+                if tid.__class__ is int and event[3].__class__ in _PLAIN_TARGETS:
+                    op_key = event[2:]
+                    thread = get_thread(tid)
+                    op = get_op(op_key)
+                    if thread is None or op is None:
+                        thread, op = self._records(event)
+                        self._remember(tid, thread, op_key, op)
+                else:
+                    thread, op = self._records(event)
+                threads.append(thread)
+                ops.append(op)
+            self._add(threads, ops, map(_format_eid_line, map(_EID, chunk)))
+
+    # -- records -----------------------------------------------------------------------
+
+    def _records(self, event: Event) -> Tuple[tuple, tuple]:
+        """The thread and op records of ``event``, cut from its ``std_line``."""
+        line = std_line(event).encode("utf-8")
+        # For an int tid, the thread field "T<tid>" holds no "|".  Records
+        # of other tids are never cached, so where they split is moot.
+        split = line.index(b"|") + 1
+        end = len(line) - len(format(event.eid).encode("utf-8"))
+        tid, kind, target = event.tid, event.kind, event.target
+        kind_code, tid_slot, target_slot = self.writer.codes(tid, kind, target)
+        self.threads.add(tid)
+        if kind in LOCK_KINDS:
+            self.locks.add(target)
+        elif kind in ACCESS_KINDS:
+            self.variables.add(target)
+        return (line[:split], tid_slot), (line[split:end], kind_code, target_slot, kind in SYNC_KINDS)
+
+    def _remember(self, thread_key: object, thread: tuple, op_key: object, op: tuple) -> None:
+        thread_records, op_records = self.thread_records, self.op_records
+        if len(thread_records) >= RECORD_CACHE_LIMIT:
+            thread_records.clear()
+        thread_records[thread_key] = thread
+        if len(op_records) >= RECORD_CACHE_LIMIT:
+            op_records.clear()
+        op_records[op_key] = op
+
+    def _add(self, threads: List[tuple], ops: List[tuple], eid_lines: Iterable[bytes]) -> None:
+        """Hash, store and count one batch of events, given as their records."""
+        if not ops:
+            return
+        prefixes, tid_slots = zip(*threads)
+        texts, kinds, target_slots, syncs = zip(*ops)
+        self.hasher.update(b"".join(chain.from_iterable(zip(prefixes, texts, eid_lines))))
+        self.writer.append_columns(bytes(kinds), array("I", tid_slots), array("I", target_slots))
+        self.sync_events += sum(syncs)
+        self.num_events += len(ops)
+
+
 class TraceCorpus:
     """A directory-backed, content-addressed store of analysis traces.
 
@@ -154,7 +353,7 @@ class TraceCorpus:
     by an internal lock.
     """
 
-    _ingest_counter = itertools.count()
+    _ingest_counter = count()
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
@@ -193,7 +392,7 @@ class TraceCorpus:
             "traces": {digest: entry.as_dict() for digest, entry in self._entries.items()},
         }
         temp = self.index_path.with_suffix(".json.tmp")
-        temp.write_text(json.dumps(payload, indent=2) + "\n")
+        temp.write_text(json.dumps(payload) + "\n")
         os.replace(temp, self.index_path)
 
     # -- ingest ------------------------------------------------------------------------
@@ -218,50 +417,61 @@ class TraceCorpus:
         """
         if isinstance(source, (str, Path)):
             default_name = Path(source).name
-            events: Iterable[Event] = iter_trace_file(source, fmt=infer_format(source))
-        elif isinstance(source, Trace):
-            default_name = source.name or ""
-            events = iter(source)
+            fmt = infer_format(source)
+            if fmt == "std":
+                fill: Callable[[_Ingest], None] = lambda ingest: ingest.std_file(source)
+            else:
+                events: Iterable[Event] = iter_trace_file(source, fmt=fmt)
+                fill = lambda ingest: ingest.events(events)
         else:
-            default_name = ""
-            events = source
-        return self._ingest_events(
-            events, name=name if name is not None else default_name, tags=tags, origin=source
+            default_name = (source.name or "") if isinstance(source, Trace) else ""
+            fill = lambda ingest: ingest.events(source)
+        return self._ingest(
+            fill, name=name if name is not None else default_name, tags=tags, origin=source
         )
 
-    def _ingest_events(
+    def ingest_text(
         self,
-        events: Iterable[Event],
+        text: str,
+        fmt: str = "std",
+        name: Optional[str] = None,
+        tags: Sequence[str] = (),
+    ) -> Tuple[CorpusEntry, bool]:
+        """Ingest STD or CSV trace text (the ``submit`` payload).
+
+        The text is read back through the text layer a file read uses,
+        so it splits into the same lines (universal newlines: ``\\n``,
+        ``\\r\\n`` and ``\\r`` only) and submitting a file's content gives
+        the digest, stats and errors of ingesting the file.
+        """
+        if fmt not in ("std", "csv"):
+            raise ValueError(f"unknown trace format {fmt!r}; expected 'std' or 'csv'")
+        # UTF-8 bytes are about a quarter of the 4-byte-per-character
+        # buffer io.StringIO would hold.  surrogatepass carries a lone
+        # surrogate (JSON can encode one) to the line that names it.
+        data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+        lines = io.TextIOWrapper(data, encoding="utf-8", errors="surrogatepass")
+        if fmt == "std":
+            fill: Callable[[_Ingest], None] = lambda ingest: ingest.std_lines(lines)
+        else:
+            fill = lambda ingest: ingest.events(iter_csv(lines))
+        return self._ingest(fill, name=name or "", tags=tags, origin=None)
+
+    def _ingest(
+        self,
+        fill: Callable[["_Ingest"], None],
         name: str,
         tags: Sequence[str],
-        origin: object = None,
+        origin: object,
     ) -> Tuple[CorpusEntry, bool]:
-        hasher = hashlib.sha256()
-        num_events = 0
-        sync_events = 0
-        threads: set = set()
-        locks: set = set()
-        variables: set = set()
         temp_path = self.traces_dir / (
             f".ingest-{os.getpid()}-{threading.get_ident()}-"
             f"{next(self._ingest_counter)}.tmp.colf"
         )
         try:
             with ColfWriter(temp_path) as writer:
-                for event in events:
-                    line = std_line(event)
-                    hasher.update(line.encode("utf-8"))
-                    hasher.update(b"\n")
-                    writer.write(event)
-                    num_events += 1
-                    threads.add(event.tid)
-                    kind = event.kind
-                    if kind in _SYNC_KINDS:
-                        sync_events += 1
-                        if kind in (OpKind.ACQUIRE, OpKind.RELEASE):
-                            locks.add(event.target)
-                    elif kind in (OpKind.READ, OpKind.WRITE):
-                        variables.add(event.target)
+                ingest = _Ingest(writer)
+                fill(ingest)
         except (TraceFormatError, EOFError, zlib.error, OSError) as error:
             temp_path.unlink(missing_ok=True)
             where = f" {origin}" if isinstance(origin, (str, Path)) else ""
@@ -272,7 +482,7 @@ class TraceCorpus:
             temp_path.unlink(missing_ok=True)
             raise
 
-        digest = hasher.hexdigest()
+        digest = ingest.hasher.hexdigest()
         with self._lock:
             existing = self._entries.get(digest)
             if existing is not None:
@@ -287,11 +497,11 @@ class TraceCorpus:
             entry = CorpusEntry(
                 digest=digest,
                 name=name or digest[:12],
-                events=num_events,
-                threads=len(threads),
-                locks=len(locks),
-                variables=len(variables),
-                sync_events=sync_events,
+                events=ingest.num_events,
+                threads=len(ingest.threads),
+                locks=len(ingest.locks),
+                variables=len(ingest.variables),
+                sync_events=ingest.sync_events,
                 tags=tuple(sorted(set(tags))),
                 ingested_unix=time.time(),
             )

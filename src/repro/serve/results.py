@@ -76,7 +76,7 @@ class ResultsStore:
             return
         payload = {"schema": RESULTS_SCHEMA, "results": self._results}
         temp = self.path.with_suffix(".json.tmp")
-        temp.write_text(json.dumps(payload, indent=2) + "\n")
+        temp.write_text(json.dumps(payload) + "\n")
         os.replace(temp, self.path)
         self._dirty = False
         self._last_save_monotonic = time.monotonic()

@@ -54,7 +54,7 @@ from ..recovery import (
     write_snapshot,
 )
 from ..trace.event import Event
-from ..trace.io import StdParser, TraceFormatError, iter_csv, iter_std, std_line
+from ..trace.io import StdParser, TraceFormatError, std_line
 from .corpus import CorpusError, TraceCorpus
 from .jobs import Scheduler
 from .protocol import (
@@ -512,10 +512,7 @@ class ServeHandler(socketserver.StreamRequestHandler):
         tags = [str(tag) for tag in request.get("tags", [])]
         # Canonicalize the specs first so a typo fails before ingest.
         spec_keys = [coerce_spec(str(spec)).key for spec in specs]
-        parse = iter_std if fmt == "std" else iter_csv
-        entry, created = self.server.corpus.ingest(
-            parse(text.splitlines()), name=name, tags=tags
-        )
+        entry, created = self.server.corpus.ingest_text(text, fmt=fmt, name=name, tags=tags)
         force = bool(request.get("force", False))
         queued, cached, quarantined = self.server.scheduler.submit(
             entry.digest, spec_keys, force=force

@@ -66,12 +66,12 @@ import struct
 import sys
 import zlib
 from array import array
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .event import Event, OpKind
-from .io import TraceFormatError
+from .io import DEFAULT_BATCH_SIZE, TraceFormatError
 
 #: First bytes of every colf file.  The lead byte is non-ASCII so no
 #: text trace can collide, and the trailing newline detects text-mode
@@ -154,7 +154,10 @@ def _u32_view(data: memoryview) -> Sequence[int]:
 class ColfWriter:
     """Streaming single-pass writer of a ``repro-trace/1`` container.
 
-    Events go in through :meth:`write` / :meth:`write_batch`; columns
+    Events go in through :meth:`write` / :meth:`write_batch`, or as
+    column cells through :meth:`codes` and :meth:`append_columns` (the
+    corpus's ingest, which caches the cells of each thread and each
+    operation it has seen); columns
     are buffered per segment and flushed every ``segment_events``
     events, so memory stays O(segment) for any trace length.  The
     writer assigns consecutive event ordinals (the incoming ``eid`` is
@@ -231,23 +234,62 @@ class ColfWriter:
             self._pool_index[text] = slot
         return slot
 
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ValueError("cannot write to a closed ColfWriter")
+
     # -- the event surface -----------------------------------------------------------
 
     def write(self, event: Event) -> None:
         """Append one event (ordinals are assigned, not taken from ``eid``)."""
-        if self._closed:
-            raise ValueError("cannot write() to a closed ColfWriter")
-        self._kinds.append(_KIND_CODES[event.kind])
-        self._tids.append(self._thread_slot(event.tid))
-        self._targets.append(self._target_slot(event.kind, event.target))
-        self.events_written += 1
-        if len(self._kinds) >= self.segment_events:
-            self._flush_segment()
+        self.write_batch((event,))
 
     def write_batch(self, events: Iterable[Event]) -> None:
-        """Append a batch of events (the bulk counterpart of :meth:`write`)."""
-        for event in events:
-            self.write(event)
+        """Append a batch of events: :meth:`codes` per event, then one
+        :meth:`append_columns` per :data:`~repro.trace.io.DEFAULT_BATCH_SIZE`
+        events, so memory stays O(segment) for any iterable."""
+        self._check_open()
+        codes = self.codes
+        iterator = iter(events)
+        while True:
+            rows = [
+                codes(event.tid, event.kind, event.target)
+                for event in islice(iterator, DEFAULT_BATCH_SIZE)
+            ]
+            if not rows:
+                return
+            kinds, tids, targets = zip(*rows)
+            self.append_columns(bytes(kinds), array("I", tids), array("I", targets))
+
+    def codes(self, tid: int, kind: OpKind, target: object) -> Tuple[int, int, int]:
+        """The column cells of one event: its kind code, thread slot and
+        target slot.
+
+        A thread or target seen for the first time is interned here, so
+        the tables follow the order in which events first name them.
+        Calling this again for an event already seen changes nothing.
+        """
+        return _KIND_CODES[kind], self._thread_slot(tid), self._target_slot(kind, target)
+
+    def append_columns(
+        self, kinds: bytes, tids: Sequence[int], targets: Sequence[int]
+    ) -> None:
+        """Append events given as equal-length columns of :meth:`codes` cells.
+
+        Segments are cut at the same ordinals as event by event, so the
+        file is byte-identical to writing the same events one at a time.
+        """
+        self._check_open()
+        start, count = 0, len(kinds)
+        while start < count:
+            stop = min(count, start + self.segment_events - len(self._kinds))
+            self._kinds.extend(kinds[start:stop])
+            self._tids.extend(tids[start:stop])
+            self._targets.extend(targets[start:stop])
+            self.events_written += stop - start
+            start = stop
+            if len(self._kinds) >= self.segment_events:
+                self._flush_segment()
 
     def _flush_segment(self) -> None:
         count = len(self._kinds)

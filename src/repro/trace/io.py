@@ -124,7 +124,10 @@ def std_line(event: Event) -> str:
     This is the canonical per-event serialization: the content-addressed
     corpus of :mod:`repro.serve` hashes exactly these lines, so the same
     logical trace produces the same digest whether it arrived as STD,
-    CSV, gzipped or in memory.
+    CSV, gzipped or in memory.  (The corpus renders one line per
+    distinct thread and operation and reuses its ``T<tid>|`` and
+    ``<op>(<target>)|`` bytes for later events; the lines it hashes
+    are still exactly these.)
     """
     op = _STD_KIND_NAMES[event.kind]
     target = _target_to_text(event)
@@ -163,6 +166,23 @@ def parse_std_line(raw_line: str, eid: int, line_number: int = 0) -> Optional[Ev
     return tuple.__new__(Event, (eid, tid, kind, target))
 
 
+def std_token_shape(parts: List[str]) -> bool:
+    """Whether a split STD line has the shape :class:`StdParser` caches.
+
+    ``parts`` is a stripped, non-comment line split on ``|``.  The shape
+    is two fields, or three whose location field is one whitespace-free
+    token.  Such a line parses to a ``(tid, kind, target)`` that depends
+    on its first two fields alone, whenever those two tokens are
+    well-formed.  Every other line goes through the regex.
+    """
+    count = len(parts)
+    if count == 3:
+        # An all-digit location (the eid std_line writes) is one token.
+        location = parts[2]
+        return location.isdecimal() or len(location.split()) == 1
+    return count == 2
+
+
 class StdParser:
     """A caching STD-line parser: one instance per file (or stream).
 
@@ -174,11 +194,15 @@ class StdParser:
     After the first occurrence, a repeated token costs a dict hit
     instead of a regex match and never re-hashes downstream.
 
-    Only the canonical fast shapes are cached; anything unusual — stray
-    ``|`` or parentheses in a target, malformed tids, unknown ops —
-    falls back to :func:`parse_std_line`, whose regex path defines the
-    format (and raises the canonical :class:`TraceFormatError`s), so
-    the parser accepts and rejects exactly the same lines.
+    Only lines of the canonical fast shape (:func:`std_token_shape`)
+    with well-formed tokens are served from the caches; anything
+    unusual — stray ``|`` or parentheses in a target, a location of
+    several tokens, malformed tids, unknown ops — falls back to
+    :func:`parse_std_line`, whose regex path defines the format (and
+    raises the canonical :class:`TraceFormatError`s), so the parser
+    accepts and rejects exactly the same lines.  :meth:`cached` tells a
+    caller that keys its own per-line work on the two tokens (the
+    corpus's ingest) which lines the caches served.
     """
 
     __slots__ = ("_tid_cache", "_op_cache")
@@ -193,12 +217,7 @@ class StdParser:
         if not line or line[0] == "#":
             return None
         parts = line.split("|")
-        if 2 <= len(parts) <= 3:
-            if len(parts) == 3 and len(parts[2].split()) != 1:
-                # The regex requires the location field to be one
-                # non-empty whitespace-free token; anything else must
-                # reject identically, so defer to it.
-                return parse_std_line(raw_line, eid, line_number)
+        if std_token_shape(parts):
             tid = self._tid_cache.get(parts[0])
             if tid is None:
                 token = parts[0].strip()
@@ -213,6 +232,16 @@ class StdParser:
                     # Skips the namedtuple's Python-level __new__ (see Event).
                     return tuple.__new__(Event, (eid, tid, cached[0], cached[1]))
         return parse_std_line(raw_line, eid, line_number)
+
+    def cached(self, tid_token: str, op_token: str) -> bool:
+        """Whether a line of these two tokens is served from the caches.
+
+        True once both tokens have been parsed by :meth:`parse`; from
+        then on every line of :func:`std_token_shape` with these tokens
+        parses to the same ``(tid, kind, target)``, whatever its
+        location field and eid.  False when one of them needs the regex.
+        """
+        return tid_token in self._tid_cache and op_token in self._op_cache
 
     def _parse_op_token(self, op_token: str) -> Optional[Tuple[OpKind, Optional[object]]]:
         """Parse + cache one canonical op token; ``None`` defers to the regex."""
@@ -469,19 +498,26 @@ def _is_gzip_content(source: PathOrFile) -> bool:
         return _is_gzip_path(source)
 
 
+def open_trace_text(path: Union[str, Path]) -> TextIO:
+    """Open a text trace file for reading, gunzipping gzip content.
+
+    Decompression keys off the *content* (gzip magic), not the suffix,
+    so a misnamed gzip trace still decodes; the suffix only matters when
+    the file cannot be read yet.  Lines split on universal newlines.
+    """
+    if _is_gzip_content(path):
+        # gzip.open(..., "rt") would hand the text layer the raw
+        # GzipFile, whose small reads dominate decode time on big
+        # captures; a wide BufferedReader in between turns that into
+        # ~1 MiB decompression spans.
+        buffered = io.BufferedReader(gzip.open(path, "rb"), buffer_size=_GZIP_BUFFER_BYTES)
+        return io.TextIOWrapper(buffered, encoding="utf-8")
+    return open(path, "r", encoding="utf-8")
+
+
 def _open_for_read(source: PathOrFile):
     if isinstance(source, (str, Path)):
-        # Decompression keys off the *content* (gzip magic), not the
-        # suffix, so a misnamed gzip trace still decodes; the suffix
-        # only matters when the file cannot be read yet.
-        if _is_gzip_content(source):
-            # gzip.open(..., "rt") would hand the text layer the raw
-            # GzipFile, whose small reads dominate decode time on big
-            # captures; a wide BufferedReader in between turns that into
-            # ~1 MiB decompression spans.
-            buffered = io.BufferedReader(gzip.open(source, "rb"), buffer_size=_GZIP_BUFFER_BYTES)
-            return io.TextIOWrapper(buffered, encoding="utf-8"), True
-        return open(source, "r", encoding="utf-8"), True
+        return open_trace_text(source), True
     return source, False
 
 

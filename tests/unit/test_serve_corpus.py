@@ -1,12 +1,15 @@
 """Unit tests for the content-addressed trace corpus (:mod:`repro.serve.corpus`)."""
 
+import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.trace import Trace, TraceBuilder
 from repro.trace.io import save_trace
 from repro.serve.corpus import INDEX_SCHEMA, CorpusError, TraceCorpus
+from repro.serve.server import ServeHandler
 
 
 @pytest.fixture
@@ -90,6 +93,74 @@ class TestContentAddressing:
         second, _ = corpus.ingest(other)
         assert first.digest != second.digest
         assert len(corpus) == 2
+
+
+class TestPinnedDigest:
+    """Digests are content addresses persisted in every corpus: pin one."""
+
+    DIGEST = "6c0e8a2d0ddc51afb955cab752e99772ea4f042fde47280ddbd279aa3f148d6b"
+
+    def test_digest_and_stats_of_a_fixed_trace(self, tmp_path, sample_trace):
+        corpus = TraceCorpus(tmp_path / "corpus")
+        entry, _ = corpus.ingest(sample_trace)
+        assert entry.digest == self.DIGEST
+        assert (entry.events, entry.threads, entry.locks, entry.variables) == (8, 2, 1, 2)
+        assert entry.sync_events == 4
+
+    def test_digest_is_the_sha256_of_the_std_text(self, tmp_path, sample_trace):
+        text = (
+            "T1|w(x)|0\nT1|acq(l)|1\nT1|w(y)|2\nT1|rel(l)|3\n"
+            "T2|acq(l)|4\nT2|r(y)|5\nT2|rel(l)|6\nT2|w(x)|7\n"
+        )
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.DIGEST
+        corpus = TraceCorpus(tmp_path / "corpus")
+        entry, created = corpus.ingest_text(text)
+        assert created and entry.digest == self.DIGEST
+
+
+class TestSubmittedText:
+    """The ``submit`` op splits trace text into lines as a file read does."""
+
+    @staticmethod
+    def submit(corpus, text, fmt="std"):
+        handler = object.__new__(ServeHandler)
+        handler.server = SimpleNamespace(
+            corpus=corpus,
+            scheduler=SimpleNamespace(submit=lambda digest, specs, force: ([], [], [])),
+        )
+        response = handler._op_submit(
+            {"op": "submit", "text": text, "fmt": fmt, "specs": ["hb+tc"]}
+        )
+        assert response["ok"], response
+        return response
+
+    # \x0b, \x1c, \x85 and \u2028 end a line for str.splitlines() but not
+    # for a file read, so a variable may contain them.
+    STD_TEXT = "T1|w(a\x0bb)\r\nT2|r(c\x1cd)\rT1|w(e\x85f)\nT2|w(g\u2028h)\n"
+
+    def test_std_submit_digest_equals_file_digest(self, tmp_path):
+        path = tmp_path / "odd.std"
+        path.write_text(self.STD_TEXT, encoding="utf-8", newline="")
+        corpus = TraceCorpus(tmp_path / "corpus")
+        from_file, _ = corpus.ingest(path)
+        assert from_file.events == 4 and from_file.variables == 4
+        response = self.submit(corpus, self.STD_TEXT)
+        assert response["digest"] == from_file.digest
+        assert response["created"] is False
+
+    def test_csv_submit_digest_equals_file_digest(self, tmp_path):
+        text = "eid,tid,kind,target\r\n0,1,w,a\x85b\r\n1,2,r,c\u2028d\n2,1,w,x\r"
+        path = tmp_path / "odd.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        corpus = TraceCorpus(tmp_path / "corpus")
+        from_file, _ = corpus.ingest(path)
+        assert from_file.events == 3
+        assert self.submit(corpus, text, fmt="csv")["digest"] == from_file.digest
+
+    def test_unknown_text_format_rejected(self, tmp_path):
+        corpus = TraceCorpus(tmp_path / "corpus")
+        with pytest.raises(ValueError, match="unknown trace format"):
+            corpus.ingest_text("T1|w(x)\n", fmt="colf")
 
 
 class TestEdgeCases:
