@@ -14,8 +14,10 @@
   that exhausted their retry budget out of the queue across restarts.
 
 Every durable write in this package is *atomic or detectable*: journal
-appends are single ``os.write`` calls of one line (a torn tail is
-skipped by the lenient reader, never mistaken for a record), and
+appends are single ``os.write`` calls of one line through
+:class:`~repro.recovery.journal.AppendLog`, the opener the serve results
+log shares (a torn tail is skipped by the lenient reader, never mistaken
+for a record, and cut off before the next append), and
 snapshot/quarantine writes go through ``tmp + os.replace`` (a crash
 leaves the previous complete file).  The fault-injection helpers in
 ``tests/faults.py`` exist to prove exactly that.

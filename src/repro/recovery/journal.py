@@ -1,4 +1,4 @@
-"""The durable job journal (``repro-serve-journal/1``).
+"""The durable job journal (``repro-serve-journal/1``) and its append-only file.
 
 An append-only JSON-lines file recording every job state transition the
 scheduler makes: ``submit`` when a (trace × spec) cell is queued,
@@ -11,19 +11,26 @@ actually finished but whose ``complete`` record was lost is simply
 served from cache on resubmit).
 
 Durability contract (the same one :class:`repro.obs.tracing.SpanExporter`
-relies on): the file is opened ``O_APPEND`` and every record goes out as
-a single ``os.write`` of one encoded line, which POSIX guarantees lands
-as one contiguous append — concurrent scheduler threads never interleave
-partial JSON, and a crash can only tear the *final* line.  The reader is
-lenient in the same way as :func:`repro.obs.tracing.read_spans`: torn,
-corrupt or foreign lines are skipped (and optionally described into an
-``errors`` list), never fatal.
+relies on), kept by :class:`AppendLog`, which the journal and the
+results log (:mod:`repro.serve.results`) both open their files with:
+the file is opened ``O_APPEND`` and every record goes out as a single
+``os.write`` of one encoded line, which POSIX guarantees lands as one
+contiguous append — concurrent scheduler threads never interleave
+partial JSON, and a crash can only tear the *final* line.  Before the
+first append the opener cuts a file that does not end in ``\\n`` back to
+its last newline, so a torn line never glues itself to the next record,
+and a short write is cut back and raised, so it cannot leave a tear
+mid-file.  The reader is lenient in the same way as
+:func:`repro.obs.tracing.read_spans`: torn, corrupt or foreign lines are
+skipped (and optionally described into an ``errors`` list), never fatal.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,27 +44,100 @@ JOURNAL_SCHEMA = "repro-serve-journal/1"
 TERMINAL_EVENTS = frozenset({"complete", "fail", "quarantine"})
 
 
-class JobJournal:
-    """Append-only writer of job state transitions.
+#: How far back :func:`_cut_torn_tail` reads per step looking for a newline.
+_TAIL_BLOCK = 64 * 1024
 
-    Safe to share between threads without a lock: every :meth:`record`
-    is one ``os.write`` syscall.  A ``None``-path journal is not
-    supported — callers that run without durability simply do not
-    construct one (the scheduler treats its journal as optional).
+
+def _cut_torn_tail(fd: int) -> int:
+    """Truncate ``fd``'s file just after its last ``\\n``; returns the bytes cut."""
+    size = os.fstat(fd).st_size
+    end = size
+    while end > 0:
+        start = max(0, end - _TAIL_BLOCK)
+        newline = os.pread(fd, end - start, start).rfind(b"\n")
+        if newline >= 0:
+            end = start + newline + 1
+            break
+        end = start
+    if end != size:
+        os.ftruncate(fd, end)
+    return size - end
+
+
+class AppendLog:
+    """An ``O_APPEND`` file of newline-terminated records, one ``os.write`` each.
+
+    Opening cuts a torn tail (bytes after the last ``\\n``) off the file,
+    counted in :attr:`cut_bytes`.  :meth:`append` writes one whole record
+    and returns the offset it landed at; appends are serialized by a
+    lock, so a short write can be truncated back to where it began
+    before it is raised.  After :meth:`close`, appends are no-ops that
+    return ``None`` and reads raise :class:`ValueError`.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fd: Optional[int] = os.open(
-            str(self.path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
+        fd = os.open(str(self.path), os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            self.cut_bytes = _cut_torn_tail(fd)
+        except BaseException:
+            os.close(fd)
+            raise
+        self._fd: Optional[int] = fd
+        self._lock = threading.Lock()
+
+    def append(self, data: bytes) -> Optional[int]:
+        """Append one record (``data`` ends in ``\\n``); returns its offset."""
+        with self._lock:
+            fd = self._fd
+            if fd is None:
+                return None
+            written = os.write(fd, data)
+            # O_APPEND left the fd's offset at the end of this write.
+            start = os.lseek(fd, 0, os.SEEK_CUR) - written
+            if written != len(data):
+                os.ftruncate(fd, start)
+                raise OSError(
+                    errno.EIO,
+                    f"short write ({written} of {len(data)} bytes), cut back",
+                    str(self.path),
+                )
+            return start
+
+    def read(self, offset: int, length: int) -> bytes:
+        """The ``length`` bytes at ``offset`` (one ``os.pread``)."""
+        with self._lock:
+            if self._fd is None:
+                raise ValueError(f"{self.path}: read from a closed log")
+            data = os.pread(self._fd, length, offset)
+        if len(data) != length:
+            raise ValueError(f"{self.path}: no {length}-byte record at offset {offset}")
+        return data
+
+    def close(self) -> None:
+        with self._lock:
+            fd = self._fd
+            self._fd = None
+        if fd is not None:
+            os.close(fd)
+
+
+class JobJournal:
+    """Append-only writer of job state transitions.
+
+    Safe to share between threads: every :meth:`record` is one
+    :meth:`AppendLog.append`.  A ``None``-path journal is not
+    supported — callers that run without durability simply do not
+    construct one (the scheduler treats its journal as optional).
+    """
+
+    def __init__(self, path: Union[str, Path]) -> None:
+        self._log = AppendLog(path)
+        self.path = self._log.path
 
     def record(self, event: str, job_id: str, **fields: object) -> None:
         """Append one transition; a no-op after :meth:`close`."""
-        fd = self._fd
-        if fd is None:
-            return
         payload: Dict[str, object] = {
             "schema": JOURNAL_SCHEMA,
             "event": event,
@@ -66,13 +146,10 @@ class JobJournal:
         }
         payload.update(fields)
         line = json.dumps(payload, separators=(",", ":")) + "\n"
-        os.write(fd, line.encode("utf-8"))
+        self._log.append(line.encode("utf-8"))
 
     def close(self) -> None:
-        fd = self._fd
-        self._fd = None
-        if fd is not None:
-            os.close(fd)
+        self._log.close()
 
     def __enter__(self) -> "JobJournal":
         return self

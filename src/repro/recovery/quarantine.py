@@ -9,10 +9,10 @@ list to operators.  Quarantine survives restarts: journal replay skips
 quarantined job ids, so a poison job stays parked until an operator
 clears it.
 
-Persistence follows the ResultsStore discipline: ``tmp + os.replace``
-atomic writes, a torn predecessor is impossible, and an unreadable file
-(hand-edited, foreign) starts an empty quarantine rather than crashing
-the server.
+Persistence follows the whole-document discipline of the corpus index
+and the session snapshots: ``tmp + os.replace`` atomic writes, a torn
+predecessor is impossible, and an unreadable file (hand-edited,
+foreign) starts an empty quarantine rather than crashing the server.
 """
 
 from __future__ import annotations

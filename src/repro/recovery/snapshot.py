@@ -4,7 +4,7 @@ One snapshot is one JSON document: a schema-stamped envelope around a
 payload — typically a streaming-ingest checkpoint built from
 :meth:`repro.api.Session.checkpoint` plus the stream's spool position.
 Writes are atomic (``tmp`` + ``os.replace`` in the same directory, the
-ResultsStore/corpus-index discipline), so a crash mid-write leaves the
+corpus-index/quarantine discipline), so a crash mid-write leaves the
 *previous* complete snapshot; a reader never sees a torn file, only a
 missing or fully-formed one.  Unreadable snapshots raise
 :class:`SnapshotError` — detectably corrupt, never silently wrong.

@@ -10,9 +10,9 @@ seen.  The layering, bottom to top:
 * :class:`TraceCorpus` (:mod:`repro.serve.corpus`) — content-addressed
   trace store with a JSON index of per-trace statistics, dedupe and tag
   queries;
-* :class:`ResultsStore` (:mod:`repro.serve.results`) — schema-versioned
-  store of finished (trace × spec) payloads; what makes re-submission
-  idempotent;
+* :class:`ResultsStore` (:mod:`repro.serve.results`) — append-only,
+  schema-versioned log of finished (trace × spec) payloads, read back
+  from disk; what makes re-submission idempotent;
 * :class:`Scheduler` (:mod:`repro.serve.jobs`) — pending
   (trace × :class:`~repro.api.AnalysisSpec`) cells in one FIFO queue,
   dispatched in submission order into the pool;

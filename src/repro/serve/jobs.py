@@ -166,13 +166,10 @@ class Scheduler:
             # Stop dispatching first: a completion callback racing this
             # close must not push new tasks into a stopping pool.
             self._closing = True
-        try:
-            if self.pool.close(timeout=timeout):
-                return True
-            self.pool.terminate()
-            return False
-        finally:
-            self.results.flush()
+        if self.pool.close(timeout=timeout):
+            return True
+        self.pool.terminate()
+        return False
 
     # -- submission --------------------------------------------------------------------
 

@@ -1,6 +1,6 @@
-"""The schema-versioned results store jobs fold into.
+"""The append-only results log jobs fold into (``repro-serve-results/2``).
 
-One store per corpus (``results.json`` next to ``index.json``), keyed by
+One log per corpus (``results.jsonl`` next to ``index.json``), keyed by
 ``<trace digest>:<spec key>`` — the (trace × spec) cell identity of a
 job.  Every completed job's payload (race pairs, race count, per-spec
 ``elapsed_ns``, worker pid, attempt count) is recorded here, which is
@@ -9,15 +9,20 @@ the cells the store does not already hold, and ``repro status
 --results`` / the ``results`` protocol op read finished race sets
 without touching the workers.
 
-The store is thread-safe (the pool's monitor thread records while
-handler threads read) and persisted atomically.  Persistence is
-*throttled*: the full document is rewritten at most once per
-``persist_interval`` seconds (rewriting every cell on every completion
-would be O(N²) serialization across a large batch, paid on the pool
-monitor's callback path), with an explicit :meth:`flush` that the
-scheduler calls on shutdown.  Reads always come from memory, so
-throttling only bounds crash-durability — and every cell is
-recomputable, so a lost tail just re-runs.
+Payloads live on disk, not in memory.  :meth:`ResultsStore.record`
+appends one JSON line per cell through the journal's
+:class:`~repro.recovery.journal.AppendLog` (one ``os.write`` on an
+``O_APPEND`` fd, a torn tail cut back before the first append), so a
+cell is on disk when ``record`` returns; :meth:`ResultsStore.discard`
+appends a tombstone.  Memory holds only ``digest → {spec: (offset,
+length)}``, and reads ``os.pread`` the lines back.
+
+Opening a store folds the log, skipping corrupt or foreign lines, and
+compacts it (tmp + ``os.replace``) when it holds anything but one live
+record per cell.  A ``results.json`` beside it, the whole-document store
+of schema ``repro-serve-results/1`` this log replaced, is migrated into
+the log and then deleted.  The store is thread-safe: the pool's monitor
+thread records while handler threads read.
 """
 
 from __future__ import annotations
@@ -27,10 +32,21 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-#: Schema identifier of the results document; bumped on breaking changes.
-RESULTS_SCHEMA = "repro-serve-results/1"
+from ..obs.logging import get_logger
+from ..recovery.journal import AppendLog
+
+#: Schema tag stamped on (and required of) every results-log line.
+RESULTS_SCHEMA = "repro-serve-results/2"
+
+#: Schema of the whole-document ``results.json`` that opening migrates.
+LEGACY_RESULTS_SCHEMA = "repro-serve-results/1"
+
+log = get_logger(__name__)
+
+#: One decoded log line: (digest, spec, payload), payload ``None`` for a tombstone.
+_Line = Tuple[str, str, Optional[Dict[str, object]]]
 
 
 def result_key(digest: str, spec: str) -> str:
@@ -38,109 +54,213 @@ def result_key(digest: str, spec: str) -> str:
     return f"{digest}:{spec}"
 
 
+def _encode(digest: str, spec: str, payload: Optional[Dict[str, object]]) -> bytes:
+    line = {"schema": RESULTS_SCHEMA, "digest": digest, "spec": spec, "payload": payload}
+    return (json.dumps(line, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def _decode(raw: bytes) -> Optional[_Line]:
+    """A log line's cell, or ``None`` when it is corrupt or foreign."""
+    try:
+        line = json.loads(raw)
+    except ValueError:
+        return None
+    if not isinstance(line, dict) or line.get("schema") != RESULTS_SCHEMA:
+        return None
+    digest, spec = line.get("digest"), line.get("spec")
+    if not (isinstance(digest, str) and isinstance(spec, str) and "payload" in line):
+        return None
+    payload = line["payload"]
+    if payload is not None and not isinstance(payload, dict):
+        return None
+    return digest, spec, payload
+
+
+def _load_legacy(path: Path) -> Dict[str, Dict[str, object]]:
+    """The cells of a ``repro-serve-results/1`` document, keyed by ``digest:spec``."""
+    try:
+        document = json.loads(path.read_text())
+    except json.JSONDecodeError as error:
+        raise ValueError(f"{path}: corrupt results store ({error})") from error
+    schema = document.get("schema") if isinstance(document, dict) else None
+    if schema != LEGACY_RESULTS_SCHEMA:
+        raise ValueError(
+            f"{path}: unsupported results schema {schema!r} "
+            f"(expected {LEGACY_RESULTS_SCHEMA!r})"
+        )
+    results = document.get("results", {})
+    if not isinstance(results, dict):
+        raise ValueError(f"{path}: corrupt results store (results is not an object)")
+    return results
+
+
 class ResultsStore:
     """Durable map of (trace × spec) cells to their analysis payloads."""
 
-    def __init__(
-        self,
-        path: Optional[Union[str, Path]] = None,
-        persist_interval: float = 1.0,
-    ) -> None:
-        self.path = Path(path) if path is not None else None
-        self.persist_interval = persist_interval
-        self._results: Dict[str, Dict[str, object]] = {}
-        self._lock = threading.RLock()
-        self._dirty = False
-        # -inf, not 0.0: time.monotonic() counts from an arbitrary epoch
-        # (boot, on Linux), so on a freshly booted machine 0.0 would make
-        # the first record() look recent and throttle the initial save.
-        self._last_save_monotonic = float("-inf")
-        if self.path is not None and self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        assert self.path is not None
+    def __init__(self, path: Union[str, Path]) -> None:
+        self.path = Path(path)
+        legacy = self.path.with_suffix(".json")
+        if legacy == self.path:
+            raise ValueError(f"{self.path}: names the document a results log migrates; use .jsonl")
+        self._lock = threading.Lock()
+        #: Where each live cell's line sits in the log: digest → spec → (offset, length).
+        self._cells: Dict[str, Dict[str, Tuple[int, int]]] = {}
+        self._count = 0
+        self._log = AppendLog(self.path)
+        if self._log.cut_bytes:
+            log.warning("%s: cut a torn tail of %d byte(s)", self.path, self._log.cut_bytes)
         try:
-            payload = json.loads(self.path.read_text())
-        except json.JSONDecodeError as error:
-            raise ValueError(f"{self.path}: corrupt results store ({error})") from error
-        schema = payload.get("schema")
-        if schema != RESULTS_SCHEMA:
-            raise ValueError(
-                f"{self.path}: unsupported results schema {schema!r} (expected {RESULTS_SCHEMA!r})"
-            )
-        self._results = dict(payload.get("results", {}))
+            stale = self._fold()
+            if legacy.exists():
+                self._rewrite(_load_legacy(legacy))
+                legacy.unlink()
+                log.info("%s: migrated %s into the log", self.path, legacy.name)
+            elif stale:
+                self._rewrite({})
+        except BaseException:
+            self._log.close()
+            raise
 
-    def _save_locked(self) -> None:
-        if self.path is None:
-            return
-        payload = {"schema": RESULTS_SCHEMA, "results": self._results}
-        temp = self.path.with_suffix(".json.tmp")
-        temp.write_text(json.dumps(payload) + "\n")
-        os.replace(temp, self.path)
-        self._dirty = False
-        self._last_save_monotonic = time.monotonic()
+    def _fold(self) -> int:
+        """Index the log's live cells; returns how many lines are not one."""
+        lines = offset = skipped = 0
+        with open(self.path, "rb") as handle:
+            for raw in handle:
+                lines += 1
+                line = _decode(raw)
+                if line is None:
+                    skipped += 1
+                else:
+                    digest, spec, payload = line
+                    specs = self._cells.setdefault(digest, {})
+                    if payload is None:
+                        specs.pop(spec, None)
+                    else:
+                        specs[spec] = (offset, len(raw))
+                    if not specs:
+                        del self._cells[digest]
+                offset += len(raw)
+        if skipped:
+            log.warning("%s: skipped %d corrupt or foreign line(s)", self.path, skipped)
+        self._count = sum(len(specs) for specs in self._cells.values())
+        return lines - self._count
 
-    def _maybe_save_locked(self) -> None:
-        self._dirty = True
-        if time.monotonic() - self._last_save_monotonic >= self.persist_interval:
-            self._save_locked()
+    def _live_lines(
+        self, legacy: Dict[str, Dict[str, object]]
+    ) -> Iterator[Tuple[str, str, bytes]]:
+        """(digest, spec, line) of every live cell: ``legacy`` cells the
+        log does not hold first, then the log's own lines byte for byte."""
+        for key, payload in legacy.items():
+            digest, _, spec = key.partition(":")
+            if spec and isinstance(payload, dict) and spec not in self._cells.get(digest, {}):
+                yield digest, spec, _encode(digest, spec, payload)
+        for digest, specs in self._cells.items():
+            for spec, (start, length) in specs.items():
+                yield digest, spec, self._log.read(start, length)
 
-    def flush(self) -> None:
-        """Persist any unsaved cells immediately (call on shutdown)."""
+    def _rewrite(self, legacy: Dict[str, Dict[str, object]]) -> None:
+        """Replace the log by one line per live cell (tmp + ``os.replace``)."""
+        cells: Dict[str, Dict[str, Tuple[int, int]]] = {}
+        offset = 0
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        with open(tmp, "wb") as handle:
+            for digest, spec, raw in self._live_lines(legacy):
+                handle.write(raw)
+                cells.setdefault(digest, {})[spec] = (offset, len(raw))
+                offset += len(raw)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, self.path)
+        self._log.close()
+        self._log = AppendLog(self.path)
+        self._cells = cells
+        self._count = sum(len(specs) for specs in cells.values())
+
+    def close(self) -> None:
+        """Release the log's file descriptor; later records fail, reads raise."""
         with self._lock:
-            if self._dirty:
-                self._save_locked()
+            self._log.close()
+
+    def __enter__(self) -> "ResultsStore":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
     # -- writing -----------------------------------------------------------------------
 
     def record(self, digest: str, spec: str, payload: Dict[str, object]) -> None:
-        """Fold one completed cell in (stamped; persisted throttled)."""
+        """Append one completed cell (stamped); on disk when this returns."""
         entry = dict(payload)
         entry.setdefault("digest", digest)
         entry.setdefault("spec", spec)
         entry["recorded_unix"] = time.time()
+        raw = _encode(digest, spec, entry)
         with self._lock:
-            self._results[result_key(digest, spec)] = entry
-            self._maybe_save_locked()
+            offset = self._log.append(raw)
+            if offset is None:
+                raise ValueError(f"{self.path}: record into a closed results store")
+            specs = self._cells.setdefault(digest, {})
+            if spec not in specs:
+                self._count += 1
+            specs[spec] = (offset, len(raw))
 
     def discard(self, digest: str, spec: str) -> None:
-        """Drop one cell (used by forced re-runs)."""
+        """Drop one cell (used by forced re-runs) by appending a tombstone."""
         with self._lock:
-            if self._results.pop(result_key(digest, spec), None) is not None:
-                self._maybe_save_locked()
+            specs = self._cells.get(digest)
+            if specs is None or spec not in specs:
+                return
+            self._log.append(_encode(digest, spec, None))
+            del specs[spec]
+            if not specs:
+                del self._cells[digest]
+            self._count -= 1
 
     # -- reading -----------------------------------------------------------------------
 
+    def _payload(self, raw: bytes) -> Dict[str, object]:
+        line = _decode(raw)
+        if line is None or line[2] is None:
+            raise ValueError(f"{self.path}: a stored record no longer reads back")
+        return line[2]
+
     def has(self, digest: str, spec: str) -> bool:
         with self._lock:
-            return result_key(digest, spec) in self._results
+            return spec in self._cells.get(digest, ())
 
     def get(self, digest: str, spec: str) -> Optional[Dict[str, object]]:
         """The payload of one cell, or ``None`` when not yet computed."""
         with self._lock:
-            payload = self._results.get(result_key(digest, spec))
-            return dict(payload) if payload is not None else None
+            where = self._cells.get(digest, {}).get(spec)
+            raw = self._log.read(*where) if where is not None else None
+        return self._payload(raw) if raw is not None else None
 
     def for_trace(self, digest: str) -> Dict[str, Dict[str, object]]:
         """All finished cells of one trace, keyed by spec."""
-        prefix = f"{digest}:"
         with self._lock:
-            return {
-                key[len(prefix):]: dict(payload)
-                for key, payload in self._results.items()
-                if key.startswith(prefix)
-            }
+            raws = [
+                (spec, self._log.read(*where))
+                for spec, where in self._cells.get(digest, {}).items()
+            ]
+        return {spec: self._payload(raw) for spec, raw in raws}
 
     def all(self) -> Dict[str, Dict[str, object]]:
         """Every finished cell, keyed by ``digest:spec``."""
         with self._lock:
-            return {key: dict(payload) for key, payload in self._results.items()}
+            raws = [
+                (result_key(digest, spec), self._log.read(*where))
+                for digest, specs in self._cells.items()
+                for spec, where in specs.items()
+            ]
+        return {key: self._payload(raw) for key, raw in raws}
 
     def keys(self) -> List[str]:
         with self._lock:
-            return sorted(self._results)
+            return sorted(
+                result_key(digest, spec) for digest, specs in self._cells.items() for spec in specs
+            )
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._results)
+            return self._count

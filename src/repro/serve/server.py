@@ -699,7 +699,7 @@ class TraceServer(socketserver.ThreadingTCPServer):
         registry.enable()
         self.obs_registry: Optional[obs_metrics.MetricsRegistry] = registry
         self.corpus = TraceCorpus(corpus_dir)
-        self.results = ResultsStore(self.corpus.root / "results.json")
+        self.results = ResultsStore(self.corpus.root / "results.jsonl")
         #: Stream checkpoints (and their spools) live here, inside the
         #: corpus root: the data directory is the unit of recovery.
         self.recovery_dir = self.corpus.root / "recovery"
@@ -755,6 +755,7 @@ class TraceServer(socketserver.ThreadingTCPServer):
             super().__init__(address, ServeHandler)
         except BaseException:
             self.scheduler.close(timeout=2.0)
+            self.results.close()
             self.journal.close()
             raise
         log.info(
@@ -782,10 +783,12 @@ class TraceServer(socketserver.ThreadingTCPServer):
         re-queued and is logged instead.
 
         A ``complete`` record whose cell is *missing* from the results
-        store is also re-queued: the store's persistence is throttled,
-        so a crash can journal the completion yet lose the payload — the
-        journal proves the job ran, the store is the source of truth for
-        whether the result survived.
+        store is also re-queued.  The scheduler appends a cell to the
+        results log before it journals ``complete``, but the two files
+        are not flushed to the disk together, so a power loss, or a tear
+        that cut the log's last record, can keep the completion and lose
+        the payload — the journal proves the job ran, the store is the
+        source of truth for whether the result survived.
         """
         by_digest: Dict[str, List[str]] = {}
         for record in previous.values():
@@ -839,9 +842,10 @@ class TraceServer(socketserver.ThreadingTCPServer):
         if self._loop_started:
             self.shutdown()
         self.scheduler.close(timeout=timeout)
-        # The journal closes after the scheduler: draining jobs write
-        # their terminal records first, so a clean shutdown leaves no
-        # orphans for the next start to replay.
+        # The results log and the journal close after the scheduler:
+        # draining jobs write their cells and terminal records first, so
+        # a clean shutdown leaves no orphans for the next start to replay.
+        self.results.close()
         self.journal.close()
         self.server_close()
         log.info("server on %s:%d closed", self.address[0], self.address[1])

@@ -15,6 +15,7 @@ server — the "machine lost power" fault, not a polite shutdown.
 """
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -173,10 +174,11 @@ class TestKill9MidQueue:
 
 class TestLostResultReplay:
     def test_completed_job_with_lost_result_is_rerun(self, tmp_path):
-        # The results store persists throttled, so a crash can land after
-        # the journal's "complete" record but before the payload hits
-        # disk.  Replay must treat "complete but no stored result" as
-        # work to redo, not as done.
+        # The results log and the journal are not flushed to the disk
+        # together, so a power loss can keep the journal's "complete"
+        # record and tear the cell's record off the log.  Replay must
+        # treat "complete but no stored result" as work to redo, not as
+        # done.
         spec = "hb+tc+detect"
         corpus_dir = tmp_path / "corpus"
         path = scenario_file(tmp_path, "single_lock", (4, 400, 0), "t.std.gz")
@@ -190,9 +192,11 @@ class TestLostResultReplay:
         finally:
             server.close()
 
-        # simulate the lost throttled write: journal says complete, the
-        # results document never made it
-        (corpus_dir / "results.json").unlink()
+        # tear the log's last (and only) record: journal says complete,
+        # the cell's payload did not survive
+        results_path = corpus_dir / "results.jsonl"
+        assert len(results_path.read_bytes().splitlines()) == 1
+        tear_tail(results_path, drop_bytes=9)
 
         server = TraceServer(("127.0.0.1", 0), corpus_dir, workers=1)
         threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -315,24 +319,33 @@ class TestTornWriteTorture:
         try:
             with ServeClient(host, port) as client:
                 digest = str(client.submit_file(path, SPECS)["digest"])
+                # let a cell reach the results log, so there is a record to tear
+                deadline = time.monotonic() + 120
+                while not client.results(digest) and time.monotonic() < deadline:
+                    time.sleep(0.02)
             kill9(process)
         finally:
             stop_hard(process)
 
-        # model every crash artifact at once: a torn journal tail, a tear
-        # that looks like data, and stale .tmp files next to the atomic
-        # documents
+        # model every crash artifact at once: torn tails of both logs, a
+        # tear that looks like data, and stale .tmp files next to the
+        # atomic documents and the log's compaction
+        results_path = corpus / "results.jsonl"
         journal_path = corpus / "journal.jsonl"
-        tear_tail(journal_path, drop_bytes=9)
-        append_garbage(journal_path)
-        (corpus / "results.json.tmp").write_text('{"torn')
+        for log_path in (results_path, journal_path):
+            tear_tail(log_path, drop_bytes=9)
+            append_garbage(log_path)
+        (corpus / "results.jsonl.tmp").write_text('{"torn')
         (corpus / "index.json.tmp").write_text('{"torn')
         (corpus / "quarantine.json").write_text('{"torn')
 
-        # every durable artifact still loads offline
+        # every durable artifact still loads offline (the results log on
+        # a copy: opening it repairs it, which the restart must do itself)
         assert TraceCorpus(corpus).get(digest).events > 0
-        if (corpus / "results.json").exists():
-            ResultsStore(corpus / "results.json")
+        offline = tmp_path / "offline" / "results.jsonl"
+        offline.parent.mkdir()
+        shutil.copy(results_path, offline)
+        ResultsStore(offline).close()
         errors = []
         read_journal(journal_path, errors=errors)  # lenient: tears reported, not fatal
         assert len(QuarantineStore(corpus / "quarantine.json")) == 0

@@ -91,7 +91,7 @@ class TestPoison:
     def test_poisons_only_the_chosen_job_ids_until_cured(self, tmp_path):
         corpus = TraceCorpus(tmp_path / "corpus")
         entry, _ = corpus.ingest(TraceBuilder(name="a").write(1, "x").build())
-        scheduler = Scheduler(corpus, ResultsStore(), workers=1)
+        scheduler = Scheduler(corpus, ResultsStore(tmp_path / "results.jsonl"), workers=1)
         dispatched = []
         scheduler.pool.submit = dispatched.append  # record dispatches, run nothing
         poisoned = poison(scheduler, "hang")

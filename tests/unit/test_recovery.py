@@ -2,13 +2,14 @@
 
 The durability contract under test is *atomic or detectable*: journal
 appends are single-line ``os.write`` calls whose only possible tear is
-the final line (skipped by the lenient reader), and snapshot/quarantine
-documents go through tmp + ``os.replace`` so a reader only ever sees a
-complete file.  The torn-write helpers of :mod:`faults` model the
-crashes.
+the final line (skipped by the lenient reader, and cut off before the
+next append), and snapshot/quarantine documents go through tmp +
+``os.replace`` so a reader only ever sees a complete file.  The
+torn-write helpers of :mod:`faults` model the crashes.
 """
 
 import json
+import os
 import socket
 
 import pytest
@@ -74,6 +75,53 @@ class TestJobJournal:
         assert [r["job_id"] for r in records] == ["j1"]
         with pytest.raises(ValueError):
             list(iter_journal(path, strict=True))
+
+    def test_torn_tail_is_cut_before_the_next_append(self, tmp_path):
+        # Without the cut, "submit b" would be glued onto the torn line
+        # and skipped on replay.
+        path = tmp_path / "journal.jsonl"
+        with JobJournal(path) as journal:
+            journal.record("submit", "a", digest="d", spec="s", trace="t")
+        line = json.dumps({"schema": JOURNAL_SCHEMA, "event": "dispatch", "job_id": "a"})
+        append_garbage(path, line[: len(line) // 2].encode())
+        with JobJournal(path) as journal:
+            journal.record("submit", "b", digest="d", spec="s2", trace="t")
+            journal.record("complete", "a")
+        records = read_journal(path, strict=True)
+        assert [(r["event"], r["job_id"]) for r in records] == [
+            ("submit", "a"),
+            ("submit", "b"),
+            ("complete", "a"),
+        ]
+
+    def test_a_tear_with_no_newline_at_all_empties_the_file(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        append_garbage(path)
+        with JobJournal(path) as journal:
+            journal.record("submit", "a", digest="d", spec="s", trace="t")
+        assert [r["job_id"] for r in read_journal(path, strict=True)] == ["a"]
+
+    def test_short_write_is_cut_back_and_raised(self, tmp_path, monkeypatch):
+        path = tmp_path / "journal.jsonl"
+        journal = JobJournal(path)
+        journal.record("submit", "a", digest="d", spec="s", trace="t")
+        before = path.read_bytes()
+        real_write = os.write
+
+        def half_write(fd, data):
+            if os.fstat(fd).st_ino == path.stat().st_ino:
+                return real_write(fd, data[: len(data) // 2])
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", half_write)
+        with pytest.raises(OSError, match="short write"):
+            journal.record("submit", "b", digest="d", spec="s2", trace="t")
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        journal.record("complete", "a")
+        journal.close()
+        records = read_journal(path, strict=True)
+        assert [(r["event"], r["job_id"]) for r in records] == [("submit", "a"), ("complete", "a")]
 
     def test_replay_folds_lifecycles_and_flags_orphans(self, tmp_path):
         path = tmp_path / "journal.jsonl"

@@ -32,7 +32,8 @@ def trace_file(tmp_path, racy_trace):
 
 def recording_scheduler(corpus, max_inflight):
     """A scheduler whose pool records dispatched tasks and runs nothing."""
-    scheduler = Scheduler(corpus, ResultsStore(), workers=1, max_inflight=max_inflight)
+    results = ResultsStore(corpus.root / "results.jsonl")
+    scheduler = Scheduler(corpus, results, workers=1, max_inflight=max_inflight)
     dispatched = []
     scheduler.pool.submit = dispatched.append
     return scheduler, dispatched
@@ -273,7 +274,7 @@ class TestPoolCounters:
     def test_status_snapshot_carries_pool_counters(self, tmp_path, racy_trace):
         corpus = TraceCorpus(tmp_path / "corpus")
         entry, _ = corpus.ingest(racy_trace)
-        scheduler = Scheduler(corpus, ResultsStore(), workers=1).start()
+        scheduler = Scheduler(corpus, ResultsStore(tmp_path / "results.jsonl"), workers=1).start()
         try:
             scheduler.submit(entry.digest, ["hb+tc"])
             assert scheduler.wait_idle(timeout=60)
@@ -292,14 +293,14 @@ class TestScheduler:
         with pytest.raises(ValueError, match="parallel"):
             WorkerTask(task_id="t", trace_path=str(trace_file), spec="hb+tc", parallel=2)
         corpus = TraceCorpus(tmp_path / "corpus")
-        results = ResultsStore(tmp_path / "results.json")
+        results = ResultsStore(tmp_path / "results.jsonl")
         with pytest.raises(ValueError, match="parallel_workers"):
             Scheduler(corpus, results, workers=1, parallel_workers=2)
 
     def test_submit_runs_cells_and_folds_results(self, tmp_path, racy_trace):
         corpus = TraceCorpus(tmp_path / "corpus")
         entry, _ = corpus.ingest(racy_trace)
-        results = ResultsStore(tmp_path / "results.json")
+        results = ResultsStore(tmp_path / "results.jsonl")
         scheduler = Scheduler(corpus, results, workers=2).start()
         try:
             queued, cached, _ = scheduler.submit(entry.digest, ["hb+tc+detect", "shb+vc+detect"])
@@ -316,7 +317,7 @@ class TestScheduler:
     def test_resubmission_is_idempotent(self, tmp_path, racy_trace):
         corpus = TraceCorpus(tmp_path / "corpus")
         entry, _ = corpus.ingest(racy_trace)
-        results = ResultsStore(tmp_path / "results.json")
+        results = ResultsStore(tmp_path / "results.jsonl")
         scheduler = Scheduler(corpus, results, workers=1).start()
         try:
             scheduler.submit(entry.digest, ["hb+tc+detect"])
@@ -329,7 +330,7 @@ class TestScheduler:
     def test_specs_are_canonicalized_on_submit(self, tmp_path, racy_trace):
         corpus = TraceCorpus(tmp_path / "corpus")
         entry, _ = corpus.ingest(racy_trace)
-        results = ResultsStore()
+        results = ResultsStore(tmp_path / "results.jsonl")
         scheduler = Scheduler(corpus, results, workers=1).start()
         try:
             scheduler.submit(entry.digest, ["TREE+HB+races"])
@@ -341,7 +342,7 @@ class TestScheduler:
     def test_status_snapshot_filters_by_job_ids(self, tmp_path, racy_trace):
         corpus = TraceCorpus(tmp_path / "corpus")
         entry, _ = corpus.ingest(racy_trace)
-        scheduler = Scheduler(corpus, ResultsStore(), workers=1).start()
+        scheduler = Scheduler(corpus, ResultsStore(tmp_path / "results.jsonl"), workers=1).start()
         try:
             queued, _, _ = scheduler.submit(entry.digest, ["hb+tc", "hb+vc"])
             assert scheduler.wait_idle(timeout=60)
@@ -354,7 +355,7 @@ class TestScheduler:
     def test_status_snapshot_shape(self, tmp_path, racy_trace):
         corpus = TraceCorpus(tmp_path / "corpus")
         entry, _ = corpus.ingest(racy_trace)
-        scheduler = Scheduler(corpus, ResultsStore(), workers=1).start()
+        scheduler = Scheduler(corpus, ResultsStore(tmp_path / "results.jsonl"), workers=1).start()
         try:
             scheduler.submit(entry.digest, ["hb+tc"])
             assert scheduler.wait_idle(timeout=60)
@@ -369,14 +370,14 @@ class TestScheduler:
 
 class TestResultsStore:
     def test_record_and_reload(self, tmp_path):
-        store = ResultsStore(tmp_path / "r.json")
+        store = ResultsStore(tmp_path / "r.jsonl")
         store.record("d" * 64, "hb+tc", {"race_count": 3})
-        reopened = ResultsStore(tmp_path / "r.json")
+        reopened = ResultsStore(tmp_path / "r.jsonl")
         assert reopened.get("d" * 64, "hb+tc")["race_count"] == 3
         assert reopened.get("d" * 64, "hb+tc")["recorded_unix"] > 0
 
     def test_for_trace_filters_by_digest(self, tmp_path):
-        store = ResultsStore()
+        store = ResultsStore(tmp_path / "r.jsonl")
         store.record("a" * 64, "hb+tc", {"race_count": 1})
         store.record("a" * 64, "hb+vc", {"race_count": 1})
         store.record("b" * 64, "hb+tc", {"race_count": 0})
@@ -387,35 +388,36 @@ class TestResultsStore:
         path = tmp_path / "r.json"
         path.write_text('{"schema": "other/1", "results": {}}')
         with pytest.raises(ValueError, match="unsupported results schema"):
-            ResultsStore(path)
+            ResultsStore(tmp_path / "r.jsonl")
 
     def test_discard_supports_forced_reruns(self, tmp_path):
-        store = ResultsStore(tmp_path / "r.json")
+        store = ResultsStore(tmp_path / "r.jsonl")
         store.record("a" * 64, "hb+tc", {"race_count": 1})
         store.discard("a" * 64, "hb+tc")
         assert not store.has("a" * 64, "hb+tc")
 
-    def test_throttled_persistence_flushes_on_demand(self, tmp_path):
-        # A large interval means record() only dirties memory after the
-        # first save; flush() must make the tail durable.
-        store = ResultsStore(tmp_path / "r.json", persist_interval=3600.0)
-        store.record("a" * 64, "hb+tc", {"race_count": 1})  # first save is immediate
-        store.record("a" * 64, "hb+vc", {"race_count": 1})  # throttled: memory only
-        assert len(ResultsStore(tmp_path / "r.json")) == 1
-        store.flush()
-        assert len(ResultsStore(tmp_path / "r.json")) == 2
+    def test_record_is_durable_when_it_returns(self, tmp_path):
+        # No flush, no close: a fresh instance reads every recorded cell.
+        store = ResultsStore(tmp_path / "r.jsonl")
+        store.record("a" * 64, "hb+tc", {"race_count": 1})
+        assert len(ResultsStore(tmp_path / "r.jsonl")) == 1
+        store.record("a" * 64, "hb+vc", {"race_count": 1})
+        assert len(ResultsStore(tmp_path / "r.jsonl")) == 2
 
-    def test_scheduler_close_flushes_results(self, tmp_path):
+    def test_scheduler_results_are_durable_before_close(self, tmp_path):
         corpus = TraceCorpus(tmp_path / "corpus")
         builder_trace = TraceBuilder(name="t").write(1, "x").write(2, "x").build()
         entry, _ = corpus.ingest(builder_trace)
-        results = ResultsStore(tmp_path / "results.json", persist_interval=3600.0)
+        results = ResultsStore(tmp_path / "results.jsonl")
         scheduler = Scheduler(corpus, results, workers=1).start()
-        scheduler.submit(entry.digest, ["hb+tc+detect", "hb+vc+detect"])
-        assert scheduler.wait_idle(timeout=60)
-        scheduler.close()
-        reopened = ResultsStore(tmp_path / "results.json")
-        assert len(reopened) == 2
+        try:
+            scheduler.submit(entry.digest, ["hb+tc+detect", "hb+vc+detect"])
+            assert scheduler.wait_idle(timeout=60)
+            reopened = ResultsStore(tmp_path / "results.jsonl")
+            assert len(reopened) == 2
+            assert reopened.get(entry.digest, "hb+vc+detect")["race_count"] == 1
+        finally:
+            scheduler.close()
 
 
 class TestCallbackErrorAccounting:
