@@ -1,8 +1,8 @@
-"""Ablation variants of the analyses, used by the ablation benchmarks.
+"""Ablation variants of the analyses, each disabling one tree-clock optimization.
 
 The paper's design rests on a few specific choices inside the tree-clock
-algorithms.  The variants below disable one choice at a time so the
-benchmark harness can quantify its contribution:
+algorithms.  The variants below disable one choice at a time, so that
+the choice's contribution can be measured against the unchanged analysis:
 
 * :class:`HBDeepCopyAnalysis` — replaces the ``MonotoneCopy`` performed at
   lock-release events with an unconditional deep copy.  This removes the
@@ -14,7 +14,8 @@ benchmark harness can quantify its contribution:
 
 Both variants compute exactly the same timestamps as their optimized
 counterparts (deep copies are semantically copies); only the cost
-changes, which is what the ablation benches measure.
+changes.  :func:`repro.metrics.measure_work` accepts these classes and
+counts that cost as processed entries.
 """
 
 from __future__ import annotations

@@ -27,9 +27,9 @@ Quickstart
 1234567
 
 Everything that used to be wired by hand — ``repro analyze``'s flag
-combinations, ``repro capture``'s online detectors,
-:class:`repro.experiments.SuiteRunner`'s sweep cells — now goes through
-this one surface.
+combinations, ``repro capture``'s online detectors, the ``paper``
+bench cases behind :mod:`repro.experiments` — now goes through this one
+surface.
 """
 
 from .registry import (

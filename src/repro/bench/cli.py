@@ -113,13 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _selected_suites(names: Optional[List[str]]) -> List[str]:
-    if not names:
-        return suite_names()
-    seen: List[str] = []
-    for name in names:
-        if name not in seen:
-            seen.append(name)
-    return seen
+    return list(dict.fromkeys(names)) if names else suite_names()
 
 
 def _thread_counts(text: Optional[str]) -> List[int]:
@@ -131,7 +125,7 @@ def _thread_counts(text: Optional[str]) -> List[int]:
         raise SystemExit(f"error: --threads expects comma-separated integers, got {text!r}") from error
     if any(count < 2 for count in counts):
         raise SystemExit("error: --threads entries must be >= 2")
-    return counts
+    return list(dict.fromkeys(counts))
 
 
 def _command_run(args: argparse.Namespace) -> int:

@@ -30,10 +30,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..api import Session
-from ..api.registry import CLOCKS
+from ..api.registry import CLOCKS, ORDERS
 from ..api.sources import EventSource, FileSource, GeneratorSource
 from ..gen.scenarios import SCENARIOS
 from ..gen.suite import BenchmarkProfile, get_profile
+from ..metrics.work import measure_work
 from .kernels import ClockOpLog, record_clock_ops, replay_clock_ops
 from .suites import BenchCase
 
@@ -185,6 +186,19 @@ def _run_clock_ops_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult
     )
 
 
+def _profile(params: Mapping[str, object]) -> BenchmarkProfile:
+    """The suite profile a case names, resized to its ``events`` when given."""
+    profile = get_profile(str(params["profile"]))
+    events = params.get("events")
+    if events is None:
+        return profile
+    return BenchmarkProfile(
+        name=profile.name,
+        family=profile.family,
+        config=replace(profile.config, num_events=int(events)),  # type: ignore[arg-type]
+    )
+
+
 def _session_source(params: Mapping[str, object]) -> EventSource:
     source_kind = str(params.get("source", "scenario"))
     if source_kind == "scenario":
@@ -193,15 +207,7 @@ def _session_source(params: Mapping[str, object]) -> EventSource:
         source.materialize()
         return source
     if source_kind == "profile":
-        profile = get_profile(str(params["profile"]))
-        events = params.get("events")
-        if events is not None:
-            profile = BenchmarkProfile(
-                name=profile.name,
-                family=profile.family,
-                config=replace(profile.config, num_events=int(events)),  # type: ignore[arg-type]
-            )
-        source = profile.source()
+        source = _profile(params).source()
         source.materialize()
         return source
     if source_kind == "file":
@@ -238,6 +244,40 @@ def _run_session_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
             "specs": specs,
             "source": str(case.params.get("source", "scenario")),
             "gc_ns": gc_ns,
+        },
+    )
+
+
+def _run_work_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
+    """Counted case: the paper's work metrics of one (trace, order) pair.
+
+    One :func:`~repro.metrics.work.measure_work` call on the case's own
+    generated trace (a profile or a scenario, as for ``session`` cases):
+    one walk with VC and TC work counting, whose ``entries_updated``
+    counts are cross-checked.  ``meta`` records ``threads``,
+    ``vt_work``, ``vc_work`` and ``tc_work``.  The counts are
+    deterministic, so the walk runs once whatever ``config`` says;
+    ``runs_ns`` holds its wall time only because every case carries one.
+    """
+    params = case.params
+    if params.get("source") == "profile":
+        trace = _profile(params).generate()
+    else:
+        trace = _scenario_trace(params)
+    started = time.perf_counter_ns()
+    work = measure_work(trace, ORDERS.get(str(params["order"])))
+    elapsed = time.perf_counter_ns() - started
+    return BenchCaseResult(
+        name=case.name,
+        kind=case.kind,
+        params=params,
+        events=work.num_events,
+        runs_ns=[elapsed],
+        meta={
+            "threads": work.num_threads,
+            "vt_work": work.vt_work,
+            "vc_work": work.vc_work,
+            "tc_work": work.tc_work,
         },
     )
 
@@ -577,6 +617,7 @@ def _run_pipeline_walk_case(case: BenchCase, config: BenchConfig) -> BenchCaseRe
 _RUNNERS: Dict[str, Callable[[BenchCase, BenchConfig], BenchCaseResult]] = {
     "clock_ops": _run_clock_ops_case,
     "session": _run_session_case,
+    "work": _run_work_case,
     "obs_session": _run_obs_session_case,
     "serve_jobs": _run_serve_jobs_case,
     "serve_ingest": _run_serve_ingest_case,

@@ -50,14 +50,18 @@ The built-in suites:
     attribute check per batch) and enabled within a few percent.
 
 ``paper``
-    The cells of the paper's evaluation, as ``session`` cases.
+    The cells of the paper's evaluation: timed ``session`` cases and,
+    beside each, a counted ``work`` case.
     ``paper/table2/<profile>/<ORDER>`` walks one benchmark-suite profile
     (at :func:`repro.gen.suite.default_suite`'s event count for the
     suite ``scale``) with the four specs of one Table-2 column pair:
     ``<o>+vc``, ``<o>+tc``, ``<o>+vc+detect`` and ``<o>+tc+detect``.
     ``paper/figure10/<scenario>-t<k>`` walks one Figure-10 scalability
-    point with ``hb+vc`` and ``hb+tc``.  :mod:`repro.experiments` renders
-    Table 2 and Figures 6, 7 and 10 from these same cases.
+    point with ``hb+vc`` and ``hb+tc``.  ``paper/work/<profile>/<ORDER>``
+    and ``paper/work/<scenario>-t<k>/HB`` record the same workload's
+    VTWork, VCWork and TCWork (Figures 8 and 9, Figure 10's work
+    column).  :mod:`repro.experiments` renders Table 2 and Figures 6–10
+    from these same cases.
 
 Extra session cases over *captured* trace files can be appended with
 ``repro-bench run --trace FILE`` — the file is streamed lazily through a
@@ -334,6 +338,14 @@ def table2_case_name(profile: str, order: str) -> str:
     return f"paper/table2/{profile}/{order.upper()}"
 
 
+def work_case_name(workload: str, order: str) -> str:
+    """The ``paper`` suite's name for the work case of one (workload, order).
+
+    ``workload`` is a profile name or a Figure-10 point's ``<scenario>-t<k>``.
+    """
+    return f"paper/work/{workload}/{order.upper()}"
+
+
 def paper_suite(
     scale: float = 0.1,
     max_profiles: Optional[int] = None,
@@ -350,9 +362,11 @@ def paper_suite(
     profiles as :func:`repro.gen.suite.default_suite` does; ``events``,
     ``scenarios``, ``thread_counts`` and ``seed`` size the Figure-10
     points.  Empty ``orders`` or ``scenarios`` leave out that half.
+    Every timed case is followed by the ``work`` case of its workload.
     """
     cases: List[BenchCase] = []
     for profile in default_suite(scale=scale, families=families, max_profiles=max_profiles):
+        workload = {"source": "profile", "profile": profile.name, "events": profile.config.num_events}
         for order in orders:
             prefix = order.lower()
             cases.append(
@@ -360,9 +374,7 @@ def paper_suite(
                     name=table2_case_name(profile.name, order),
                     kind="session",
                     params={
-                        "source": "profile",
-                        "profile": profile.name,
-                        "events": profile.config.num_events,
+                        **workload,
                         "specs": [
                             f"{prefix}+vc",
                             f"{prefix}+tc",
@@ -372,20 +384,35 @@ def paper_suite(
                     },
                 )
             )
-    for scenario in scenarios:
-        for threads in thread_counts:
             cases.append(
                 BenchCase(
-                    name=f"paper/figure10/{scenario}-t{threads}",
+                    name=work_case_name(profile.name, order),
+                    kind="work",
+                    params={**workload, "order": order.upper()},
+                )
+            )
+    for scenario in scenarios:
+        for threads in thread_counts:
+            workload = {
+                "source": "scenario",
+                "scenario": scenario,
+                "threads": threads,
+                "events": events,
+                "seed": seed,
+            }
+            point = f"{scenario}-t{threads}"
+            cases.append(
+                BenchCase(
+                    name=f"paper/figure10/{point}",
                     kind="session",
-                    params={
-                        "source": "scenario",
-                        "scenario": scenario,
-                        "threads": threads,
-                        "events": events,
-                        "seed": seed,
-                        "specs": ["hb+vc", "hb+tc"],
-                    },
+                    params={**workload, "specs": ["hb+vc", "hb+tc"]},
+                )
+            )
+            cases.append(
+                BenchCase(
+                    name=work_case_name(point, "HB"),
+                    kind="work",
+                    params={**workload, "order": "HB"},
                 )
             )
     return cases

@@ -24,23 +24,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..analysis import HBAnalysis
 from ..bench.runner import BenchConfig, run_suite
-from ..bench.suites import paper_suite
+from ..bench.suites import paper_suite, work_case_name
 from ..gen.scenarios import DEFAULT_THREAD_COUNTS, SCENARIOS
-from ..metrics.work import measure_work
 from .reporting import ExperimentReport
-from .runner import ExperimentConfig, SpeedupSample, median_seconds
+from .runner import ExperimentConfig, SpeedupSample, case_work, median_seconds
 
 
 @dataclass(frozen=True, slots=True)
 class ScalabilityConfig:
-    """Knobs of the Figure-10 sweep (timed ``ExperimentConfig.repetitions`` times)."""
+    """Knobs of the Figure-10 sweep (timed ``ExperimentConfig.repetitions`` times).
+
+    Raises :class:`ValueError` for a thread count or ``num_events``
+    below 1.
+    """
 
     thread_counts: Sequence[int] = DEFAULT_THREAD_COUNTS
     num_events: int = 10_000
     scenarios: Sequence[str] = tuple(SCENARIOS)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if any(threads < 1 for threads in self.thread_counts):
+            raise ValueError("threads must be at least 1")
+        if self.num_events < 1:
+            raise ValueError("events must be at least 1")
 
 
 def run(
@@ -50,7 +58,9 @@ def run(
     """Run the scalability sweep behind Figure 10.
 
     Each point is one ``paper/figure10/<scenario>-t<k>`` bench case of
-    :func:`repro.bench.suites.paper_suite`, timed like the Table-2 cells.
+    :func:`repro.bench.suites.paper_suite`, timed like the Table-2 cells,
+    and its VCWork/TCWork comes from the ``paper/work/<scenario>-t<k>/HB``
+    case beside it.
     """
     cases = paper_suite(
         orders=(),
@@ -59,15 +69,20 @@ def run(
         thread_counts=scalability.thread_counts,
         seed=scalability.seed,
     )
-    results = run_suite(cases, BenchConfig(warmup=1, repeats=config.repetitions))
+    results = {
+        result.name: result
+        for result in run_suite(cases, BenchConfig(warmup=1, repeats=config.repetitions))
+    }
     rows = []
     work_ratios: Dict[str, List[float]] = {}
-    for case, result in zip(cases, results):
+    for case in cases:
+        if case.kind != "session":
+            continue
+        result = results[case.name]
         scenario = str(case.params["scenario"])
         num_threads = int(case.params["threads"])  # type: ignore[call-overload]
-        trace = SCENARIOS[scenario](num_threads, scalability.num_events, scalability.seed)
         timing = SpeedupSample(
-            trace_name=trace.name,
+            trace_name=case.name,
             partial_order="HB",
             with_analysis=False,
             num_events=result.events,
@@ -75,7 +90,7 @@ def run(
             vc_seconds=median_seconds(result, "hb+vc"),
             tc_seconds=median_seconds(result, "hb+tc"),
         )
-        work = measure_work(trace, HBAnalysis)
+        work = case_work(results[work_case_name(f"{scenario}-t{num_threads}", "HB")])
         rows.append(
             [
                 scenario,

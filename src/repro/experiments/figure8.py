@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..analysis import HBAnalysis
 from ..metrics.work import TC_OPTIMALITY_FACTOR
 from .reporting import ExperimentReport
 from .runner import ExperimentConfig, SuiteRunner
@@ -29,11 +28,11 @@ def run(config: ExperimentConfig = ExperimentConfig(), runner: Optional[SuiteRun
     rows = []
     max_tc_ratio = 0.0
     max_vc_ratio = 0.0
-    for trace in runner.traces():
-        measurement = runner.work_measurement(trace, HBAnalysis)
+    for profile in runner.profiles:
+        measurement = runner.work_measurement(profile, "HB")
         rows.append(
             [
-                trace.name,
+                profile.name,
                 measurement.num_threads,
                 measurement.vt_work,
                 measurement.vc_work,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..api.registry import ORDERS
 from .reporting import ExperimentReport, histogram_rows
 from .runner import ExperimentConfig, SuiteRunner
 
@@ -27,11 +26,9 @@ def run(config: ExperimentConfig = ExperimentConfig(), runner: Optional[SuiteRun
     rows = []
     summary: Dict[str, object] = {}
     for order in config.orders:
-        analysis_class = ORDERS.get(order)
-        ratios: List[float] = []
-        for trace in runner.traces():
-            measurement = runner.work_measurement(trace, analysis_class)
-            ratios.append(measurement.vc_over_tc)
+        ratios: List[float] = [
+            runner.work_measurement(profile, order).vc_over_tc for profile in runner.profiles
+        ]
         for bucket_row in histogram_rows(ratios, BIN_EDGES):
             rows.append([order.upper()] + bucket_row)
         if ratios:

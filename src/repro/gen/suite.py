@@ -157,10 +157,12 @@ def default_suite(
         When given, only profiles of these families are included.
     max_profiles:
         When given, at most this many profiles are returned (in suite
-        order); useful for fast CI configurations.
+        order); useful for fast CI configurations.  Must be at least 1.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
+    if max_profiles is not None and max_profiles < 1:
+        raise ValueError("max_profiles must be at least 1")
     selected: List[BenchmarkProfile] = []
     family_filter = set(families) if families is not None else None
     for profile in _BASE_PROFILES:

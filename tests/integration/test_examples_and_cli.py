@@ -134,3 +134,16 @@ class TestCliEndToEnd:
         cell = artifact["results"][0]
         assert set(cell["sub"]) == {"maz+vc", "maz+tc", "maz+vc+detect", "maz+tc+detect"}
         assert {"median_ns", "iqr_ns"} <= set(cell["sub"]["maz+tc"])
+        work = {entry["name"]: entry for entry in artifact["results"] if entry["kind"] == "work"}
+        expected = sorted(
+            name.replace("/table2/", "/work/")
+            if name.startswith("paper/table2/")
+            else name.replace("/figure10/", "/work/") + "/HB"
+            for name in names
+            if name.startswith(("paper/table2/", "paper/figure10/"))
+        )
+        assert sorted(work) == expected and len(names) == 2 * len(expected)
+        for entry in work.values():
+            meta = entry["meta"]
+            assert 0 < meta["vt_work"] <= meta["vc_work"]
+            assert meta["tc_work"] <= 3 * meta["vt_work"] + entry["events"]  # Theorem 1

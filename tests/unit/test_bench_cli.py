@@ -29,9 +29,13 @@ from repro.bench import (
 )
 from repro.bench.cli import main as bench_main
 from repro.bench.kernels import OP_COPY_AUX, OP_INC, OP_JOIN_AUX
+from repro.api.registry import ORDERS
 from repro.bench.runner import BenchCaseResult, _timed_runs
+from repro.bench.suites import paper_suite
 from repro.clocks import TreeClock, VectorClock
 from repro.clocks.base import WorkCounter
+from repro.gen import SCENARIOS, default_suite
+from repro.metrics import measure_work
 from repro.trace import TraceBuilder
 
 
@@ -134,6 +138,33 @@ class TestRunnerAndArtifact:
         for series in result.sub.values():
             assert len(series) == 2  # warmup walks are trimmed
         assert result.events == 60
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "paper/work/account-like/MAZ",
+            "paper/work/account-like/SHB",
+            "paper/work/account-like/HB",
+            "paper/work/star_topology-t4/HB",
+        ],
+    )
+    def test_paper_work_case_is_measure_work_of_its_trace(self, name):
+        cases = paper_suite(scale=0.1, max_profiles=1, events=300, thread_counts=(4,))
+        case = next(case for case in cases if case.name == name)
+        result = run_case(case, BenchConfig(warmup=2, repeats=5))
+        if case.params["source"] == "profile":
+            trace = default_suite(scale=0.1, max_profiles=1)[0].generate()
+        else:
+            trace = SCENARIOS["star_topology"](4, 300, 0)
+        work = measure_work(trace, ORDERS.get(name.rsplit("/", 1)[1]))
+        assert result.kind == "work" and len(result.runs_ns) == 1
+        assert result.events == work.num_events == len(trace)
+        assert result.meta == {
+            "threads": work.num_threads,
+            "vt_work": work.vt_work,
+            "vc_work": work.vc_work,
+            "tc_work": work.tc_work,
+        }
 
     def test_artifact_roundtrip_and_validation(self, tmp_path):
         config = BenchConfig(warmup=0, repeats=1)
@@ -285,6 +316,15 @@ class TestCli:
         good.write_text(json.dumps(_artifact_with({"a": 1_000_000})))
         assert bench_main(["compare", str(bad), str(good)]) == 2
         assert bench_main(["compare", str(tmp_path / "absent.json"), str(good)]) == 2
+        capsys.readouterr()
+
+    def test_repeated_thread_count_is_one_case(self, tmp_path, capsys):
+        argv = ["run", "--suite", "clocks", "--threads", "4,4", "--events", "60"]
+        assert bench_main(argv + ["--repeats", "1", "--quiet", "--out", str(tmp_path)]) == 0
+        artifact = tmp_path / "BENCH_clocks.json"
+        names = [entry["name"] for entry in load_artifact(artifact)["results"]]
+        assert len(names) == len(set(names)) == 6
+        assert bench_main(["compare", str(artifact), str(artifact)]) == 0
         capsys.readouterr()
 
     def test_run_rejects_bad_knobs(self, capsys):

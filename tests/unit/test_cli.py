@@ -90,3 +90,30 @@ class TestOptionErrors:
 
     def test_unknown_order(self, capsys):
         self.assert_rejected(["table2", "--orders", "XYZ"], capsys, "XYZ")
+
+    def test_zero_threads(self, capsys):
+        self.assert_rejected(["figure10", "--threads", "0"], capsys, "threads")
+
+    def test_zero_events(self, capsys):
+        self.assert_rejected(["figure10", "--events", "0"], capsys, "events")
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_max_profiles_below_one(self, capsys, cap):
+        self.assert_rejected(["table3", "--max-profiles", cap], capsys, "max_profiles")
+
+
+class TestRepeatedEntries:
+    """A repeated ``--threads`` or ``--orders`` entry counts once."""
+
+    def test_repeated_thread_count_is_one_point(self, measured_cases, capsys):
+        assert main(["figure10", "--events", "100", "--threads", "4", "4"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("star_")]
+        assert len(rows) == 1
+        names = [case.name for case in measured_cases]
+        assert names.count("paper/figure10/star_topology-t4") == 1
+
+    def test_repeated_order_is_one_column(self, capsys):
+        argv = ["table2", "--scale", "0.05", "--max-profiles", "1", "--orders", "HB", "hb"]
+        assert main(argv) == 0
+        header = capsys.readouterr().out.split("Configuration")[1].splitlines()[0]
+        assert header.split() == ["HB"]

@@ -71,6 +71,7 @@ class TestAblationVariants:
         baseline = SHBAnalysis(TreeClock, capture_timestamps=True).run(trace)
         ablated = SHBDeepCopyAnalysis(TreeClock, capture_timestamps=True).run(trace)
         assert baseline.timestamps == ablated.timestamps
+        assert ablated.partial_order == "SHB"
 
     def test_deep_copy_variant_does_not_do_less_work(self, trace):
         baseline = HBAnalysis(TreeClock, count_work=True).run(trace)

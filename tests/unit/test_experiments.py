@@ -6,7 +6,7 @@ import pytest
 
 import repro.bench.runner as bench_runner
 from repro.bench.runner import BenchCaseResult
-from repro.bench.suites import paper_suite, table2_case_name
+from repro.bench.suites import paper_suite, table2_case_name, work_case_name
 from repro.experiments import ExperimentConfig, SuiteRunner
 from repro.experiments import (
     figure6,
@@ -21,6 +21,7 @@ from repro.experiments import (
 from repro.experiments.figure7 import spearman_correlation
 from repro.experiments.figure10 import ScalabilityConfig
 from repro.experiments.runner import DEFAULT_ORDERS, SpeedupSample, average_speedup
+from repro.metrics import is_vt_optimal
 
 
 # A deliberately tiny configuration so each experiment runs in well under a second.
@@ -51,15 +52,6 @@ class TestExperimentConfig:
 
 
 class TestSpeedupSample:
-    def test_speedup_sample_row(self):
-        sample = SpeedupSample(
-            trace_name="t", partial_order="HB", with_analysis=False,
-            num_events=10, num_threads=2, vc_seconds=2.0, tc_seconds=1.0,
-        )
-        row = sample.as_row()
-        assert row["speedup"] == 2.0
-        assert row["VC (s)"] == 2.0
-
     def test_speedup_with_zero_tc_time_is_infinite(self):
         sample = SpeedupSample(
             trace_name="t", partial_order="HB", with_analysis=False,
@@ -110,10 +102,18 @@ class TestSuiteRunner:
         by_name = attrgetter("name")
         assert sorted(measured_cases, key=by_name) == sorted(expected, key=by_name)
 
-    def test_work_measurements_cover_orders(self, shared_runner):
-        measurements = shared_runner.work_measurements(orders=["HB"])
-        assert len(measurements) == len(shared_runner.profiles)
-        assert all(m.partial_order == "HB" for m in measurements)
+    def test_work_is_read_from_the_paper_work_cases(self, measured_cases):
+        config = ExperimentConfig(scale=0.05, repetitions=1, max_profiles=2)
+        runner = SuiteRunner(config)
+        figure8.run(config, runner)
+        figure9.run(config, runner)
+        expected = [
+            case
+            for case in paper_suite(scale=0.05, max_profiles=2, scenarios=())
+            if case.kind == "work"
+        ]
+        by_name = attrgetter("name")
+        assert sorted(measured_cases, key=by_name) == sorted(expected, key=by_name)
 
 
 class TestTableRunners:
@@ -181,9 +181,6 @@ class TestTablesFromKnownTimes:
 
     @pytest.fixture
     def runner(self, monkeypatch):
-        def no_timing(case, config=None):
-            raise AssertionError(f"{case.name} was timed instead of read from the cache")
-
         monkeypatch.setattr(bench_runner, "run_case", no_timing)
         runner = SuiteRunner(self.CONFIG)
         for profile, times in zip(runner.profiles, self.TIMES_MS):
@@ -208,6 +205,102 @@ class TestTablesFromKnownTimes:
         assert [row[5] for row in report.rows] == [0.002, 0.003, 0.006, 0.004]
         assert [row[6] for row in report.rows] == [0.001, 0.001, 0.002, 0.001]
         assert [row[7] for row in report.rows] == [2.0, 3.0, 3.0, 4.0]
+
+
+def no_timing(case, config=None):
+    raise AssertionError(f"{case.name} was measured instead of read from the cache")
+
+
+class TestFiguresFromKnownCounts:
+    CONFIG = ExperimentConfig(scale=0.05, repetitions=1, max_profiles=2)
+    #: Per order, per profile: threads, VTWork, VCWork, TCWork.
+    COUNTS = {
+        "MAZ": ((4, 100, 150, 100), (8, 50, 150, 100)),
+        "SHB": ((4, 100, 300, 100), (8, 50, 1200, 100)),
+        "HB": ((4, 100, 600, 150), (8, 50, 1200, 20)),
+    }
+
+    @pytest.fixture
+    def runner(self, monkeypatch):
+        monkeypatch.setattr(bench_runner, "run_case", no_timing)
+        runner = SuiteRunner(self.CONFIG)
+        for order, per_profile in self.COUNTS.items():
+            for profile, (threads, vt, vc, tc) in zip(runner.profiles, per_profile):
+                name = work_case_name(profile.name, order)
+                runner.results[name] = BenchCaseResult(
+                    name=name,
+                    kind="work",
+                    params=runner.cases[name].params,
+                    events=50,
+                    runs_ns=[1],
+                    meta={"threads": threads, "vt_work": vt, "vc_work": vc, "tc_work": tc},
+                )
+        return runner
+
+    def test_figure8_rows(self, runner):
+        report = figure8.run(self.CONFIG, runner)
+        first, second = (profile.name for profile in runner.profiles)
+        assert report.rows == [
+            [first, 4, 100, 600, 150, 6.0, 1.5],
+            [second, 8, 50, 1200, 20, 24.0, 0.4],
+        ]
+        assert report.summary["max TCWork/VTWork"] == 1.5
+        assert report.summary["max VCWork/VTWork"] == 24.0
+
+    def test_figure9_histograms(self, runner):
+        report = figure9.run(self.CONFIG, runner)
+        filled = {(row[0], row[1]): row[2] for row in report.rows if row[2]}
+        assert filled == {
+            ("MAZ", "[1, 2)"): 2,
+            ("SHB", "[2, 5)"): 1,
+            ("SHB", "[10, 20)"): 1,
+            ("HB", "[2, 5)"): 1,
+            ("HB", "[50, 80)"): 1,
+        }
+        assert report.summary["MAZ max VCWork/TCWork"] == 1.5
+        assert report.summary["SHB mean VCWork/TCWork"] == 7.5
+        assert report.summary["HB max VCWork/TCWork"] == 60.0
+
+
+class TestPaperClaimsOverTheSuite:
+    """The paper's qualitative claims on every suite profile at scale 0.15."""
+
+    CONFIG = ExperimentConfig(scale=0.15, repetitions=1)
+
+    @pytest.fixture(scope="class")
+    def runner(self):
+        return SuiteRunner(self.CONFIG)
+
+    def test_figure8_tree_clocks_are_vt_optimal_and_vector_clocks_are_not(self, runner):
+        measurements = [runner.work_measurement(profile, "HB") for profile in runner.profiles]
+        assert len(measurements) == 32
+        assert all(is_vt_optimal(measurement) for measurement in measurements)
+        assert max(measurement.vc_over_vt for measurement in measurements) > 3.0
+
+    @pytest.mark.parametrize("order", DEFAULT_ORDERS)
+    def test_figure9_tree_clocks_never_do_more_work(self, runner, order):
+        ratios = [runner.work_measurement(profile, order).vc_over_tc for profile in runner.profiles]
+        assert min(ratios) >= 0.99
+        assert max(ratios) > 2.0
+
+    def test_table1_rows(self, runner):
+        report = table1.run(self.CONFIG, runner)
+        rows = {row[0]: row[1:] for row in report.rows}
+        assert list(rows) == [
+            "Threads",
+            "Locks",
+            "Variables",
+            "Events",
+            "Sync. Events (%)",
+            "R/W Events (%)",
+        ]
+        assert rows["Threads"][1] >= 50
+        assert 0.0 < rows["Sync. Events (%)"][2] < 100.0
+
+    def test_table3_rows(self, runner):
+        report = table3.run(self.CONFIG, runner)
+        assert [row[0] for row in report.rows] == [profile.name for profile in runner.profiles]
+        assert all(row[2] > 0 and row[3] > 1 for row in report.rows)
 
 
 class TestSpearman:

@@ -99,6 +99,11 @@ class TestSuite:
     def test_max_profiles_limits_suite(self):
         assert len(default_suite(max_profiles=5)) == 5
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_max_profiles_must_be_at_least_one(self, cap):
+        with pytest.raises(ValueError, match="max_profiles"):
+            default_suite(max_profiles=cap)
+
     def test_get_profile_and_unknown(self):
         profile = get_profile("account-like")
         assert isinstance(profile, BenchmarkProfile)
