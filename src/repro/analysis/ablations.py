@@ -41,10 +41,6 @@ class SHBDeepCopyAnalysis(SHBAnalysis):
     PARTIAL_ORDER = "SHB"
 
     def _on_write(self, event: Event, clock: Clock) -> None:
+        # With a detector attached, SHBAnalysis's detecting write rule
+        # calls this after detection, which stays identical.
         self.last_write_clock(event.target).copy_from(clock)
-
-    def _on_write_detect(self, event: Event, clock: Clock) -> None:
-        # SHBAnalysis binds this variant when a detector is attached;
-        # detection stays identical, only the copy discipline changes.
-        self._detector.on_write(event, clock)  # type: ignore[union-attr]
-        self._on_write(event, clock)

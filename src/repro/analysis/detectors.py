@@ -25,15 +25,25 @@ reading thread shows up.  The epoch check runs *before* any full
 clock-entry scan, and the fast path is exact: it reports the same races,
 in the same order, with the same check counts as the plain map — the
 differential tests pin this equivalence down.
+
+The hooks (:meth:`RaceDetector.on_read` / :meth:`~RaceDetector.on_write`,
+:meth:`ReversiblePairDetector.on_access` /
+:meth:`~ReversiblePairDetector.after_access`) take access events only:
+they read the variable straight from ``event.target`` and the kind from
+``event.kind``, and look the variable's state up once per call, in a
+map that creates it on first use.  The analyses call them for reads and
+writes alone.  The hooks do not check the kind: given any other event,
+they would take its target for a variable.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, DefaultDict, Dict, Optional
 
 from ..clocks.base import Clock
-from ..trace.event import Event
+from ..trace.event import Event, OpKind
 from .result import DetectionSummary, Race
 from .serial import (
     decode_int_map,
@@ -100,17 +110,13 @@ class _BaseDetector:
         locate: Optional[Callable[[Event], Optional[str]]] = None,
     ) -> None:
         self.summary = DetectionSummary()
-        self._states: Dict[object, _VariableAccessState] = {}
+        # Subscripting a variable not seen before creates its state.
+        self._states: DefaultDict[object, _VariableAccessState] = defaultdict(
+            _VariableAccessState
+        )
         self._keep_races = keep_races
         self._on_race = on_race
         self._locate = locate
-
-    def _state(self, variable: object) -> _VariableAccessState:
-        state = self._states.get(variable)
-        if state is None:
-            state = _VariableAccessState()
-            self._states[variable] = state
-        return state
 
     def _record(self, variable: object, prior_tid: int, prior_clk: int, event: Event) -> None:
         self.summary.total_reported += 1
@@ -173,7 +179,7 @@ class _BaseDetector:
             checks=int(snapshot["checks"]),  # type: ignore[arg-type]
             total_reported=int(snapshot["total_reported"]),  # type: ignore[arg-type]
         )
-        self._states = {}
+        self._states = defaultdict(_VariableAccessState)
         for encoded, wtid, wclk, rtid, rclk, reads, last_access in snapshot["states"]:  # type: ignore[union-attr]
             self._states[decode_key(encoded)] = _VariableAccessState(
                 write_tid=int(wtid),
@@ -197,13 +203,18 @@ class RaceDetector(_BaseDetector):
     """
 
     def on_read(self, event: Event, clock: Clock) -> None:
-        """Check a read against the last write, then record the read."""
-        state = self._state(event.variable)
+        """Check a read event against the last write, then record the read.
+
+        ``event`` must be a read: its target is taken as the variable.
+        """
+        state = self._states[event.target]
         tid = event.tid
-        write_tid = state.write_tid
         self.summary.checks += 1
-        if state.write_clk > 0 and write_tid != tid and state.write_clk > clock.get(write_tid):
-            self._record(event.variable, write_tid, state.write_clk, event)
+        write_clk = state.write_clk
+        if write_clk > 0:
+            write_tid = state.write_tid
+            if write_tid != tid and write_clk > clock.get(write_tid):
+                self._record(event.target, write_tid, write_clk, event)
         reads = state.reads
         if reads is not None:
             reads[tid] = clock.get(tid)
@@ -218,27 +229,35 @@ class RaceDetector(_BaseDetector):
             state.read_clk = 0
 
     def on_write(self, event: Event, clock: Clock) -> None:
-        """Check a write against the last write and all unordered reads."""
-        state = self._state(event.variable)
+        """Check a write event against the last write and all unordered reads.
+
+        ``event`` must be a write: its target is taken as the variable.
+        """
+        state = self._states[event.target]
         tid = event.tid
-        write_tid = state.write_tid
-        self.summary.checks += 1
-        if state.write_clk > 0 and write_tid != tid and state.write_clk > clock.get(write_tid):
-            self._record(event.variable, write_tid, state.write_clk, event)
+        summary = self.summary
+        summary.checks += 1
+        write_clk = state.write_clk
+        if write_clk > 0:
+            write_tid = state.write_tid
+            if write_tid != tid and write_clk > clock.get(write_tid):
+                self._record(event.target, write_tid, write_clk, event)
         reads = state.reads
         if reads is not None:
             for reader_tid, reader_clk in reads.items():
                 if reader_tid == tid:
                     continue
-                self.summary.checks += 1
+                summary.checks += 1
                 if reader_clk > clock.get(reader_tid):
-                    self._record(event.variable, reader_tid, reader_clk, event)
+                    self._record(event.target, reader_tid, reader_clk, event)
             state.reads = None
-        elif state.read_clk > 0 and state.read_tid != tid:
-            # Epoch fast path: one O(1) comparison instead of a map scan.
-            self.summary.checks += 1
-            if state.read_clk > clock.get(state.read_tid):
-                self._record(event.variable, state.read_tid, state.read_clk, event)
+        else:
+            read_clk = state.read_clk
+            if read_clk > 0 and state.read_tid != tid:
+                # Epoch fast path: one O(1) comparison instead of a map scan.
+                summary.checks += 1
+                if read_clk > clock.get(state.read_tid):
+                    self._record(event.target, state.read_tid, read_clk, event)
         state.read_clk = 0
         state.write_tid = tid
         state.write_clk = clock.get(tid)
@@ -258,35 +277,42 @@ class ReversiblePairDetector(_BaseDetector):
     """
 
     def on_access(self, event: Event, clock: Clock) -> None:
-        """Check the current access against prior conflicting accesses.
+        """Check an access event against prior conflicting accesses.
 
-        Must be invoked *before* the analysis performs the read/write
-        joins for ``event`` (otherwise the direct ordering added for the
-        pair itself would mask reversibility).
+        ``event`` must be a read or a write: its target is taken as the
+        variable, and any kind but a write is checked as a read.  Must be
+        invoked *before* the analysis performs the read/write joins for
+        ``event`` (otherwise the direct ordering added for the pair
+        itself would mask reversibility).
         """
-        state = self._state(event.variable)
-        if event.is_write:
+        state = self._states[event.target]
+        tid = event.tid
+        summary = self.summary
+        if event.kind is OpKind.WRITE:
             # A write conflicts with every prior access of other threads.
             for other_tid, other_clk in state.last_access.items():
-                if other_tid == event.tid:
+                if other_tid == tid:
                     continue
-                self.summary.checks += 1
+                summary.checks += 1
                 if other_clk > clock.get(other_tid):
-                    self._record(event.variable, other_tid, other_clk, event)
+                    self._record(event.target, other_tid, other_clk, event)
         else:
-            write_tid = state.write_tid
-            self.summary.checks += 1
-            if (
-                state.write_clk > 0
-                and write_tid != event.tid
-                and state.write_clk > clock.get(write_tid)
-            ):
-                self._record(event.variable, write_tid, state.write_clk, event)
+            summary.checks += 1
+            write_clk = state.write_clk
+            if write_clk > 0:
+                write_tid = state.write_tid
+                if write_tid != tid and write_clk > clock.get(write_tid):
+                    self._record(event.target, write_tid, write_clk, event)
 
     def after_access(self, event: Event, clock: Clock) -> None:
-        """Record the access once the analysis has processed the event."""
-        state = self._state(event.variable)
-        state.last_access[event.tid] = clock.get(event.tid)
-        if event.is_write:
-            state.write_tid = event.tid
-            state.write_clk = clock.get(event.tid)
+        """Record an access event once the analysis has processed it.
+
+        ``event`` must be a read or a write, as for :meth:`on_access`.
+        """
+        state = self._states[event.target]
+        tid = event.tid
+        local_time = clock.get(tid)
+        state.last_access[tid] = local_time
+        if event.kind is OpKind.WRITE:
+            state.write_tid = tid
+            state.write_clk = local_time

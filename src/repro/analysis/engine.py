@@ -19,14 +19,23 @@ The driver is exposed at three granularities:
   API, and the engine's one per-event walk: a whole list of events is
   processed per call with the per-kind handler resolved **once** from a
   precomputed dispatch table (a dict of bound methods keyed by
-  :class:`OpKind`, built at :meth:`begin` time), so the hot loop carries
-  no per-event ``if``/``elif`` chain;
+  :class:`OpKind`, built at :meth:`begin` time), so the hot loop's only
+  per-event branches are the two lock kinds it applies inline (below);
 * :meth:`begin` / :meth:`feed` / :meth:`finish` — the one-event form,
   a singleton ``feed_batch``.  This is what
   :class:`repro.capture.OnlineDetector` drives while a live program is
   still executing: the thread universe does not need to be known upfront
   (threads register dynamically via :meth:`ClockContext.add_thread`) and
   detection results stream out through the ``on_race`` callback.
+
+HB, SHB and MAZ order lock events alike, by the two shared rules
+:func:`acquire_rule` and :func:`release_rule`, which a class binds as its
+``_on_acquire`` / ``_on_release``.  Where the dispatch table holds them,
+:meth:`~PartialOrderAnalysis.feed_batch` applies them inline, with one
+lock-clock lookup and no handler call.  Every other handler is called
+from the table in the same loop: the lock hooks of an order that
+implements :meth:`~PartialOrderAnalysis._handle_event`, or of a subclass
+that overrides one (the deep-copy ablation's release, for instance).
 
 Every granularity is *batch-transparent*: feeding the same events in any
 batch partition (including one at a time) produces bit-identical results
@@ -59,6 +68,33 @@ from .serial import (
 #: incremented) clock of the event's thread.  ``None`` means "no rule"
 #: (begin/end markers only advance local time).
 EventHandler = Optional[Callable[[Event, Clock], None]]
+
+
+def acquire_rule(analysis: "PartialOrderAnalysis", event: Event, clock: Clock) -> None:
+    """``acquire(t, ℓ)`` — ``C_t.Join(L_ℓ)``, the acquire rule of HB, SHB and MAZ.
+
+    A class uses it by binding it as ``_on_acquire``;
+    :meth:`PartialOrderAnalysis.feed_batch` then applies it inline
+    instead of calling it.
+    """
+    clock.join(analysis.clock_of_lock(event.target))
+
+
+def release_rule(analysis: "PartialOrderAnalysis", event: Event, clock: Clock) -> None:
+    """``release(t, ℓ)`` — ``L_ℓ.MonotoneCopy(C_t)``, the release rule of HB, SHB and MAZ.
+
+    With vector clocks the monotone copy is a plain copy; Lemma 2
+    guarantees its precondition.  Bound as ``_on_release`` and applied
+    inline like :func:`acquire_rule`.
+    """
+    analysis.clock_of_lock(event.target).monotone_copy(clock)
+
+
+def _inline_kind(
+    dispatch: Dict[OpKind, EventHandler], kind: OpKind, rule: Callable[..., None]
+) -> Optional[OpKind]:
+    """``kind`` if its ``dispatch`` entry is ``rule`` bound to the analysis, else ``None``."""
+    return kind if getattr(dispatch.get(kind), "__func__", None) is rule else None
 
 
 class PartialOrderAnalysis:
@@ -126,6 +162,10 @@ class PartialOrderAnalysis:
         # built by begin() and dropped by finish(), so a finished run is
         # freed by reference counting, clocks and detector maps included.
         self._dispatch: Optional[Dict[OpKind, EventHandler]] = None
+        # The lock kinds whose table entry is a shared lock rule, which
+        # feed_batch applies inline (``None`` where it calls the handler).
+        self._inline_acquire: Optional[OpKind] = None
+        self._inline_release: Optional[OpKind] = None
 
     # -- clock management ----------------------------------------------------------
 
@@ -163,8 +203,9 @@ class PartialOrderAnalysis:
         chain, or (faster) override the per-kind hooks ``_on_acquire`` /
         ``_on_release`` / ``_on_read`` / ``_on_write`` directly — the
         built-in analyses do the latter so the dispatch table resolves
-        each kind to its rule without re-branching per event.  Fork/join
-        are handled uniformly by the engine.
+        each kind to its rule without re-branching per event, and bind
+        :func:`acquire_rule` / :func:`release_rule` as their lock hooks.
+        Fork/join are handled uniformly by the engine.
         """
         raise NotImplementedError
 
@@ -205,7 +246,11 @@ class PartialOrderAnalysis:
         the detector) exist and a subclass can bind their bound methods
         directly into the table — the hot loop then jumps straight to
         the rule with one dict lookup and zero re-branching.  Begin/end
-        markers map to ``None`` (they only advance local time).
+        markers map to ``None`` (they only advance local time).  An
+        acquire or release entry that is :func:`acquire_rule` or
+        :func:`release_rule`, bound, is not called: :meth:`feed_batch`
+        applies that rule inline.  Any other entry, such as a subclass's
+        own lock hook, is called like the access handlers.
         """
         return {
             OpKind.ACQUIRE: self._on_acquire,
@@ -349,7 +394,9 @@ class PartialOrderAnalysis:
         self._events_fed = 0
         self._timestamps = [] if self.capture_timestamps else None
         self._reset_state()
-        self._dispatch = self._dispatch_table()
+        dispatch = self._dispatch = self._dispatch_table()
+        self._inline_acquire = _inline_kind(dispatch, OpKind.ACQUIRE, acquire_rule)
+        self._inline_release = _inline_kind(dispatch, OpKind.RELEASE, release_rule)
         self._started_ns = time.perf_counter_ns()
 
     def feed(self, event: Event) -> None:
@@ -364,13 +411,15 @@ class PartialOrderAnalysis:
         """Process a whole batch of events in trace order.
 
         The engine's one per-event walk.  Everything loop-invariant — the
-        dispatch table, the thread-clock map, the timestamp switch — is
-        hoisted out of the per-event iteration, and bookkeeping (event
-        counts) is amortized to batch granularity.  Thread ids not seen
-        before — including the child of a fork — are registered with the
-        clock context on the fly.  Results do not depend on how a trace
-        is partitioned into batches (the batch-transparency invariant
-        the differential tests pin down).
+        dispatch table, the thread- and lock-clock maps, the inline lock
+        kinds, the timestamp switch — is hoisted out of the per-event
+        iteration, and bookkeeping (event counts) is amortized to batch
+        granularity.  The shared lock rules run inline (see
+        :meth:`_dispatch_table`); every other kind calls its handler.
+        Thread ids not seen before — including the child of a fork — are
+        registered with the clock context on the fly.  Results do not
+        depend on how a trace is partitioned into batches (the
+        batch-transparency invariant the differential tests pin down).
         """
         context = self.context
         if context is None:
@@ -379,6 +428,9 @@ class PartialOrderAnalysis:
         if dispatch is None:
             raise RuntimeError("feed_batch() called after finish(); begin() a new run first")
         thread_clocks = self.thread_clocks
+        lock_clocks_get = self.lock_clocks.get
+        acquire = self._inline_acquire
+        release = self._inline_release
         timestamps = self._timestamps
         for event in events:
             tid = event.tid
@@ -390,9 +442,21 @@ class PartialOrderAnalysis:
             # The implicit per-event increment: after processing its i-th
             # event, a thread's own entry equals i (footnote 1 of the paper).
             clock.increment(tid, 1)
-            handler = dispatch[event.kind]
-            if handler is not None:
-                handler(event, clock)
+            kind = event.kind
+            if kind is acquire:
+                lock = lock_clocks_get(event.target)
+                if lock is None:
+                    lock = self.clock_of_lock(event.target)
+                clock.join(lock)
+            elif kind is release:
+                lock = lock_clocks_get(event.target)
+                if lock is None:
+                    lock = self.clock_of_lock(event.target)
+                lock.monotone_copy(clock)
+            else:
+                handler = dispatch[kind]
+                if handler is not None:
+                    handler(event, clock)
             if timestamps is not None:
                 timestamps.append(clock.as_dict())
         self._events_fed += len(events)

@@ -8,19 +8,20 @@ streaming algorithm keeps one clock per thread and one per lock:
 * ``release(t, ℓ)`` — ``L_ℓ.MonotoneCopy(C_t)``
 
 (with vector clocks the monotone copy is a plain copy; Lemma 2 guarantees
-the monotonicity precondition).  Read/write events only matter for the
-optional race-detection component.
+the monotonicity precondition).  These are the engine's shared
+:func:`~repro.analysis.engine.acquire_rule` and
+:func:`~repro.analysis.engine.release_rule`.  Read/write events only
+matter for the optional race-detection component.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..clocks.base import Clock
-from ..trace.event import Event, OpKind
+from ..trace.event import OpKind
 from ..trace.trace import Trace
 from .detectors import RaceDetector
-from .engine import EventHandler, PartialOrderAnalysis
+from .engine import EventHandler, PartialOrderAnalysis, acquire_rule, release_rule
 from .result import AnalysisResult, DetectionSummary
 
 
@@ -37,11 +38,8 @@ class HBAnalysis(PartialOrderAnalysis):
             else None
         )
 
-    def _on_acquire(self, event: Event, clock: Clock) -> None:
-        clock.join(self.clock_of_lock(event.target))
-
-    def _on_release(self, event: Event, clock: Clock) -> None:
-        self.clock_of_lock(event.target).monotone_copy(clock)
+    _on_acquire = acquire_rule
+    _on_release = release_rule
 
     def _dispatch_table(self) -> Dict[OpKind, EventHandler]:
         # Reads and writes only matter to the detection component: bind

@@ -16,6 +16,12 @@ that have read ``x`` since its latest write:
 Only the *first* read-to-write ordering per reader is materialized; later
 write-to-write orderings imply the rest transitively, which keeps the
 total cost at O(n·k) like HB and SHB.
+
+The lock rules are the engine's shared
+:func:`~repro.analysis.engine.acquire_rule` and
+:func:`~repro.analysis.engine.release_rule`.  The read and write rules
+look each of ``LW_x``, ``R_{t,x}`` and ``LRDs_x`` up once per access, by
+the event's target.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from ..clocks.base import Clock
 from ..trace.event import Event
 from ..trace.trace import Trace
 from .detectors import ReversiblePairDetector
-from .engine import PartialOrderAnalysis
+from .engine import PartialOrderAnalysis, acquire_rule, release_rule
 from .result import AnalysisResult, DetectionSummary
 from .serial import decode_key, encode_clock_map, encode_key
 
@@ -78,20 +84,27 @@ class MAZAnalysis(PartialOrderAnalysis):
 
     # -- event rules ----------------------------------------------------------------------
 
-    def _on_acquire(self, event: Event, clock: Clock) -> None:
-        clock.join(self.clock_of_lock(event.target))
-
-    def _on_release(self, event: Event, clock: Clock) -> None:
-        self.clock_of_lock(event.target).monotone_copy(clock)
+    _on_acquire = acquire_rule
+    _on_release = release_rule
 
     def _on_read(self, event: Event, clock: Clock) -> None:
         detector = self._detector
         if detector is not None:
             detector.on_access(event, clock)
         variable = event.target
-        clock.join(self.last_write_clock(variable))
-        self.last_read_clock(event.tid, variable).monotone_copy(clock)
-        self.readers_since_write(variable).add(event.tid)
+        tid = event.tid
+        last_write = self._last_write_clocks.get(variable)
+        if last_write is None:
+            last_write = self.last_write_clock(variable)
+        clock.join(last_write)
+        last_read = self._last_read_clocks.get((tid, variable))
+        if last_read is None:
+            last_read = self.last_read_clock(tid, variable)
+        last_read.monotone_copy(clock)
+        readers = self._readers_since_write.get(variable)
+        if readers is None:
+            readers = self.readers_since_write(variable)
+        readers.add(tid)
         if detector is not None:
             detector.after_access(event, clock)
 
@@ -100,15 +113,23 @@ class MAZAnalysis(PartialOrderAnalysis):
         if detector is not None:
             detector.on_access(event, clock)
         variable = event.target
-        clock.join(self.last_write_clock(variable))
-        readers = self.readers_since_write(variable)
-        # Readers join in tid order.  A set's own order depends on its
-        # hash-table history, which a restored checkpoint cannot rebuild,
-        # and the join order shapes the tree clocks and their work.
-        for reader_tid in sorted(readers):
-            clock.join(self.last_read_clock(reader_tid, variable))
-        self.last_write_clock(variable).monotone_copy(clock)
-        readers.clear()
+        last_write = self._last_write_clocks.get(variable)
+        if last_write is None:
+            last_write = self.last_write_clock(variable)
+        clock.join(last_write)
+        readers = self._readers_since_write.get(variable)
+        if readers is None:
+            readers = self.readers_since_write(variable)
+        if readers:
+            # Readers join in tid order.  A set's own order depends on its
+            # hash-table history, which a restored checkpoint cannot
+            # rebuild, and the join order shapes the tree clocks and their
+            # work.  Each reader's R_{t,x} exists since its read.
+            last_reads = self._last_read_clocks
+            for reader_tid in sorted(readers):
+                clock.join(last_reads[reader_tid, variable])
+            readers.clear()
+        last_write.monotone_copy(clock)
         if detector is not None:
             detector.after_access(event, clock)
 

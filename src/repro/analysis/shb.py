@@ -10,10 +10,14 @@ per variable:
 * ``read(t, x)``    — ``C_t.Join(LW_x)``
 * ``write(t, x)``   — ``LW_x.CopyCheckMonotone(C_t)``
 
-The write rule is the interesting one for tree clocks: the copy is not
-guaranteed to be monotone, but checking monotonicity costs O(1), and the
-non-monotone case corresponds exactly to a write-read race, so deep
-copies are rare in practice (Section 5.1).
+The lock rules are the engine's shared
+:func:`~repro.analysis.engine.acquire_rule` and
+:func:`~repro.analysis.engine.release_rule`.  The write rule is the
+interesting one for tree clocks: the copy is not guaranteed to be
+monotone, but checking monotonicity costs O(1), and the non-monotone case
+corresponds exactly to a write-read race, so deep copies are rare in
+practice (Section 5.1).  The read and write rules look ``LW_x`` up once
+per access, by the event's target.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from ..clocks.base import Clock
 from ..trace.event import Event, OpKind
 from ..trace.trace import Trace
 from .detectors import RaceDetector
-from .engine import EventHandler, PartialOrderAnalysis
+from .engine import EventHandler, PartialOrderAnalysis, acquire_rule, release_rule
 from .result import AnalysisResult, DetectionSummary
 from .serial import decode_key, encode_clock_map
 
@@ -51,25 +55,30 @@ class SHBAnalysis(PartialOrderAnalysis):
             self._last_write_clocks[variable] = clock
         return clock
 
-    def _on_acquire(self, event: Event, clock: Clock) -> None:
-        clock.join(self.clock_of_lock(event.target))
-
-    def _on_release(self, event: Event, clock: Clock) -> None:
-        self.clock_of_lock(event.target).monotone_copy(clock)
+    _on_acquire = acquire_rule
+    _on_release = release_rule
 
     def _on_read(self, event: Event, clock: Clock) -> None:
-        clock.join(self.last_write_clock(event.target))
+        last_write = self._last_write_clocks.get(event.target)
+        if last_write is None:
+            last_write = self.last_write_clock(event.target)
+        clock.join(last_write)
 
     def _on_read_detect(self, event: Event, clock: Clock) -> None:
         self._detector.on_read(event, clock)  # type: ignore[union-attr]
-        clock.join(self.last_write_clock(event.target))
+        self._on_read(event, clock)
 
     def _on_write(self, event: Event, clock: Clock) -> None:
-        self.last_write_clock(event.target).copy_check_monotone(clock)
+        last_write = self._last_write_clocks.get(event.target)
+        if last_write is None:
+            last_write = self.last_write_clock(event.target)
+        last_write.copy_check_monotone(clock)
 
     def _on_write_detect(self, event: Event, clock: Clock) -> None:
+        # Detection, then the write rule itself: a subclass that changes
+        # the rule (the deep-copy ablation) overrides `_on_write` alone.
         self._detector.on_write(event, clock)  # type: ignore[union-attr]
-        self.last_write_clock(event.target).copy_check_monotone(clock)
+        self._on_write(event, clock)
 
     def _dispatch_table(self) -> Dict[OpKind, EventHandler]:
         # The detect/no-detect decision is per run, not per event: the

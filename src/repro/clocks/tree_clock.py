@@ -59,19 +59,23 @@ entries each operation processes:
   in ``other``'s sibling order (the first at the front, each later one
   right after the previous), which is the order the paper's stack drain
   produces;
-* each descent into a progressed node with children pushes one tuple
-  frame (resume sibling, parent, the parent's *pre-op* clock for the
-  indirect-monotonicity test, cursor) on the walk's own stack; a
-  progressed leaf pushes nothing;
+* the walk keeps no stack of frames: after a progressed node's children
+  it climbs back out through ``other``'s parent links, which a graft
+  never writes, and the counterpart's, which it has just set.  An
+  expanded node's counterpart keeps its *pre-op* clock, which its
+  remaining children are tested against for indirect monotonicity,
+  until the climb out writes the new one; a node the walk creates
+  starts at ``clk`` 0;
 * the walk binds the pool's lists to locals once, so a field access is
   one list subscript; the clock caches its root's thread (``_root_tid``)
   and the pool's ``clk`` list (``_clk``), so :meth:`TreeClock.get`,
   :meth:`~TreeClock.increment`, :meth:`~TreeClock.leq` and ``join``'s
   direct-monotonicity exit never index the ``tid`` list;
 * indices dropped by a deep copy or a restore go onto the pool's shared
-  **free list**, links and ``aclk`` reset, and are recycled by later
-  attaches and copies of any clock of the context; the pool grows all
-  seven lists in one geometric step when the free list is empty;
+  **free list**, links and ``aclk`` reset but ``tid`` and ``clk`` stale,
+  and are recycled by later attaches and copies of any clock of the
+  context; the pool grows all seven lists in one geometric step when
+  the free list is empty;
 * :meth:`_deep_copy_from` rebuilds in place, reusing this clock's
   existing nodes, and is fully iterative (no recursion, no per-node
   closure calls), so adversarially deep trees cannot blow the stack.
@@ -101,10 +105,12 @@ class TreeClockPool(NamedTuple):
     Node ``i`` is ``(tid[i], clk[i], aclk[i])`` with links ``parent[i]``,
     ``first_child[i]``, ``next_sibling[i]`` and ``prev_sibling[i]``, each
     another index or ``None``.  ``free`` holds the indices no clock
-    uses; a free index has ``None`` links and ``aclk``.  A walk binds
-    all eight lists to locals in one tuple unpack.  Clock operations are
-    single-threaded within one analysis run, so one pool per context
-    serves every tree clock of the run.
+    uses; a free index has ``None`` links and ``aclk`` but keeps a stale
+    ``clk`` and ``tid`` (``None`` only if it was never used), so whatever
+    takes one sets both.  A walk binds all eight lists to locals in one
+    tuple unpack.  Clock operations are single-threaded within one
+    analysis run, so one pool per context serves every tree clock of
+    the run.
     """
 
     tid: List[Optional[int]]
@@ -607,15 +613,25 @@ class TreeClock:
         unlinked (its ``aclk`` cleared) and updated but left detached;
         the caller places it.
 
-        Two details keep the single pass equal to the paper's three:
+        The walk keeps no stack of frames.  It descends into a progressed
+        node with children (it *expands* it) and, once that node's child
+        list is done, climbs back out through the parent links: ``other``'s,
+        which a graft never writes, and the counterpart's, which the walk
+        has just set.  Three details keep the single pass equal to the
+        paper's three:
 
         * an insertion *cursor* per expanded node: its first re-attached
           child goes to the front of the child list and each later one
           right after the previous one, so ``other``'s sibling order
-          (descending ``aclk``) is kept;
+          (descending ``aclk``) is kept; climbing out of a node makes its
+          counterpart the cursor again;
         * indirect monotonicity compares a child's ``aclk`` against the
-          expanded node's *pre-op* clock, which the descent carries in
-          its frame, since the walk has already updated the node itself.
+          expanded node's *pre-op* clock.  An expanded node's counterpart
+          therefore keeps its pre-op ``clk`` until the walk climbs out of
+          it, and is given the new one then; a progressed leaf is given
+          its new ``clk`` at once;
+        * a node the walk creates starts at ``clk`` 0, its pre-op value,
+          because a recycled pool index keeps a stale ``clk``.
 
         Both clocks' nodes live in the one pool, as disjoint index sets,
         so the walk reads ``other``'s fields and writes this clock's
@@ -636,6 +652,7 @@ class TreeClock:
             parent_clk = 0
             parent = free.pop() if free else self._pool.grow()
             tids[parent] = tid
+            clks[parent] = 0
             nodes[tid] = parent
         else:
             parent_clk = clks[parent]
@@ -653,14 +670,12 @@ class TreeClock:
                 prev_sibling[parent] = None
                 next_sibling[parent] = None
                 aclks[parent] = None
-        clk = clks[other_root]
-        clks[parent] = clk
-        updated = 0 if parent_clk == clk else 1
+        updated = 0 if parent_clk == clks[other_root] else 1
         processed = 1
         root = parent
-        # Each descent into a progressed child with children pushes one
-        # frame (resume sibling, parent, parent's pre-op clock, cursor).
-        frames: List[Tuple[Optional[int], int, int, Optional[int]]] = []
+        # The node of `other` whose children the walk is in; `parent` is
+        # its counterpart, still at the pre-op clock `parent_clk`.
+        expanded = other_root
         cursor: Optional[int] = None
         child = first_child[other_root]
         while True:
@@ -674,6 +689,7 @@ class TreeClock:
                     if local is None:
                         local = free.pop() if free else self._pool.grow()
                         tids[local] = tid
+                        clks[local] = 0
                         nodes[tid] = local
                     else:
                         # Unlink from the old position (inlined sibling removal).
@@ -687,9 +703,6 @@ class TreeClock:
                                 next_sibling[previous] = following
                             if following is not None:
                                 prev_sibling[following] = previous
-                    if before != clk:
-                        updated += 1
-                        clks[local] = clk
                     # Re-attach right after the cursor (at the front first).
                     aclks[local] = aclks[child]
                     parents[local] = parent
@@ -705,25 +718,37 @@ class TreeClock:
                         prev_sibling[following] = local
                     cursor = local
                     if before < clk:
-                        # Progressed: descend, resume at the next sibling later.
+                        updated += 1
                         grandchild = first_child[child]
                         if grandchild is None:
+                            clks[local] = clk
                             child = next_sibling[child]
                         else:
-                            frames.append((next_sibling[child], parent, parent_clk, cursor))
+                            # Expand: `local` gets its new clock on the climb out.
+                            expanded = child
                             parent = local
                             parent_clk = before
                             cursor = None
                             child = grandchild
                         continue
+                    if before != clk:
+                        updated += 1
+                        clks[local] = clk
                 if aclks[child] <= parent_clk:
                     # Indirect monotonicity: all remaining (older) siblings
                     # are already known to this clock.
                     break
                 child = next_sibling[child]
-            if not frames:
+            # Climb out of `expanded`: its counterpart takes its new clock,
+            # then the walk resumes at its next sibling, one level up.
+            clks[parent] = clks[expanded]
+            if expanded == other_root:
                 return root, processed, updated
-            child, parent, parent_clk, cursor = frames.pop()
+            cursor = parent
+            child = next_sibling[expanded]
+            expanded = parents[expanded]
+            parent = parents[parent]
+            parent_clk = clks[parent]
 
     def _recycle(self, node: int) -> None:
         """Clear ``node``'s links and ``aclk`` and park it on the pool's free list.
@@ -731,7 +756,8 @@ class TreeClock:
         The free list is shared by every tree clock of the context —
         safe, because no clock references a parked index — so nodes
         dropped by one clock's deep copy are recycled by any clock's
-        later attach.
+        later attach.  ``tid`` and ``clk`` are left stale; the next
+        taker sets them.
         """
         _, _, aclks, parents, first_child, next_sibling, prev_sibling, free = self._pool
         parents[node] = None

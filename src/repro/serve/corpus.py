@@ -361,6 +361,8 @@ class TraceCorpus:
         self.traces_dir.mkdir(parents=True, exist_ok=True)
         self.index_path = self.root / "index.json"
         self._entries: Dict[str, CorpusEntry] = {}
+        # The sum of the entries' event counts, kept on ingest and removal.
+        self._total_events = 0
         self._lock = threading.RLock()
         self._load_index()
 
@@ -385,6 +387,7 @@ class TraceCorpus:
             )
         for digest, entry in payload.get("traces", {}).items():
             self._entries[digest] = CorpusEntry.from_dict(entry, default_format=default_format)
+        self._total_events = sum(entry.events for entry in self._entries.values())
 
     def _save_index(self) -> None:
         payload = {
@@ -507,6 +510,7 @@ class TraceCorpus:
             )
             os.replace(temp_path, self.traces_dir / entry.filename)
             self._entries[digest] = entry
+            self._total_events += entry.events
             self._save_index()
             return entry, True
 
@@ -563,15 +567,16 @@ class TraceCorpus:
             entry = self.get(digest)
             (self.traces_dir / entry.filename).unlink(missing_ok=True)
             del self._entries[digest]
+            self._total_events -= entry.events
             self._save_index()
 
     # -- summaries ---------------------------------------------------------------------
 
     @property
     def total_events(self) -> int:
-        """Sum of the event counts of every stored trace."""
+        """Sum of the event counts of every stored trace (a running tally)."""
         with self._lock:
-            return sum(entry.events for entry in self._entries.values())
+            return self._total_events
 
     def summary(self) -> Dict[str, object]:
         """Corpus-level counts for ``repro status``."""

@@ -144,6 +144,11 @@ class Scheduler:
         #: (their results live on in the results store regardless).
         self.max_job_history = 10_000
         self._jobs: Dict[str, AnalysisJob] = {}
+        # Running tallies over ``_jobs``, kept where a job enters, changes
+        # status or leaves, so a status poll costs the same at any history
+        # length: the count per status and the number of recovered jobs.
+        self._tally: Dict[JobStatus, int] = {status: 0 for status in JobStatus}
+        self._recovered = 0
         self._inflight = 0
         self._closing = False
         self._lock = threading.Lock()
@@ -232,7 +237,12 @@ class Scheduler:
                     queued_monotonic_ns=time.monotonic_ns(),
                     recovered=recovered,
                 )
+                if existing is not None:
+                    # A terminal job of the same cell is replaced.
+                    self._untally_locked(existing)
                 self._jobs[job_id] = job
+                self._tally[JobStatus.PENDING] += 1
+                self._recovered += recovered
                 self._pending.append(job)
                 queued.append(job_id)
             if self.journal is not None:
@@ -257,7 +267,7 @@ class Scheduler:
                 if self._closing or self._inflight >= self.max_inflight or not self._pending:
                     return
                 job = self._pending.popleft()
-                job.status = JobStatus.RUNNING
+                self._set_status_locked(job, JobStatus.RUNNING)
                 self._inflight += 1
                 entry = self.corpus.get(job.digest)
                 task = WorkerTask(
@@ -339,7 +349,7 @@ class Scheduler:
             if job is not None:
                 job.attempts = attempts
                 if error is None:
-                    job.status = JobStatus.DONE
+                    self._set_status_locked(job, JobStatus.DONE)
                 elif (
                     self.quarantine is not None
                     and is_crash_error(error)
@@ -348,11 +358,11 @@ class Scheduler:
                     # The retry budget is spent (the pool only reports a
                     # crash-class error once it gave up) — park the job
                     # instead of failing the fleet over and over.
-                    job.status = JobStatus.QUARANTINED
+                    self._set_status_locked(job, JobStatus.QUARANTINED)
                     job.error = error
                     quarantine_this = True
                 else:
-                    job.status = JobStatus.FAILED
+                    self._set_status_locked(job, JobStatus.FAILED)
                     job.error = error
             self._inflight = max(0, self._inflight - 1)
             self._prune_history_locked()
@@ -397,6 +407,19 @@ class Scheduler:
         )
         for job in terminal[:overflow]:
             del self._jobs[job.job_id]
+            self._untally_locked(job)
+
+    def _set_status_locked(self, job: AnalysisJob, status: JobStatus) -> None:
+        """Move ``job`` to ``status``, and its count with it if the job is remembered."""
+        if self._jobs.get(job.job_id) is job:
+            self._tally[job.status] -= 1
+            self._tally[status] += 1
+        job.status = status
+
+    def _untally_locked(self, job: AnalysisJob) -> None:
+        """Take a job that left ``_jobs`` out of the running tallies."""
+        self._tally[job.status] -= 1
+        self._recovered -= job.recovered
 
     # -- introspection -----------------------------------------------------------------
 
@@ -417,12 +440,13 @@ class Scheduler:
             return sorted(self._jobs.values(), key=lambda job: job.submitted_unix)
 
     def counts(self) -> Dict[str, int]:
-        """Job counts by status (the ``status`` op's headline numbers)."""
-        tally = {status.value: 0 for status in JobStatus}
+        """Job counts by status (the ``status`` op's headline numbers).
+
+        Read from running tallies, so the cost does not grow with the
+        job history.
+        """
         with self._lock:
-            for job in self._jobs.values():
-                tally[job.status.value] += 1
-        return tally
+            return {status.value: count for status, count in self._tally.items()}
 
     def status_snapshot(
         self, detail: bool = False, job_ids: Optional[Sequence[str]] = None
@@ -444,9 +468,7 @@ class Scheduler:
             "pool": self.pool.counters(),
         }
         with self._lock:
-            snapshot["recovered"] = sum(
-                1 for job in self._jobs.values() if job.recovered
-            )
+            snapshot["recovered"] = self._recovered
         if self.quarantine is not None:
             quarantine: Dict[str, object] = {"count": len(self.quarantine)}
             if detail:

@@ -566,6 +566,112 @@ def test_long_op_sequences_tc_equals_reference(seed: int) -> None:
     _replay_in_lockstep(ops, num_threads)
 
 
+Rows = List[List[object]]
+
+
+def _reference_from_rows(context: ClockContext, owner: Optional[int], rows: Rows) -> ReferenceTreeClock:
+    """A reference clock holding the tree that :meth:`TreeClock.restore` builds from ``rows``."""
+    clock = ReferenceTreeClock(context, owner=None)
+    clock.owner = owner
+    path: List[ReferenceNode] = []
+    for tid, clk, aclk, depth in rows:
+        node = ReferenceNode(tid, clk, aclk)  # type: ignore[arg-type]
+        clock._nodes[tid] = node  # type: ignore[index]
+        if depth == 0:
+            clock._root = node
+        else:
+            node.parent = path[depth - 1]  # type: ignore[index]
+            previous = path[depth] if depth < len(path) else None  # type: ignore[operator]
+            if previous is None:
+                node.parent.first_child = node
+            else:
+                previous.next_sibling = node
+                node.prev_sibling = previous
+            del path[depth:]  # type: ignore[misc]
+        path.append(node)
+    return clock
+
+
+def _join_in_both_kernels(
+    receiver: Tuple[int, Rows], sender: Tuple[int, Rows], stale_clk: Optional[int] = None
+) -> TreeClock:
+    """Join clock ``sender`` into ``receiver``, each an ``(owner, rows)`` tree, in both kernels.
+
+    With ``stale_clk``, the pool's free list first receives recycled
+    indices whose ``clk`` is ``stale_clk``, so every node the join creates
+    takes one.  Asserts equal snapshot rows and work counts.
+    """
+    threads = sorted({row[0] for _, rows in (receiver, sender) for row in rows})
+    tc_context = ClockContext(threads=list(threads), counter=WorkCounter())
+    ref_context = ClockContext(threads=list(threads), counter=WorkCounter())
+    clocks = []
+    for owner, rows in (receiver, sender):
+        clock = TreeClock(tc_context, owner=owner)
+        clock.restore(rows)
+        clocks.append((clock, _reference_from_rows(ref_context, owner, rows)))
+    (tc_receiver, ref_receiver), (tc_sender, ref_sender) = clocks
+    if stale_clk is not None:
+        scratch = TreeClock(tc_context)
+        scratch.restore([[tid, stale_clk, None if depth == 0 else stale_clk, depth]
+                         for depth, tid in enumerate(threads)])
+        scratch.restore([])
+        pool = tc_context.tc_pool
+        assert [pool.clk[index] for index in pool.free[-len(threads):]] == [stale_clk] * len(threads)
+    tc_receiver.join(tc_sender)
+    ref_receiver.join(ref_sender)
+    assert tc_receiver.validate_structure() == []
+    assert tc_receiver.snapshot() == ref_receiver.snapshot()
+    _assert_same_work(tc_context.counter, ref_context.counter, "on the join")
+    return tc_receiver
+
+
+def test_new_node_on_a_recycled_index_starts_at_zero() -> None:
+    """A node the graft creates keeps clk 0, its pre-op value, while the walk is below it.
+
+    The sender's t2 is new to the receiver and takes a recycled pool
+    index whose clk is stale (99).  The walk expands t2, then its child
+    t3, and climbs back into t2 to test t3's later siblings against t2's
+    pre-op clock 0: t5 (aclk 2, already known) does not stop the scan,
+    so t6 is grafted.  Read at the stale 99, the scan would stop at t5.
+    """
+    receiver = (7, [[7, 1, None, 0], [5, 2, 1, 1]])
+    sender = (1, [
+        [1, 10, None, 0],
+        [2, 5, 9, 1],
+        [3, 4, 4, 2],
+        [4, 3, 3, 3],
+        [5, 2, 2, 2],
+        [6, 1, 1, 2],
+    ])
+    joined = _join_in_both_kernels(receiver, sender, stale_clk=99)
+    assert joined.get(6) == 1
+
+
+def test_climb_out_tests_siblings_against_the_pre_op_clock() -> None:
+    """After climbing three levels, a node's later children meet its pre-op clock.
+
+    The sender's t2 (known at 4, now 10) is expanded, and the walk goes
+    down through t3, t4 and t5 and climbs back up to t2.  t6 (aclk 6) is
+    known but learned after t2's time 4, so the scan goes on and grafts
+    t7; t8 (aclk 3 <= 4) ends it by indirect monotonicity.  Compared
+    with t2's post-op clock 10, the scan would stop at t6.
+    """
+    receiver = (9, [[9, 1, None, 0], [2, 4, 1, 1], [6, 3, 3, 2], [8, 1, 1, 2]])
+    sender = (1, [
+        [1, 20, None, 0],
+        [2, 10, 19, 1],
+        [3, 8, 9, 2],
+        [4, 6, 7, 3],
+        [5, 5, 5, 4],
+        [10, 4, 4, 5],
+        [6, 3, 6, 2],
+        [7, 2, 5, 2],
+        [8, 1, 3, 2],
+    ])
+    joined = _join_in_both_kernels(receiver, sender)
+    assert joined.get(7) == 2 and joined.get(10) == 4
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),

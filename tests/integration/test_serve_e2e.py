@@ -67,7 +67,7 @@ def analyze_cli_races(path, spec, capsys):
 
 class TestServerEndToEnd:
     def test_submit_matrix_matches_single_process_analyze(
-        self, tmp_path, trace_files, capsys
+        self, tmp_path, scenario_traces, trace_files, capsys
     ):
         server = TraceServer(("127.0.0.1", 0), tmp_path / "corpus", workers=4)
         threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -81,6 +81,16 @@ class TestServerEndToEnd:
                 jobs = status["scheduler"]["jobs"]
                 assert jobs["done"] == len(trace_files) * len(SPECS)
                 assert jobs["failed"] == 0 and jobs["pending"] == 0 and jobs["running"] == 0
+                # The status counts are running tallies: they must equal a
+                # recount of the job list, and the corpus total its traces.
+                detailed = client.status(detail=True)
+                rows = detailed["scheduler"]["job_list"]
+                recount = {status: 0 for status in jobs}
+                for row in rows:
+                    recount[row["status"]] += 1
+                assert detailed["scheduler"]["jobs"] == recount
+                assert detailed["scheduler"]["recovered"] == sum(row["recovered"] for row in rows)
+                assert detailed["corpus"]["events"] == sum(len(trace) for trace in scenario_traces)
                 for path, digest in zip(trace_files, digests):
                     results = client.results(digest)
                     for spec in SPECS:

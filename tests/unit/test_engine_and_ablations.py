@@ -2,12 +2,74 @@
 
 import pytest
 
-from repro.analysis import HBAnalysis, SHBAnalysis
+from repro.analysis import HBAnalysis, MAZAnalysis, SHBAnalysis
 from repro.analysis.ablations import HBDeepCopyAnalysis, SHBDeepCopyAnalysis
-from repro.analysis.engine import PartialOrderAnalysis
+from repro.analysis.engine import PartialOrderAnalysis, acquire_rule, release_rule
 from repro.clocks import TreeClock, VectorClock
 from repro.trace import Trace, TraceBuilder
 from repro.trace import event as ev
+from repro.trace.event import OpKind
+
+
+def lock_hand_off(threads: int = 4, rounds: int = 6) -> Trace:
+    """Threads take one lock in turn and write the variable it guards."""
+    builder = TraceBuilder()
+    for _ in range(rounds):
+        for tid in range(1, threads + 1):
+            builder.acquire(tid, "l").write(tid, "x").release(tid, "l")
+    return builder.build()
+
+
+class TestLockHooks:
+    """Which lock rule runs: the engine's shared rules inline, or a class's own hooks."""
+
+    def test_hb_shb_and_maz_bind_the_shared_lock_rules(self):
+        for analysis_class in (HBAnalysis, SHBAnalysis, MAZAnalysis):
+            assert analysis_class._on_acquire is acquire_rule
+            assert analysis_class._on_release is release_rule
+
+    def test_an_order_implementing_only_handle_event_receives_lock_events(self):
+        class Recording(PartialOrderAnalysis):
+            PARTIAL_ORDER = "REC"
+
+            def _reset_state(self):
+                self.seen = []
+
+            def _handle_event(self, event, clock):
+                self.seen.append((event.kind, event.target))
+
+        trace = TraceBuilder().acquire(1, "l").read(1, "x").release(1, "l").write(2, "x").build()
+        analysis = Recording(TreeClock)
+        analysis.run(trace)
+        assert analysis.seen == [
+            (OpKind.ACQUIRE, "l"), (OpKind.READ, "x"), (OpKind.RELEASE, "l"), (OpKind.WRITE, "x"),
+        ]
+        assert analysis.lock_clocks == {}  # no shared rule ran for it
+
+    @pytest.mark.parametrize("clock_class", [TreeClock, VectorClock])
+    def test_a_subclass_lock_hook_override_is_called(self, clock_class):
+        class CountingAcquires(HBAnalysis):
+            def _reset_state(self):
+                super()._reset_state()
+                self.acquires = []
+
+            def _on_acquire(self, event, clock):
+                self.acquires.append(event.eid)
+                super()._on_acquire(event, clock)
+
+        trace = lock_hand_off()
+        analysis = CountingAcquires(clock_class, capture_timestamps=True)
+        result = analysis.run(trace)
+        assert analysis.acquires == [event.eid for event in trace if event.kind is OpKind.ACQUIRE]
+        baseline = HBAnalysis(clock_class, capture_timestamps=True).run(trace)
+        assert result.timestamps == baseline.timestamps
+
+    def test_hb_deep_copy_ablation_still_deep_copies_at_release(self):
+        trace = lock_hand_off()
+        baseline = HBAnalysis(TreeClock, capture_timestamps=True, count_work=True).run(trace)
+        ablated = HBDeepCopyAnalysis(TreeClock, capture_timestamps=True, count_work=True).run(trace)
+        assert ablated.timestamps == baseline.timestamps
+        assert ablated.work.entries_processed > baseline.work.entries_processed
 
 
 class TestEngine:
@@ -82,6 +144,13 @@ class TestAblationVariants:
         baseline = SHBAnalysis(TreeClock, detect=True).run(trace)
         ablated = SHBDeepCopyAnalysis(TreeClock, detect=True).run(trace)
         assert baseline.detection.race_count == ablated.detection.race_count
+
+    def test_shb_deep_copy_ablation_deep_copies_with_a_detector(self):
+        trace = lock_hand_off()
+        baseline = SHBAnalysis(TreeClock, detect=True, count_work=True).run(trace)
+        ablated = SHBDeepCopyAnalysis(TreeClock, detect=True, count_work=True).run(trace)
+        assert ablated.detection.races == baseline.detection.races == []
+        assert ablated.work.entries_processed > baseline.work.entries_processed
 
     def test_ablation_variants_work_with_vector_clocks(self, trace):
         baseline = HBAnalysis(VectorClock, capture_timestamps=True).run(trace)

@@ -1,11 +1,13 @@
 """Unit tests for the job queue, scheduler and worker pool."""
 
+import random
 import time
 
 import pytest
 
 from faults import FaultyTask
 from repro import Session, TraceBuilder
+from repro.recovery.quarantine import QuarantineStore
 from repro.trace.io import save_trace
 from repro.serve.corpus import TraceCorpus
 from repro.serve.jobs import JobStatus, Scheduler, job_id_of
@@ -92,6 +94,86 @@ class TestJobQueue:
         assert not scheduler.wait_idle(timeout=0.05)  # the second cell now runs
         scheduler._on_result(dispatched[1].task_id, {}, None, 1)
         assert scheduler.wait_idle(timeout=1)
+
+
+class TestRunningTallies:
+    """``status`` reads running tallies; they must always equal a recount."""
+
+    @staticmethod
+    def assert_tallies_match_a_recount(scheduler):
+        jobs = scheduler.jobs()
+        expected = {status.value: 0 for status in JobStatus}
+        for job in jobs:
+            expected[job.status.value] += 1
+        snapshot = scheduler.status_snapshot()
+        assert scheduler.counts() == expected
+        assert snapshot["jobs"] == expected
+        assert snapshot["recovered"] == sum(1 for job in jobs if job.recovered)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_job_tallies_over_seeded_transitions_and_prunes(self, tmp_path, seed):
+        rng = random.Random(seed)
+        corpus = TraceCorpus(tmp_path / "corpus")
+        digests = [
+            corpus.ingest(TraceBuilder(name=f"t{index}").write(index + 1, "x").build())[0].digest
+            for index in range(4)
+        ]
+        scheduler = Scheduler(
+            corpus,
+            ResultsStore(tmp_path / "results.jsonl"),
+            workers=1,
+            max_inflight=3,
+            quarantine=QuarantineStore(tmp_path / "quarantine.json"),
+        )
+        scheduler.max_job_history = 6
+        scheduler.pool.submit = lambda task: None  # dispatch runs nothing
+        specs = ["hb+tc", "hb+vc", "shb+tc", "maz+vc"]
+        seen = set()
+        statuses = set()
+        for _ in range(400):
+            running = [job for job in scheduler.jobs() if job.status is JobStatus.RUNNING]
+            if not running or rng.random() < 0.4:
+                # Covers a first submit, a resubmit over a terminal or
+                # quarantined job (force), a cached cell and a replay
+                # (recovered), which journal recovery submits.
+                queued, _, _ = scheduler.submit(
+                    rng.choice(digests),
+                    rng.sample(specs, rng.randint(1, 3)),
+                    force=rng.random() < 0.3,
+                    recovered=rng.random() < 0.3,
+                )
+                seen.update(queued)
+            else:
+                job = rng.choice(running)
+                outcome = rng.random()
+                if outcome < 0.6:
+                    scheduler._on_result(job.job_id, {"race_count": 0}, None, 1)
+                elif outcome < 0.8:
+                    scheduler._on_result(job.job_id, None, "ValueError: bad trace", 1)
+                else:
+                    scheduler._on_result(job.job_id, None, "worker crashed (exit -9)", 2)
+            self.assert_tallies_match_a_recount(scheduler)
+            statuses.update(status for status, count in scheduler.counts().items() if count)
+        assert len(seen) > len(scheduler.jobs())  # the history was pruned
+        assert statuses == {status.value for status in JobStatus}
+
+    def test_corpus_event_total_over_ingests_and_removals(self, tmp_path):
+        rng = random.Random(7)
+        corpus = TraceCorpus(tmp_path / "corpus")
+        for step in range(60):
+            digests = [entry.digest for entry in corpus.entries()]
+            if digests and rng.random() < 0.3:
+                corpus.remove(rng.choice(digests))
+            else:
+                # Small names repeat, so some ingests dedupe to an entry.
+                builder = TraceBuilder(name=f"s{step}")
+                for _ in range(rng.randint(1, 4)):
+                    builder.write(rng.randint(1, 2), "x")
+                corpus.ingest(builder.build(), tags=(f"tag{rng.randint(0, 2)}",))
+            recount = sum(entry.events for entry in corpus.entries())
+            assert corpus.total_events == recount
+            assert corpus.summary()["events"] == recount
+        assert TraceCorpus(corpus.root).total_events == corpus.total_events
 
 
 EXECUTE_SPECS = [
