@@ -16,11 +16,15 @@ The driver is exposed at three granularities:
 
 * :meth:`PartialOrderAnalysis.run` — the classic whole-trace entry point;
 * :meth:`begin` / :meth:`feed_batch` / :meth:`finish` — the incremental
-  API, and the engine's one per-event walk: a whole list of events is
-  processed per call with the per-kind handler resolved **once** from a
-  precomputed dispatch table (a dict of bound methods keyed by
+  API, and the engine's one per-event walk: a whole batch is processed
+  per call, read as parallel columns (a
+  :class:`~repro.trace.event.ColumnBatch`; an :class:`Event` sequence is
+  transposed into one), with the per-kind handler resolved **once** from
+  a precomputed dispatch table (a dict of bound methods keyed by
   :class:`OpKind`, built at :meth:`begin` time), so the hot loop's only
-  per-event branches are the two lock kinds it applies inline (below);
+  per-event branches are the two lock kinds it applies inline (below).
+  Handlers keep their ``(event, clock)`` signature: the batch builds its
+  :class:`Event` objects when a handler first needs one;
 * :meth:`begin` / :meth:`feed` / :meth:`finish` — the one-event form,
   a singleton ``feed_batch``.  This is what
   :class:`repro.capture.OnlineDetector` drives while a live program is
@@ -47,12 +51,13 @@ enforce this, and any new per-event rule must preserve it.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Type
+from itertools import count
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from ..clocks.base import Clock, ClockContext, VectorTime, WorkCounter
 from ..clocks.tree_clock import TreeClock
 from ..obs import metrics as obs_metrics
-from ..trace.event import Event, OpKind
+from ..trace.event import ColumnBatch, Event, EventBatch, OpKind
 from ..trace.io import DEFAULT_BATCH_SIZE
 from ..trace.trace import Trace
 from .result import AnalysisResult, DetectionSummary, Race
@@ -407,18 +412,29 @@ class PartialOrderAnalysis:
         """
         self.feed_batch((event,))
 
-    def feed_batch(self, events: Sequence[Event]) -> None:
+    def feed_batch(self, events: EventBatch) -> None:
         """Process a whole batch of events in trace order.
 
-        The engine's one per-event walk.  Everything loop-invariant — the
-        dispatch table, the thread- and lock-clock maps, the inline lock
-        kinds, the timestamp switch — is hoisted out of the per-event
-        iteration, and bookkeeping (event counts) is amortized to batch
-        granularity.  The shared lock rules run inline (see
-        :meth:`_dispatch_table`); every other kind calls its handler.
-        Thread ids not seen before — including the child of a fork — are
-        registered with the clock context on the fly.  Results do not
-        depend on how a trace is partitioned into batches (the
+        The engine's one per-event walk.  ``events`` is a
+        :class:`~repro.trace.event.ColumnBatch` (what the colf reader
+        and :meth:`Session.feed_batch <repro.api.session.Session.feed_batch>`
+        hand over) or an :class:`Event` sequence, which is transposed
+        into one first (a single event's row is taken as is); the loop
+        reads each event's thread, kind and target from the columns.  A
+        handler that is called gets the :class:`Event` from the batch's
+        :meth:`~repro.trace.event.ColumnBatch.events`, built on the first
+        such call and shared by every spec fed the same batch; the
+        inline lock rules need none.
+
+        Everything loop-invariant — the dispatch table, the thread- and
+        lock-clock maps, the inline lock kinds, the timestamp switch — is
+        hoisted out of the per-event iteration, and bookkeeping (event
+        counts) is amortized to batch granularity.  The shared lock rules
+        run inline (see :meth:`_dispatch_table`); every other kind calls
+        its handler.  Thread ids not seen before — including the child of
+        a fork — are registered with the clock context on the fly.
+        Results do not depend on how a trace is partitioned into batches,
+        nor on whether a batch arrives as columns or as events (the
         batch-transparency invariant the differential tests pin down).
         """
         context = self.context
@@ -427,13 +443,27 @@ class PartialOrderAnalysis:
         dispatch = self._dispatch
         if dispatch is None:
             raise RuntimeError("feed_batch() called after finish(); begin() a new run first")
+        batch: Optional[ColumnBatch] = None
+        built: Optional[Sequence[Event]] = None
+        if isinstance(events, ColumnBatch) or len(events) > 1:
+            batch = ColumnBatch.of(events)
+            rows: Iterable[Tuple[int, int, OpKind, object]] = zip(
+                count(), batch.tids, batch.kinds, batch.targets
+            )
+        elif events:
+            # One event (``feed``, a live capture): its row is built
+            # directly, without the set-up a whole batch amortizes.
+            built = events
+            event = events[0]
+            rows = ((0, event[1], event[2], event[3]),)
+        else:
+            rows = ()
         thread_clocks = self.thread_clocks
         lock_clocks_get = self.lock_clocks.get
         acquire = self._inline_acquire
         release = self._inline_release
         timestamps = self._timestamps
-        for event in events:
-            tid = event.tid
+        for index, tid, kind, target in rows:
             clock = thread_clocks.get(tid)
             if clock is None:
                 if tid not in context.index_of:
@@ -442,21 +472,22 @@ class PartialOrderAnalysis:
             # The implicit per-event increment: after processing its i-th
             # event, a thread's own entry equals i (footnote 1 of the paper).
             clock.increment(tid, 1)
-            kind = event.kind
             if kind is acquire:
-                lock = lock_clocks_get(event.target)
+                lock = lock_clocks_get(target)
                 if lock is None:
-                    lock = self.clock_of_lock(event.target)
+                    lock = self.clock_of_lock(target)
                 clock.join(lock)
             elif kind is release:
-                lock = lock_clocks_get(event.target)
+                lock = lock_clocks_get(target)
                 if lock is None:
-                    lock = self.clock_of_lock(event.target)
+                    lock = self.clock_of_lock(target)
                 lock.monotone_copy(clock)
             else:
                 handler = dispatch[kind]
                 if handler is not None:
-                    handler(event, clock)
+                    if built is None:
+                        built = batch.events()  # type: ignore[union-attr]
+                    handler(built[index], clock)
             if timestamps is not None:
                 timestamps.append(clock.as_dict())
         self._events_fed += len(events)

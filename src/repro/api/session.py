@@ -8,8 +8,11 @@ single pass over one :class:`~repro.api.sources.EventSource`, using the
 batched ``begin()/feed_batch()/finish()`` engine API underneath:
 :meth:`Session.run` pulls the source as event batches
 (:func:`~repro.api.sources.iter_event_batches`) and fans each batch out
-whole, so the per-event cost of the shared walk is one engine dispatch
-per spec and nothing else.
+whole, as one :class:`~repro.trace.event.ColumnBatch` every spec walks,
+so the per-event cost of the shared walk is one engine dispatch per
+spec and nothing else.  Events a spec's hooks need are built once per
+batch and shared by all specs; a colf source's lock-only batches never
+build one.
 
 Each spec's share of every ``feed_batch()`` call is timed separately
 (with :func:`time.perf_counter_ns`), so the per-spec
@@ -37,7 +40,7 @@ from ..analysis.result import AnalysisResult, Race
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..obs.timing import timing_fields
-from ..trace.event import Event
+from ..trace.event import ColumnBatch, Event, EventBatch
 from .sources import (
     DEFAULT_BATCH_SIZE,
     ColfSource,
@@ -217,8 +220,16 @@ class Session:
         """
         self.feed_batch((event,))
 
-    def feed_batch(self, events: Sequence[Event]) -> None:
+    def feed_batch(self, events: EventBatch) -> None:
         """Fan a whole batch out to every spec, timing each spec's share.
+
+        ``events`` is a :class:`~repro.trace.event.ColumnBatch` (a colf
+        source's batches) or an :class:`Event` sequence (text files, a
+        ``Trace``, a capture, a stream feed), which is transposed into
+        one here, once for all specs (a single event goes as is: the
+        engine takes its one row directly).  Every spec walks that one
+        batch, so the :class:`Event` objects a spec's hooks need are
+        built at most once per batch and shared.
 
         Every spec processes the full batch through the engine's
         ``feed_batch`` hot loop before the next spec starts; the specs
@@ -238,14 +249,15 @@ class Session:
         runners = self._runners
         if not runners:
             raise RuntimeError("feed_batch() called before begin()")
+        batch = ColumnBatch.of(events) if len(events) > 1 else events
         obs = self._obs
         if len(runners) == 1:
             if obs is None:
-                runners[0].feed_batch(events)
+                runners[0].feed_batch(batch)
             else:
                 perf = time.perf_counter_ns
                 started = perf()
-                runners[0].feed_batch(events)
+                runners[0].feed_batch(batch)
                 self._obs_feed_hists[0].observe(perf() - started)
         else:
             elapsed = self._elapsed_ns
@@ -253,20 +265,20 @@ class Session:
             if obs is None:
                 for index, analysis in enumerate(runners):
                     started = perf()
-                    analysis.feed_batch(events)
+                    analysis.feed_batch(batch)
                     elapsed[index] += perf() - started
             else:
                 hists = self._obs_feed_hists
                 for index, analysis in enumerate(runners):
                     started = perf()
-                    analysis.feed_batch(events)
+                    analysis.feed_batch(batch)
                     delta = perf() - started
                     elapsed[index] += delta
                     hists[index].observe(delta)
-        self._events_fed += len(events)
+        self._events_fed += len(batch)
         if obs is not None:
             self._obs_batches.inc()
-            self._obs_events.inc(len(events))
+            self._obs_events.inc(len(batch))
 
     def finish(self) -> SessionResult:
         """Close the walk and collect every spec's result."""

@@ -17,11 +17,11 @@ Every source counts the events it hands out in ``events_emitted``; a
 one-walk-many-analyses contract.
 
 Sources are consumed at two granularities: ``events()``, the per-event
-protocol surface, and ``event_batches(batch_size)``, lists of up to
+protocol surface, and ``event_batches(batch_size)``, batches of up to
 ``batch_size`` events.  Each built-in source implements only its natural
 one.  ``TraceSource``, ``GeneratorSource``, ``FileSource`` and
 ``ColfSource`` produce batches (tuple slices,
-:func:`~repro.trace.io.iter_trace_chunks`, colf segments), and their
+:func:`~repro.trace.io.iter_trace_chunks`, colf column batches), and their
 ``events()`` is the one generic flatten of those batches;
 ``CaptureSource`` replays a recorder per event.  :func:`iter_event_batches` is the adapter
 ``Session.run`` walks through: it uses the native batches when a source
@@ -37,12 +37,12 @@ so ``Session.run`` accepts any of them directly.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Union, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Protocol, Sequence, Union, runtime_checkable
 
 from ..gen.random_trace import RandomTraceConfig, generate_trace
 from ..gen.suite import BenchmarkProfile
 from ..trace.colfmt import ColfReader
-from ..trace.event import Event, OpKind
+from ..trace.event import ColumnBatch, Event, EventBatch, OpKind
 from ..trace.io import DEFAULT_BATCH_SIZE, infer_format, iter_batches, iter_trace_chunks
 from ..trace.trace import Trace
 
@@ -66,7 +66,8 @@ class EventSource(Protocol):
         """The events, in trace order.  May be consumable only once.
 
         Sources may *additionally* expose ``event_batches(batch_size)``
-        yielding lists of events; it is not part of the required
+        yielding event sequences or
+        :class:`~repro.trace.event.ColumnBatch` batches; it is not part of the required
         surface — :func:`iter_event_batches` adapts any source without
         one — but implementing it natively skips the per-event hop.
         """
@@ -75,12 +76,12 @@ class EventSource(Protocol):
 
 def iter_event_batches(
     source: "EventSource", batch_size: int = DEFAULT_BATCH_SIZE
-) -> Iterator[Sequence[Event]]:
+) -> Iterator[EventBatch]:
     """Walk ``source`` as event batches, natively when it can, adapted when not.
 
     The single entry point bulk consumers use: a source exposing
     ``event_batches()`` streams through it (chunked decode for files,
-    tuple slicing for in-memory traces, segments for colf); any
+    tuple slicing for in-memory traces, column batches for colf); any
     other source has its per-event ``events()`` iterator cut into
     ``batch_size`` lists by :func:`~repro.trace.io.iter_batches`.  Either
     way the concatenation of the batches is exactly the event stream.
@@ -149,7 +150,7 @@ class FileSource(_BatchSource):
     multi-gigabyte trace file runs in O(1) memory.  The format is
     sniffed from content bytes when not given, so a colf container
     handed to a ``FileSource`` already skips text parsing entirely —
-    ``event_batches()`` rides the binary segment decoder.  The thread
+    ``event_batches()`` rides the binary column decoder.  The thread
     universe is not known upfront (that would require reading the
     footer; use :class:`ColfSource` for that), so clocks grow
     dynamically.  ``events()`` can be called repeatedly; each call
@@ -165,11 +166,11 @@ class FileSource(_BatchSource):
     def threads(self) -> None:
         return None
 
-    def event_batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Event]]:
+    def event_batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[EventBatch]:
         """Native batches: the file decoded by :func:`~repro.trace.io.iter_trace_chunks`.
 
         Lines are parsed through the per-file token caches of the text
-        decoders (colf containers through their segment decoder), and
+        decoders (colf containers are cut into column batches), and
         memory stays O(``batch_size``).
         """
         for batch in iter_trace_chunks(self.path, fmt=self.fmt, batch_size=batch_size):
@@ -178,7 +179,7 @@ class FileSource(_BatchSource):
 
 
 class ColfSource(_BatchSource):
-    """Source holding a colf container mmap'd: threads upfront, segment decode.
+    """Source holding a colf container mmap'd: threads upfront, column batches.
 
     Where :class:`FileSource` re-opens and re-decodes its file on every
     walk, a ``ColfSource`` keeps the container mapped for its lifetime
@@ -188,9 +189,10 @@ class ColfSource(_BatchSource):
       known *upfront*, so sessions allocate clocks at full size exactly
       as they do for an in-memory :class:`TraceSource`.  No text source
       can offer this without a full pre-pass.
-    * ``event_batches()`` materializes one segment at a time from the
-      mapped columns (three C-speed column passes per segment), never
-      touching a text parser.
+    * ``event_batches()`` cuts :class:`~repro.trace.event.ColumnBatch`
+      batches straight from the mapped columns (three C-speed column
+      passes per batch), never touching a text parser and building no
+      :class:`Event` unless a consumer asks a batch for its events.
 
     The source holds an open file handle/mmap until :meth:`close` (it is
     also a context manager).  ``events()`` can be called repeatedly.
@@ -206,8 +208,8 @@ class ColfSource(_BatchSource):
         """The thread universe, read from the container footer."""
         return self._reader.threads()
 
-    def event_batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Event]]:
-        """Native batches: per-segment materialization from the mmap'd columns."""
+    def event_batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[ColumnBatch]:
+        """Native batches: column batches cut from the mmap'd segments."""
         for batch in self._reader.iter_batches(batch_size):
             self.events_emitted += len(batch)
             yield batch

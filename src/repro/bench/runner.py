@@ -467,15 +467,16 @@ def _run_decode_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
     ``mode="events"`` drains :func:`repro.trace.io.iter_trace_file`,
     the one per-event decoder of each text format, and
     ``mode="batched"`` drains :func:`repro.trace.io.iter_trace_chunks`,
-    the same decoder cut into lists by the shared chunker (colf decodes
-    natively in batches).  Both parse the identical bytes, so for the
-    text formats the pair isolates the cost of the chunker.
+    the same decoder cut into lists by the shared chunker.  Both parse
+    the identical bytes, so for the text formats the pair isolates the
+    cost of the chunker.  colf's batched mode cuts column batches and
+    builds no Event (what a session walk decodes); its events mode
+    builds every one.
 
-    For colf files a third ``mode="columns"`` decodes the
-    structure-of-arrays columns (kind codes, tid indices, target
-    indices) straight off the mmap *without* materializing Event
-    objects — the ceiling Event construction cost keeps the other
-    modes from.
+    For colf files a third ``mode="columns"`` reads the raw cells
+    (kind codes, tid indices, target indices) straight off the mmap
+    without mapping them through the footer tables — the floor under
+    the batched decode.
     """
     import tempfile
     from pathlib import Path

@@ -32,8 +32,8 @@ The built-in suites:
 ``pipeline``
     Event-pipeline benchmarks: decode **events/sec** of the per-event
     file decoders with and without the batch chunker (STD, CSV and the
-    binary colf container — plus a ``colf-columns`` case that decodes
-    the structure-of-arrays columns without materializing events), and
+    binary colf container — plus a ``colf-columns`` case that reads
+    the raw column cells without the footer-table mapping), and
     multi-spec session walks fed full batches (the default) vs one-event
     batches (``Session.feed``) vs straight from an mmap'd colf container
     (``colf-mmap``).  The batched/per-event case pairs share identical

@@ -15,11 +15,13 @@ public methods are thread-safe; the TCP handler threads of
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -68,6 +70,10 @@ class AnalysisJob:
     #: True for jobs re-queued by journal replay after a restart — the
     #: ``repro status`` "recovered" line.
     recovered: bool = False
+    #: The cell's place in the scheduler's history: taken when the cell
+    #: enters it and kept by a resubmit that replaces a terminal job, so
+    #: it orders jobs as the history dict does (the prune tie-break).
+    history_slot: int = field(default=0, repr=False, compare=False)
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-serializable job descriptor (the ``status`` op's job rows)."""
@@ -82,6 +88,10 @@ class AnalysisJob:
             "submitted_unix": self.submitted_unix,
             "recovered": self.recovered,
         }
+
+
+#: The statuses a job ends in; only these are pruned from the history.
+TERMINAL_STATUSES = frozenset({JobStatus.DONE, JobStatus.FAILED, JobStatus.QUARANTINED})
 
 
 def job_id_of(digest: str, spec: str) -> str:
@@ -149,6 +159,14 @@ class Scheduler:
         # length: the count per status and the number of recovered jobs.
         self._tally: Dict[JobStatus, int] = {status: 0 for status in JobStatus}
         self._recovered = 0
+        # The remembered terminal jobs as a heap of (submitted_unix,
+        # history slot, push number, job), in the order the history is
+        # pruned.  An entry goes stale when a resubmit replaces its job;
+        # stale entries are skipped when popped and dropped when they
+        # outnumber the live ones.
+        self._terminal: List[Tuple[float, int, int, AnalysisJob]] = []
+        self._slots = count()
+        self._pushes = count()
         self._inflight = 0
         self._closing = False
         self._lock = threading.Lock()
@@ -236,6 +254,9 @@ class Scheduler:
                     traceparent=traceparent,
                     queued_monotonic_ns=time.monotonic_ns(),
                     recovered=recovered,
+                    history_slot=(
+                        next(self._slots) if existing is None else existing.history_slot
+                    ),
                 )
                 if existing is not None:
                     # A terminal job of the same cell is replaced.
@@ -243,6 +264,7 @@ class Scheduler:
                 self._jobs[job_id] = job
                 self._tally[JobStatus.PENDING] += 1
                 self._recovered += recovered
+                self._drop_stale_terminal_locked()
                 self._pending.append(job)
                 queued.append(job_id)
             if self.journal is not None:
@@ -393,27 +415,42 @@ class Scheduler:
         self._dispatch()
 
     def _prune_history_locked(self) -> None:
-        """Drop the oldest terminal jobs beyond :attr:`max_job_history`."""
+        """Drop the oldest terminal jobs beyond :attr:`max_job_history`.
+
+        Oldest means least ``submitted_unix``, ties in history order:
+        the jobs a stable sort of every terminal job would put first.
+        They are popped from the terminal-job heap, so a result past the
+        bound costs O(log n) rather than a sort of the whole history.
+        """
         overflow = len(self._jobs) - self.max_job_history
-        if overflow <= 0:
-            return
-        terminal = sorted(
-            (
-                job
-                for job in self._jobs.values()
-                if job.status in (JobStatus.DONE, JobStatus.FAILED, JobStatus.QUARANTINED)
-            ),
-            key=lambda job: job.submitted_unix,
-        )
-        for job in terminal[:overflow]:
-            del self._jobs[job.job_id]
-            self._untally_locked(job)
+        heap = self._terminal
+        while overflow > 0 and heap:
+            job = heapq.heappop(heap)[3]
+            if self._jobs.get(job.job_id) is job:
+                del self._jobs[job.job_id]
+                self._untally_locked(job)
+                overflow -= 1
+
+    def _drop_stale_terminal_locked(self) -> None:
+        """Rebuild the terminal-job heap once stale entries outnumber live ones."""
+        live = sum(self._tally[status] for status in TERMINAL_STATUSES)
+        if len(self._terminal) > 2 * live + 64:
+            self._terminal = [
+                entry for entry in self._terminal if self._jobs.get(entry[3].job_id) is entry[3]
+            ]
+            heapq.heapify(self._terminal)
 
     def _set_status_locked(self, job: AnalysisJob, status: JobStatus) -> None:
-        """Move ``job`` to ``status``, and its count with it if the job is remembered."""
+        """Move ``job`` to ``status``, and its count with it if the job is remembered.
+
+        A remembered job that ends enters the terminal-job heap.
+        """
         if self._jobs.get(job.job_id) is job:
             self._tally[job.status] -= 1
             self._tally[status] += 1
+            if status in TERMINAL_STATUSES:
+                entry = (job.submitted_unix, job.history_slot, next(self._pushes), job)
+                heapq.heappush(self._terminal, entry)
         job.status = status
 
     def _untally_locked(self, job: AnalysisJob) -> None:

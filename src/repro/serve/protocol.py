@@ -112,7 +112,7 @@ def read_message(stream: BinaryIO, limit: Optional[int] = None) -> Optional[Dict
             text = line.decode("utf-8") if isinstance(line, bytes) else line
         except UnicodeDecodeError as error:
             raise ProtocolError(f"message is not valid UTF-8: {error}") from error
-        if not text.strip():
+        if text.isspace():  # a blank line, tested without copying the frame
             continue
         try:
             payload = json.loads(text)

@@ -5,9 +5,11 @@ every walk re-splits the same lines, re-hashes the same tokens and
 re-interns the same ids.  This module defines the binary format that
 makes a second walk free of all of it: a trace is stored as
 structure-of-arrays **columns** over interned tables, so decoding an
-event costs three indexed loads and one tuple construction — and the
-columns themselves are available *zero-copy* (``memoryview`` slices of
-an ``mmap``) for consumers that do not need event objects at all.
+event costs three indexed loads.  The reader hands batches over as
+those columns (:class:`~repro.trace.event.ColumnBatch`), which the
+analysis engine walks directly; an :class:`Event` tuple is built only
+for a consumer that asks for one.  The raw columns are also available
+*zero-copy* (``memoryview`` slices of an ``mmap``).
 
 Layout (all integers little-endian)::
 
@@ -66,11 +68,11 @@ import struct
 import sys
 import zlib
 from array import array
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .event import Event, OpKind
+from .event import ColumnBatch, Event, OpKind
 from .io import DEFAULT_BATCH_SIZE, TraceFormatError
 
 #: First bytes of every colf file.  The lead byte is non-ASCII so no
@@ -86,7 +88,7 @@ COLF_VERSION = 1
 COLF_FORMAT_NAME = f"repro-trace/{COLF_VERSION}"
 
 #: Events per segment written by default.  Segments are the unit of
-#: independent decode and of batch materialization; 64 Ki events ≈
+#: independent decode (batches are cut inside them); 64 Ki events ≈
 #: 576 KiB of columns — big enough that per-segment overhead vanishes,
 #: small enough to keep a batch's memory bounded.
 DEFAULT_SEGMENT_EVENTS = 65536
@@ -357,7 +359,7 @@ class ColfSegment:
 
     Exposes the raw columns as zero-copy views over the reader's mmap
     (``kind_codes`` / ``tid_indices`` / ``target_indices``) and the
-    materialized form via :meth:`events`.  Valid only while the owning
+    whole segment's events via :meth:`events`.  Valid only while the owning
     :class:`ColfReader` is open; closing the reader drops its segments,
     which breaks the segment/reader reference cycle.
     """
@@ -396,9 +398,9 @@ class ColfSegment:
         start = self.offset + 5 * self.count
         return _u32_view(self._reader._data[start : start + 4 * self.count])
 
-    def events(self) -> List[Event]:
+    def events(self) -> Sequence[Event]:
         """Materialize this segment's events (independent of all others)."""
-        return self._reader._materialize(self)
+        return self._reader._columns(self, 0, self.count).events()
 
     def __len__(self) -> int:
         return self.count
@@ -450,10 +452,10 @@ class ColfReader:
     :class:`TraceFormatError` naming the byte offset, never a raw
     ``struct.error`` or ``IndexError``.
 
-    The reader is a context manager; closing releases the mmap.  Event
-    materialization never leaks references into the mmap: kind objects
-    and target strings come from the decoded footer tables, so events
-    outlive the reader.
+    The reader is a context manager; closing releases the mmap.  Decoded
+    batches never hold references into the mmap: kind objects, tids and
+    target strings come from the decoded footer tables, so batches and
+    their events outlive the reader.
     """
 
     def __init__(self, source: Union[PathOrBinary, bytes]) -> None:
@@ -606,83 +608,83 @@ class ColfReader:
             )
         self.segments: Tuple[ColfSegment, ...] = tuple(segments)
         self.num_events = expected_eid
-        # Materialization tables resolved once: plain lists so the hot
-        # loop pays one C-level index per column cell.
+        # Decode tables resolved once: plain lists so the column passes
+        # pay one C-level index per cell.
         self._thread_values: List[int] = list(self.thread_table)
         self._pool_values: List[object] = list(self.target_pool)
         self._kind_objects: Tuple[OpKind, ...] = _KINDS_BY_CODE
 
     # -- decoding ----------------------------------------------------------------------
 
-    def _materialize(self, segment: ColfSegment) -> List[Event]:
-        """Decode one segment into events: three C-speed column passes
-        plus a C-level construction loop (``tuple.__new__`` mapped over
-        the zipped columns, bypassing the namedtuple's Python
-        ``__new__``)."""
+    def _columns(self, segment: ColfSegment, start: int, stop: int) -> ColumnBatch:
+        """Cut events ``start:stop`` of ``segment`` out of its columns.
+
+        Three C-speed passes map the cells through the footer tables
+        (kind codes to :class:`OpKind`, thread slots to tids, pool slots
+        to targets); the eids are a ``range``.  No :class:`Event` is
+        built here, and the batch holds no view of the container, so it
+        outlives the reader.
+        """
         offset, count = segment.offset, segment.count
         data = self._data
         kind_objects = self._kind_objects
-        codes = data[offset : offset + count].tolist()
+        codes = data[offset + start : offset + stop].tolist()
         try:
             kinds = [kind_objects[code] for code in codes]
         except IndexError:
             bad = next(i for i, code in enumerate(codes) if code >= len(kind_objects))
             self._fail(
                 f"segment {segment.index} has unknown op-kind code {codes[bad]} "
-                f"at byte offset {offset + bad}"
+                f"at byte offset {offset + start + bad}"
             )
         threads = self._thread_values
-        tid_cells = _u32_view(data[offset + count : offset + 5 * count])
+        base = offset + count + 4 * start
+        tid_cells = _u32_view(data[base : base + 4 * (stop - start)]).tolist()
         try:
             tids = [threads[cell] for cell in tid_cells]
         except IndexError:
             bad = next(i for i, cell in enumerate(tid_cells) if cell >= len(threads))
-            cell_value = int(tid_cells[bad])
-            tid_cells = None  # release the column view before raising
             self._fail(
-                f"segment {segment.index} event {segment.first_eid + bad} references "
-                f"thread-table index {cell_value} (table has {len(threads)} "
-                f"entries) at byte offset {offset + count + 4 * bad}"
+                f"segment {segment.index} event {segment.first_eid + start + bad} references "
+                f"thread-table index {tid_cells[bad]} (table has {len(threads)} "
+                f"entries) at byte offset {base + 4 * bad}"
             )
         pool = self._pool_values
-        target_cells = _u32_view(data[offset + 5 * count : offset + 9 * count])
+        base = offset + 5 * count + 4 * start
+        target_cells = _u32_view(data[base : base + 4 * (stop - start)]).tolist()
         try:
             targets = [pool[cell] for cell in target_cells]
         except IndexError:
             bad = next(i for i, cell in enumerate(target_cells) if cell >= len(pool))
-            cell_value = int(target_cells[bad])
-            tid_cells = target_cells = None  # release the column views before raising
             self._fail(
-                f"segment {segment.index} event {segment.first_eid + bad} references "
-                f"target-pool index {cell_value} (pool has {len(pool)} "
-                f"entries) at byte offset {offset + 5 * count + 4 * bad}"
+                f"segment {segment.index} event {segment.first_eid + start + bad} references "
+                f"target-pool index {target_cells[bad]} (pool has {len(pool)} "
+                f"entries) at byte offset {base + 4 * bad}"
             )
         first = segment.first_eid
-        rows = zip(range(first, first + count), tids, kinds, targets)
-        return list(map(tuple.__new__, repeat(Event), rows))
+        return ColumnBatch(range(first + start, first + stop), tids, kinds, targets)
 
-    def iter_batches(self, batch_size: Optional[int] = None) -> Iterator[List[Event]]:
-        """Decode the trace as event batches.
+    def iter_batches(self, batch_size: Optional[int] = None) -> Iterator[ColumnBatch]:
+        """Decode the trace as column batches.
 
         With ``batch_size=None`` (the throughput default) each segment
-        materializes as one batch; a given ``batch_size`` re-slices
-        segments into lists of at most that many events.  Either way
-        the concatenation is the full event stream in trace order.
+        is one batch; a given ``batch_size`` cuts segments into batches
+        of at most that many events, each straight from the columns.
+        Either way the concatenation is the full event stream in trace
+        order.
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         for segment in self.segments:
-            events = self._materialize(segment)
-            if batch_size is None or len(events) <= batch_size:
-                yield events
-            else:
-                for start in range(0, len(events), batch_size):
-                    yield events[start : start + batch_size]
+            count = segment.count
+            step = count if batch_size is None else batch_size
+            for start in range(0, count, step):
+                yield self._columns(segment, start, min(count, start + step))
 
     def iter_events(self) -> Iterator[Event]:
         """Decode the trace one event at a time (convenience wrapper)."""
         for batch in self.iter_batches():
-            yield from batch
+            yield from batch.events()
 
     def threads(self) -> Tuple[int, ...]:
         """The thread universe, known upfront from the footer table.
@@ -761,14 +763,15 @@ class ColfReader:
 
 def iter_colf_batches(
     source: Union[PathOrBinary, bytes], batch_size: Optional[int] = None
-) -> Iterator[List[Event]]:
-    """Stream a colf container as event batches (opens, decodes, closes).
+) -> Iterator[ColumnBatch]:
+    """Stream a colf container as column batches (opens, decodes, closes).
 
     The colf branch of :func:`repro.trace.io.iter_trace_chunks`: one
-    batch per segment by default, re-sliced when ``batch_size`` is
+    batch per segment by default, cut smaller when ``batch_size`` is
     given.  This is the fast path behind
     ``FileSource.event_batches`` for colf traces — no text parsing at
-    all, and the file is read through an mmap.
+    all, the file is read through an mmap, and no :class:`Event` is
+    built unless a consumer asks a batch for its events.
     """
     with ColfReader(source) as reader:
         yield from reader.iter_batches(batch_size)
@@ -779,5 +782,5 @@ def read_colf_events(source: Union[PathOrBinary, bytes]) -> List[Event]:
     with ColfReader(source) as reader:
         events: List[Event] = []
         for batch in reader.iter_batches():
-            events.extend(batch)
+            events.extend(batch.events())
         return events

@@ -13,7 +13,8 @@ order them exactly like a release/acquire pair on a dedicated lock.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Optional
+from itertools import repeat
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 
 class OpKind(enum.Enum):
@@ -79,8 +80,11 @@ class Event(NamedTuple):
     The decoders and the capture paths go further and build events with
     ``tuple.__new__(Event, row)``, which skips the namedtuple's
     Python-level ``__new__``: the STD and CSV parsers once per line,
-    live capture once per delivered event, the colf decoder mapped over
-    zipped columns, which keeps its whole construction loop in C.
+    live capture once per delivered event, and
+    :meth:`ColumnBatch.events` mapped over zipped columns, which keeps
+    its whole construction loop in C.  The engine itself walks batches
+    as columns, so a colf walk builds events only for the hooks that
+    take one.
 
     Attributes
     ----------
@@ -203,6 +207,80 @@ class Event(NamedTuple):
 
     def __str__(self) -> str:  # pragma: no cover - delegation
         return self.pretty()
+
+
+class ColumnBatch:
+    """A batch of events as four parallel columns, the unit the engine walks.
+
+    ``eids``, ``tids``, ``kinds`` and ``targets`` hold the fields of the
+    batch's events in trace order (any sequences of equal length).  The
+    colf reader cuts them straight out of a container's columns, and
+    :meth:`of` transposes an :class:`Event` sequence into them, so the
+    engine reads each event's thread, kind and target from the columns
+    whatever the batch came from.
+
+    The :class:`Event` objects themselves are built at most once, by the
+    first call of :meth:`events` (a batch made by :meth:`of` starts with
+    the events it was made from), and kept: every spec of a
+    :class:`~repro.api.session.Session` walks the same batch, so their
+    hooks share one set of events.  A walk whose only rules are the
+    engine's inline lock rules never builds one.
+
+    A batch is also a read-only ``Sequence[Event]`` (``len``, indexing,
+    iteration), so a consumer that wants events can use it as a list.
+    """
+
+    __slots__ = ("eids", "tids", "kinds", "targets", "_events")
+
+    def __init__(
+        self,
+        eids: Sequence[int],
+        tids: Sequence[int],
+        kinds: Sequence[OpKind],
+        targets: Sequence[object],
+        events: Optional[Sequence[Event]] = None,
+    ) -> None:
+        self.eids = eids
+        self.tids = tids
+        self.kinds = kinds
+        self.targets = targets
+        self._events = events
+
+    @classmethod
+    def of(cls, events: Union["ColumnBatch", Sequence[Event]]) -> "ColumnBatch":
+        """``events`` as a column batch: a batch itself, else transposed once.
+
+        The transposition is one C-level pass (``zip(*events)``); the
+        batch keeps ``events`` as its built events.
+        """
+        if isinstance(events, ColumnBatch):
+            return events
+        if not events:
+            return cls((), (), (), (), events)
+        eids, tids, kinds, targets = zip(*events)
+        return cls(eids, tids, kinds, targets, events)
+
+    def events(self) -> Sequence[Event]:
+        """The batch's events, built from the columns on the first call."""
+        events = self._events
+        if events is None:
+            events = self._events = list(
+                map(tuple.__new__, repeat(Event), zip(self.eids, self.tids, self.kinds, self.targets))
+            )
+        return events
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __iter__(self) -> Iterator[Event]:
+        return iter(self.events())
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[Event, Sequence[Event]]:
+        return self.events()[index]
+
+
+#: What the batch surfaces accept: a column batch or a plain event sequence.
+EventBatch = Union[ColumnBatch, Sequence[Event]]
 
 
 # -- convenience constructors ---------------------------------------------------

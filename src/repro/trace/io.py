@@ -25,10 +25,12 @@ equal targets are interned to one shared string.  The eager
 are thin wrappers that collect the same iterators into a ``Trace``.
 
 Bulk consumers (``Session.feed_batch``, the serve workers, the bench
-pipeline suite) take events in lists of :data:`DEFAULT_BATCH_SIZE`.
-A per-event stream is cut into such lists in one place,
+pipeline suite) take events in batches of :data:`DEFAULT_BATCH_SIZE`.
+A per-event stream is cut into lists in one place,
 :func:`iter_batches`; :func:`iter_trace_chunks` is that chunker over the
-text decoders (colf containers below decode natively in batches).
+text decoders.  colf containers below decode natively into
+:class:`~repro.trace.event.ColumnBatch` batches, parallel columns that
+build no :class:`Event` until a consumer asks for one.
 
 The third format is binary: the ``repro-trace/1`` **columnar
 container** of :mod:`repro.trace.colfmt` (conventional suffix
@@ -54,7 +56,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
-from .event import Event, OpKind
+from .event import Event, EventBatch, OpKind
 from .trace import Trace
 
 #: Default events per batch of :func:`iter_batches` and every
@@ -612,15 +614,17 @@ def iter_batches(
 
 def iter_trace_chunks(
     source: PathOrFile, fmt: Optional[str] = None, batch_size: int = DEFAULT_BATCH_SIZE
-) -> Iterator[List[Event]]:
-    """Stream a trace file as lists of up to ``batch_size`` events.
+) -> Iterator[EventBatch]:
+    """Stream a trace file as batches of up to ``batch_size`` events.
 
-    Text formats are :func:`iter_batches` over :func:`iter_trace_file`;
-    colf containers are decoded natively, a segment's columns at a time
-    (:func:`~repro.trace.colfmt.iter_colf_batches`).  Either way the
-    file is opened lazily and closed when the iteration ends, memory
-    stays O(batch), the final chunk may be shorter, and an empty file
-    yields no chunks.
+    Text formats are :func:`iter_batches` over :func:`iter_trace_file`
+    (lists of events); colf containers are cut natively into
+    :class:`~repro.trace.event.ColumnBatch` batches straight from their
+    columns (:func:`~repro.trace.colfmt.iter_colf_batches`), which are
+    ``Sequence[Event]`` too but build their events only when asked.
+    Either way the file is opened lazily and closed when the iteration
+    ends, memory stays O(batch), the final chunk may be shorter, and an
+    empty file yields no chunks.
     """
     if fmt is None:
         fmt = infer_format(source)

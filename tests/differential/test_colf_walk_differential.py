@@ -1,8 +1,8 @@
 """Differential check: a session walk over a colf container ≡ the in-memory walk.
 
-A :class:`~repro.api.sources.ColfSource` feeds a session one decoded
-segment at a time, re-sliced into ``batch_size`` batches, with the
-thread universe read from the container footer.  None of that may
+A :class:`~repro.api.sources.ColfSource` feeds a session column
+batches of at most ``batch_size`` events cut straight from each
+segment, with the thread universe read from the container footer.  None of that may
 change what the walk computes: for every spec the race list (same
 races, same order), the detector check counts, the per-event
 timestamps, the work counters and the event/thread totals must be

@@ -7,6 +7,7 @@ import pytest
 
 from faults import FaultyTask
 from repro import Session, TraceBuilder
+from repro.recovery.journal import JobJournal, read_journal, replay_journal
 from repro.recovery.quarantine import QuarantineStore
 from repro.trace.io import save_trace
 from repro.serve.corpus import TraceCorpus
@@ -174,6 +175,136 @@ class TestRunningTallies:
             assert corpus.total_events == recount
             assert corpus.summary()["events"] == recount
         assert TraceCorpus(corpus.root).total_events == corpus.total_events
+
+
+class SortedRuleScheduler(Scheduler):
+    """The history prune as a full stable sort of the terminal jobs: the reference."""
+
+    def _prune_history_locked(self):
+        overflow = len(self._jobs) - self.max_job_history
+        if overflow <= 0:
+            return
+        terminal = sorted(
+            (
+                job
+                for job in self._jobs.values()
+                if job.status in (JobStatus.DONE, JobStatus.FAILED, JobStatus.QUARANTINED)
+            ),
+            key=lambda job: job.submitted_unix,
+        )
+        for job in terminal[:overflow]:
+            del self._jobs[job.job_id]
+            self._untally_locked(job)
+
+
+class TestHistoryPrune:
+    """The heap prune keeps exactly the jobs the sorted rule keeps."""
+
+    SPECS = ["hb+tc", "hb+vc", "shb+tc", "maz+vc"]
+
+    @staticmethod
+    def scheduler_pair(root, corpus, incarnation):
+        pair = []
+        for cls in (Scheduler, SortedRuleScheduler):
+            side = root / f"{cls.__name__}-{incarnation}"
+            side.mkdir()
+            scheduler = cls(
+                corpus,
+                ResultsStore(side / "results.jsonl"),
+                workers=1,
+                max_inflight=3,
+                journal=JobJournal(side / "journal.jsonl"),
+                quarantine=QuarantineStore(side / "quarantine.json"),
+            )
+            scheduler.max_job_history = 8
+            scheduler.pool.submit = lambda task: None  # dispatch runs nothing
+            pair.append(scheduler)
+        return pair
+
+    @staticmethod
+    def replay_orphans(previous, scheduler):
+        """What the server's journal replay does: re-queue in-flight jobs as recovered."""
+        previous.journal.close()
+        previous.results.close()
+        by_digest = {}
+        for record in replay_journal(read_journal(previous.journal.path)).values():
+            if record.orphaned:
+                by_digest.setdefault(record.digest, []).append(record.spec)
+        for digest, specs in by_digest.items():
+            scheduler.submit(digest, specs, recovered=True)
+
+    @staticmethod
+    def stamp(scheduler, clock):
+        """Give the jobs just created the test clock's time instead of the wall clock's."""
+        for job in scheduler._jobs.values():
+            if job.submitted_unix > 1e6:
+                job.submitted_unix = clock
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_heap_prune_keeps_the_jobs_the_sorted_rule_keeps(self, tmp_path, seed):
+        rng = random.Random(seed)
+        corpus = TraceCorpus(tmp_path / "corpus")
+        digests = [
+            corpus.ingest(TraceBuilder(name=f"t{index}").write(index + 1, "x").build())[0].digest
+            for index in range(5)
+        ]
+        pair = self.scheduler_pair(tmp_path, corpus, 0)
+        # A coarse clock that repeats and steps back, so ties and
+        # out-of-order submission times both occur.
+        clock = 100.0
+        seen = set()
+        statuses = set()
+        for step in range(600):
+            if step in (200, 400):  # a restart: each side replays its journal
+                fresh = self.scheduler_pair(tmp_path, corpus, step)
+                for previous, scheduler in zip(pair, fresh):
+                    self.replay_orphans(previous, scheduler)
+                    self.stamp(scheduler, clock)
+                pair = fresh
+            running = [job for job in pair[0].jobs() if job.status is JobStatus.RUNNING]
+            if not running or rng.random() < 0.45:
+                digest = rng.choice(digests)
+                specs = rng.sample(self.SPECS, rng.randint(1, 3))
+                force = rng.random() < 0.35
+                recovered = rng.random() < 0.2
+                clock += rng.choice([0.0, 0.0, 1.0, 2.5, -3.0])
+                for scheduler in pair:
+                    queued, _, _ = scheduler.submit(digest, specs, force=force, recovered=recovered)
+                    self.stamp(scheduler, clock)
+                seen.update(queued)
+            else:
+                job_id = rng.choice(running).job_id
+                outcome = rng.random()
+                for scheduler in pair:
+                    if outcome < 0.55:
+                        scheduler._on_result(job_id, {"race_count": 0}, None, 1)
+                    elif outcome < 0.8:
+                        scheduler._on_result(job_id, None, "ValueError: bad trace", 1)
+                    else:
+                        scheduler._on_result(job_id, None, "worker crashed (exit -9)", 2)
+            heap_side, sorted_side = pair
+            assert list(heap_side._jobs) == list(sorted_side._jobs)
+            assert [job.status for job in heap_side._jobs.values()] == [
+                job.status for job in sorted_side._jobs.values()
+            ]
+            assert heap_side.counts() == sorted_side.counts()
+            statuses.update(job.status for job in heap_side._jobs.values())
+        for scheduler in pair:
+            scheduler.journal.close()
+            scheduler.results.close()
+        assert len(seen) > len(heap_side._jobs)  # the history was pruned
+        assert statuses == set(JobStatus)
+
+    def test_resubmits_keep_the_stale_heap_bounded(self, tmp_path):
+        corpus = TraceCorpus(tmp_path / "corpus")
+        digest = corpus.ingest(TraceBuilder(name="t").write(1, "x").build())[0].digest
+        scheduler = Scheduler(corpus, ResultsStore(tmp_path / "results.jsonl"), workers=1)
+        scheduler.pool.submit = lambda task: None
+        for _ in range(1_000):
+            scheduler.submit(digest, ["hb+tc"], force=True)
+            scheduler._on_result(job_id_of(digest, "hb+tc"), None, "ValueError: bad", 1)
+        assert len(scheduler._jobs) == 1
+        assert len(scheduler._terminal) <= 2 * 1 + 64 + 1
 
 
 EXECUTE_SPECS = [

@@ -1,6 +1,7 @@
 """Unit tests for the serve line protocol framing, address parsing and flags."""
 
 import io
+import json
 
 import pytest
 
@@ -50,6 +51,65 @@ class TestFraming:
     def test_blank_lines_are_skipped(self):
         stream = io.BytesIO(b"\n\n" + encode_message({"op": "ping"}))
         assert read_message(stream)["op"] == "ping"
+
+    def test_blank_means_what_strip_meant(self):
+        # read_message tests a frame with isspace(), which copies nothing;
+        # it used to test ``not text.strip()``.  Both must agree on every
+        # code point, alone and with the frame's newline.
+        differ = [
+            code
+            for code in range(0x110000)
+            if chr(code).isspace() == bool(chr(code).strip())
+            or (chr(code) + "\n").isspace() == bool((chr(code) + "\n").strip())
+        ]
+        assert differ == []
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            b"\n",
+            b" \t\r\n",
+            "\u3000\u2028\x1c\x85\n".encode(),
+            b"\r\n",
+            b"  {\"op\": \"ping\"}  \r\n",
+            b"\t[1]\n",
+            b"null\n",
+            b"{nope\n",
+            "\ufeff{}\n".encode(),
+            b"\xff\xfe\n",
+            b" \x00 \n",
+            "\u200b\n".encode(),
+        ],
+    )
+    def test_each_frame_reads_as_it_did_with_strip(self, frame):
+        def outcome(read):
+            stream = io.BytesIO(frame + encode_message({"op": "next"}))
+            try:
+                return read(stream)
+            except ProtocolError as error:
+                return f"{type(error).__name__}: {error}"
+
+        def read_with_strip(stream):
+            while True:
+                text = stream.readline().decode("utf-8")
+                if not text.strip():
+                    continue
+                payload = json.loads(text)
+                if not isinstance(payload, dict):
+                    raise ProtocolError(
+                        f"message must be a JSON object, got {type(payload).__name__}"
+                    )
+                return payload
+
+        def reference(stream):
+            try:
+                return read_with_strip(stream)
+            except UnicodeDecodeError as error:
+                return f"ProtocolError: message is not valid UTF-8: {error}"
+            except json.JSONDecodeError as error:
+                return f"ProtocolError: message is not valid JSON: {error}"
+
+        assert outcome(read_message) == outcome(reference)
 
     def test_invalid_json_raises_protocol_error(self):
         with pytest.raises(ProtocolError, match="not valid JSON"):
