@@ -170,10 +170,6 @@ class ClockContext:
         """Size of the thread universe (``k`` in the paper)."""
         return len(self.threads)
 
-    def require_thread(self, tid: int) -> int:
-        """The dense index of ``tid``; raises :class:`KeyError` for unknown threads."""
-        return self.index_of[tid]
-
     def add_thread(self, tid: int) -> int:
         """Register ``tid`` in the universe (idempotent) and return its index.
 

@@ -1,13 +1,24 @@
 """The classic vector clock data structure (the paper's baseline).
 
 A vector clock is a flat integer array indexed by thread position
-(Section 2.2).  ``join``, ``copy`` and ``leq`` iterate over all ``k``
-entries and therefore take Θ(k) time per operation, which is exactly the
+(Section 2.2).  ``join``, ``copy`` and ``leq`` touch all ``k`` entries
+and therefore take Θ(k) time per operation, which is exactly the
 behaviour tree clocks improve upon.
+
+The baseline pays that Θ(k) at the speed the interpreter allows, so
+that Table 2's VC/TC ratio compares the two data structures rather than
+a slow baseline.  A copy is one slice assignment, a C-level array copy;
+with a :class:`~repro.clocks.base.WorkCounter` attached it first counts
+the entries that change in one more C-level pass, so no per-entry
+Python work feeds a counter nobody reads.  The join stays a per-entry
+Python loop, which writes only the few entries a join changes: at
+k = 64 a ``map(max, ...)`` join, which rewrites all ``k``, ran
+3.4-4.3x slower, and a list-comprehension join was no faster.
 """
 
 from __future__ import annotations
 
+from operator import ne
 from typing import Iterator, List, Optional, Tuple
 
 from .base import ClockContext, VectorTime
@@ -61,7 +72,7 @@ class VectorClock:
 
     def increment(self, tid: int, amount: int = 1) -> None:
         """Advance the entry of thread ``tid`` by ``amount``."""
-        index = self.context.require_thread(tid)
+        index = self.context.index_of[tid]
         if index >= len(self._values):
             self._grow()
         self._values[index] += amount
@@ -89,29 +100,20 @@ class VectorClock:
             counter.record_join(processed=len(values), updated=updated)
 
     def copy_from(self, other: "VectorClock") -> None:
-        """Plain copy of ``other`` into this clock — touches all ``k`` entries."""
+        """Plain copy of ``other`` into this clock — one slice over all ``k`` entries."""
         if len(self._values) != len(other._values):
             self._grow()
             other._grow()
         values = self._values
-        other_values = other._values
-        updated = 0
-        for index in range(len(values)):
-            other_value = other_values[index]
-            if values[index] != other_value:
-                values[index] = other_value
-                updated += 1
         counter = self.context.counter
         if counter is not None:
-            counter.record_copy(processed=len(values), updated=updated)
+            counter.record_copy(processed=len(values), updated=sum(map(ne, values, other._values)))
+        values[:] = other._values
 
-    def monotone_copy(self, other: "VectorClock") -> None:
-        """Copy assuming ``self ⊑ other``; for vector clocks this is a plain copy."""
-        self.copy_from(other)
-
-    def copy_check_monotone(self, other: "VectorClock") -> None:
-        """Copy without the monotonicity assumption; also a plain copy."""
-        self.copy_from(other)
+    #: Copy assuming ``self ⊑ other``; for vector clocks a plain copy.
+    monotone_copy = copy_from
+    #: Copy without the monotonicity assumption; also a plain copy.
+    copy_check_monotone = copy_from
 
     def leq(self, other: "VectorClock") -> bool:
         """Pointwise comparison ``self ⊑ other``."""

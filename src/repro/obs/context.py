@@ -13,7 +13,7 @@ next), and a ``flags`` byte whose low bit is the W3C *sampled* flag —
 Inside a process the context rides a :mod:`contextvars` variable
 (:func:`attach_context` / :func:`use_context`), which is how it crosses
 the thread boundaries of the serve stack without explicit plumbing; on
-the wire it rides the ``trace`` field of every ``repro-serve/1``
+the wire it rides the ``trace`` field of every ``repro-serve/2``
 protocol message (:func:`stamp_message` / :func:`context_from_message`).
 :mod:`repro.obs.tracing` consults the ambient context when a *root* span
 opens, so a span tree started on a worker process parents under the
@@ -191,7 +191,7 @@ def active_context() -> Optional[TraceContext]:
 
 # -- protocol-message plumbing -----------------------------------------------------------
 
-#: The ``repro-serve/1`` message field the context travels in.
+#: The ``repro-serve/2`` message field the context travels in.
 MESSAGE_FIELD = "trace"
 
 

@@ -286,10 +286,23 @@ class ServeClient:
         return response["stats"]  # type: ignore[return-value]
 
     def results(self, digest: Optional[str] = None) -> Dict[str, Dict[str, object]]:
-        request: Dict[str, object] = {"op": "results"}
+        """One trace's finished cells by spec, or every cell by ``digest:spec``.
+
+        Without a digest the server answers a page at a time; this
+        follows each reply's ``next`` cursor until the last page.
+        """
         if digest is not None:
-            request["digest"] = digest
-        return self.request(request)["results"]  # type: ignore[return-value]
+            response = self.request({"op": "results", "digest": digest})
+            return response["results"]  # type: ignore[return-value]
+        results: Dict[str, Dict[str, object]] = {}
+        request: Dict[str, object] = {"op": "results"}
+        while True:
+            response = self.request(request)
+            results.update(response["results"])  # type: ignore[arg-type]
+            cursor = response.get("next")
+            if cursor is None:
+                return results
+            request = {"op": "results", "after": cursor}
 
     def shutdown(self) -> Dict[str, object]:
         return self.request({"op": "shutdown"})

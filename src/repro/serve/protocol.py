@@ -5,7 +5,9 @@ UTF-8 and terminated by ``\\n`` — trivially debuggable with ``nc`` and
 framing-safe because :func:`json.dumps` never emits raw newlines.  Every
 request carries an ``op`` field; every response carries ``ok`` (and, on
 failure, ``error``).  The protocol version travels in the ``ping``
-response as ``proto`` = ``"repro-serve/1"``.
+response as ``proto`` = ``"repro-serve/2"``.  Version 2 pages the
+digest-less ``results`` reply: a version-1 client that sends one such
+request gets only the first page, and its ``count`` is the page's.
 
 Request ops (see :mod:`repro.serve.server` for the authoritative
 handlers):
@@ -17,7 +19,11 @@ handlers):
     ``text`` field (JSON-escaped), is ingested content-addressed into
     the corpus, and one job per ``specs`` entry is queued.
 ``status`` / ``results``
-    Scheduler counts / finished (trace × spec) payloads.
+    Scheduler counts / finished (trace × spec) payloads.  ``results``
+    with a ``digest`` answers that trace's cells; without one it
+    answers a page of cells in key order plus a ``next`` cursor (the
+    page's last key, ``null`` after the last page), which the next
+    request passes back as ``after``.
 ``stats``
     Runtime introspection for operators: uptime, queue depth,
     per-worker liveness/RSS/jobs-done, pool supervision tallies
@@ -65,7 +71,7 @@ import json
 from typing import BinaryIO, Dict, Optional
 
 #: Protocol identifier exchanged in the ``ping`` handshake.
-PROTOCOL = "repro-serve/1"
+PROTOCOL = "repro-serve/2"
 
 #: Default TCP port of ``repro serve`` (overridable; 0 = ephemeral).
 DEFAULT_PORT = 7341

@@ -7,7 +7,9 @@ job.  Every completed job's payload (race pairs, race count, per-spec
 what makes the service idempotent: re-submitting a trace only enqueues
 the cells the store does not already hold, and ``repro status
 --results`` / the ``results`` protocol op read finished race sets
-without touching the workers.
+without touching the workers.  Every cell at once is served in pages
+of at most :data:`RESULTS_PAGE` cells (:meth:`ResultsStore.page`), so
+one request decodes a page's payloads, not the store's.
 
 Payloads live on disk, not in memory.  :meth:`ResultsStore.record`
 appends one JSON line per cell through the journal's
@@ -15,7 +17,8 @@ appends one JSON line per cell through the journal's
 ``O_APPEND`` fd, a torn tail cut back before the first append), so a
 cell is on disk when ``record`` returns; :meth:`ResultsStore.discard`
 appends a tombstone.  Memory holds only ``digest → {spec: (offset,
-length)}``, and reads ``os.pread`` the lines back.
+length)}`` and the live cells' ``(digest, spec)`` keys in sorted order,
+and reads ``os.pread`` the lines back.
 
 Opening a store folds the log, skipping corrupt or foreign lines, and
 compacts it (tmp + ``os.replace``) when it holds anything but one live
@@ -31,6 +34,7 @@ import json
 import os
 import threading
 import time
+from bisect import bisect_left, bisect_right, insort
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -42,6 +46,9 @@ RESULTS_SCHEMA = "repro-serve-results/2"
 
 #: Schema of the whole-document ``results.json`` that opening migrates.
 LEGACY_RESULTS_SCHEMA = "repro-serve-results/1"
+
+#: Most cells one :meth:`ResultsStore.page` (one ``results`` reply) holds.
+RESULTS_PAGE = 100
 
 log = get_logger(__name__)
 
@@ -105,7 +112,8 @@ class ResultsStore:
         self._lock = threading.Lock()
         #: Where each live cell's line sits in the log: digest → spec → (offset, length).
         self._cells: Dict[str, Dict[str, Tuple[int, int]]] = {}
-        self._count = 0
+        #: The live cells' ``(digest, spec)`` keys, sorted: the order pages follow.
+        self._order: List[Tuple[str, str]] = []
         self._log = AppendLog(self.path)
         if self._log.cut_bytes:
             log.warning("%s: cut a torn tail of %d byte(s)", self.path, self._log.cut_bytes)
@@ -142,8 +150,14 @@ class ResultsStore:
                 offset += len(raw)
         if skipped:
             log.warning("%s: skipped %d corrupt or foreign line(s)", self.path, skipped)
-        self._count = sum(len(specs) for specs in self._cells.values())
-        return lines - self._count
+        self._sort()
+        return lines - len(self._order)
+
+    def _sort(self) -> None:
+        """Rebuild the sorted key list from the offset map."""
+        self._order = sorted(
+            (digest, spec) for digest, specs in self._cells.items() for spec in specs
+        )
 
     def _live_lines(
         self, legacy: Dict[str, Dict[str, object]]
@@ -174,7 +188,7 @@ class ResultsStore:
         self._log.close()
         self._log = AppendLog(self.path)
         self._cells = cells
-        self._count = sum(len(specs) for specs in cells.values())
+        self._sort()
 
     def close(self) -> None:
         """Release the log's file descriptor; later records fail, reads raise."""
@@ -202,7 +216,7 @@ class ResultsStore:
                 raise ValueError(f"{self.path}: record into a closed results store")
             specs = self._cells.setdefault(digest, {})
             if spec not in specs:
-                self._count += 1
+                insort(self._order, (digest, spec))
             specs[spec] = (offset, len(raw))
 
     def discard(self, digest: str, spec: str) -> None:
@@ -215,7 +229,7 @@ class ResultsStore:
             del specs[spec]
             if not specs:
                 del self._cells[digest]
-            self._count -= 1
+            del self._order[bisect_left(self._order, (digest, spec))]
 
     # -- reading -----------------------------------------------------------------------
 
@@ -245,22 +259,33 @@ class ResultsStore:
             ]
         return {spec: self._payload(raw) for spec, raw in raws}
 
-    def all(self) -> Dict[str, Dict[str, object]]:
-        """Every finished cell, keyed by ``digest:spec``."""
+    def page(
+        self, after: Optional[str] = None
+    ) -> Tuple[Dict[str, Dict[str, object]], Optional[str]]:
+        """The first :data:`RESULTS_PAGE` cells whose keys follow ``after``, and the next cursor.
+
+        Cells come in ``(digest, spec)`` order, keyed by ``digest:spec``;
+        the cursor is the page's last key, or ``None`` when no cell
+        follows it.  Following the cursors from ``after=None`` returns
+        every cell that lives throughout exactly once, whatever is
+        recorded or discarded in between.  Only the page's payloads are
+        read and decoded.
+        """
+        start = () if after is None else tuple(after.partition(":")[::2])
         with self._lock:
+            at = bisect_right(self._order, start)
             raws = [
-                (result_key(digest, spec), self._log.read(*where))
-                for digest, specs in self._cells.items()
-                for spec, where in specs.items()
+                (result_key(digest, spec), self._log.read(*self._cells[digest][spec]))
+                for digest, spec in self._order[at : at + RESULTS_PAGE]
             ]
-        return {key: self._payload(raw) for key, raw in raws}
+            more = at + RESULTS_PAGE < len(self._order)
+        cursor = raws[-1][0] if more else None
+        return {key: self._payload(raw) for key, raw in raws}, cursor
 
     def keys(self) -> List[str]:
         with self._lock:
-            return sorted(
-                result_key(digest, spec) for digest, specs in self._cells.items() for spec in specs
-            )
+            return [result_key(digest, spec) for digest, spec in self._order]
 
     def __len__(self) -> int:
         with self._lock:
-            return self._count
+            return len(self._order)

@@ -489,9 +489,12 @@ class ServeHandler(socketserver.StreamRequestHandler):
         digest = request.get("digest")
         if digest is not None:
             payloads = self.server.results.for_trace(str(digest))
-        else:
-            payloads = self.server.results.all()
-        return ok_response(results=payloads, count=len(payloads))
+            return ok_response(results=payloads, count=len(payloads))
+        after = request.get("after")
+        if after is not None and not isinstance(after, str):
+            return error_response("results 'after' must be the last key of the previous page")
+        payloads, cursor = self.server.results.page(after)
+        return ok_response(results=payloads, count=len(payloads), next=cursor)
 
     def _op_shutdown(self, request: Dict[str, object]) -> Dict[str, object]:
         return ok_response(stopping=True)

@@ -33,11 +33,19 @@ Two granularities:
   timestamps, race streams, the data-structure-independent ``VTWork``
   counter, and against the reference the full work counters and the
   shape of every thread, lock, last-write and last-read clock.
+
+The vector-clock baseline has its own reference: :class:`LoopCopyVectorClock`
+keeps the per-entry ``copy_from`` loop that ``VectorClock`` replaced by
+one slice assignment.  Seeded op sequences over a growing thread
+universe must give equal vector times with and without a work counter,
+and the counted work must equal the loop's.  A bytecode count pins that
+an uncounted copy does no per-entry Python work.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import pytest
@@ -732,3 +740,181 @@ def test_incremental_feed_validates_after_every_event(seed: int) -> None:
                 assert clock.validate_structure() == [], f"lock {lock} corrupt at event {position}"
     tc_analysis.finish()
     vc_analysis.finish()
+
+
+# -- the vector-clock baseline ---------------------------------------------------------
+
+
+class LoopCopyVectorClock(VectorClock):
+    """``VectorClock`` with its earlier per-entry ``copy_from`` loop, kept verbatim."""
+
+    __slots__ = ()
+
+    def copy_from(self, other: "VectorClock") -> None:
+        """Plain copy of ``other`` into this clock — touches all ``k`` entries."""
+        if len(self._values) != len(other._values):
+            self._grow()
+            other._grow()
+        values = self._values
+        other_values = other._values
+        updated = 0
+        for index in range(len(values)):
+            other_value = other_values[index]
+            if values[index] != other_value:
+                values[index] = other_value
+                updated += 1
+        counter = self.context.counter
+        if counter is not None:
+            counter.record_copy(processed=len(values), updated=updated)
+
+    def monotone_copy(self, other: "VectorClock") -> None:
+        self.copy_from(other)
+
+    def copy_check_monotone(self, other: "VectorClock") -> None:
+        self.copy_from(other)
+
+
+def _counts(counter: WorkCounter) -> Tuple[int, ...]:
+    return (
+        counter.entries_processed,
+        counter.entries_updated,
+        counter.joins,
+        counter.copies,
+        counter.increments,
+    )
+
+
+def _replay_vector_clocks(ops: List[Tuple[str, int, int]], num_threads: int) -> None:
+    """Replay ops on uncounted and counted ``VectorClock``s and the loop reference.
+
+    Every universe starts with thread 1 alone; a thread's first op
+    registers it with ``add_thread``, so the aux clocks and the earlier
+    thread clocks are shorter than the universe when they are joined or
+    copied.  After every op the three must hold the same
+    :meth:`~VectorClock.snapshot` (array length and entries), the vector
+    time of the dict model, and the two counted ones the same work.
+    """
+    universes = []
+    for clock_class, counter in (
+        (VectorClock, None),
+        (VectorClock, WorkCounter()),
+        (LoopCopyVectorClock, WorkCounter()),
+    ):
+        context = ClockContext(threads=[1], counter=counter)
+        clocks = {1: clock_class(context, owner=1)}
+        for aux in range(NUM_AUX):
+            clocks[f"aux{aux}"] = clock_class(context)
+        universes.append((context, clock_class, clocks))
+    model: Dict[object, VectorTime] = {key: {} for key in universes[0][2]}
+    for opcode, actor, target in ops:
+        other = target % num_threads + 1
+        for context, clock_class, clocks in universes:
+            for tid in (actor, other):
+                if tid not in clocks:
+                    context.add_thread(tid)
+                    clocks[tid] = clock_class(context, owner=tid)
+        for tid in (actor, other):
+            model.setdefault(tid, {})
+        aux = f"aux{target % NUM_AUX}"
+        for _, _, clocks in universes:
+            if opcode in ("inc", "join_aux", "join_thread"):
+                clocks[actor].increment(actor)
+            if opcode == "join_aux":
+                clocks[actor].join(clocks[aux])
+            elif opcode == "join_thread":
+                clocks[actor].join(clocks[other])
+            elif opcode == "copy_aux":
+                clocks[aux].monotone_copy(clocks[actor])
+            elif opcode == "copy_check":
+                clocks[aux].copy_check_monotone(clocks[actor])
+        if opcode in ("inc", "join_aux", "join_thread"):
+            model[actor][actor] = model[actor].get(actor, 0) + 1
+        if opcode == "join_aux":
+            model[actor] = vt_join(model[actor], model[aux])
+        elif opcode == "join_thread":
+            model[actor] = vt_join(model[actor], model[other])
+        elif opcode in ("copy_aux", "copy_check"):
+            model[aux] = dict(model[actor])
+        where = f"after {opcode} by t{actor}"
+        for key, expected in model.items():
+            snapshots = [clocks[key].snapshot() for _, _, clocks in universes]
+            assert snapshots[0] == snapshots[1] == snapshots[2], f"{key} diverged {where}"
+            assert universes[0][2][key].as_dict() == {t: v for t, v in expected.items() if v}, where
+        counted, loop = (context.counter for context, _, _ in universes[1:])
+        assert _counts(counted) == _counts(loop), f"VectorClock work diverged from the loop {where}"
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_vector_clock_copy_is_exact_with_and_without_a_counter(seed: int) -> None:
+    """Seeded 300-op sequences over a universe growing to 8 threads, checked after every op."""
+    rng = random.Random(seed)
+    num_threads = 8
+    ops = [
+        (rng.choice(OPCODES), rng.randint(1, num_threads), rng.randrange(num_threads))
+        for _ in range(300)
+    ]
+    _replay_vector_clocks(ops, num_threads)
+
+
+@pytest.mark.parametrize("operation", ["copy_from", "monotone_copy", "copy_check_monotone"])
+@pytest.mark.parametrize("grown", [False, True])
+def test_vector_clock_copies_share_no_list(operation: str, grown: bool) -> None:
+    """After ``a.copy_from(b)``, incrementing ``b`` leaves ``a`` unchanged (and back)."""
+    context = ClockContext(threads=[1, 2])
+    target = VectorClock(context)
+    if grown:
+        # ``target`` predates thread 3 and is grown by the copy.
+        context.add_thread(3)
+    source = VectorClock(context, owner=1)
+    source.increment(1, 4)
+    getattr(target, operation)(source)
+    assert target.as_dict() == {1: 4}
+    source.increment(1)
+    source.increment(2)
+    assert target.as_dict() == {1: 4}
+    target.increment(1, 10)
+    assert source.as_dict() == {1: 5, 2: 1}
+
+
+def _opcodes_executed(call) -> int:
+    """How many bytecodes the Python frames under ``call()`` execute."""
+    executed = 0
+
+    def tracer(frame, event, arg):
+        nonlocal executed
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            executed += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return executed
+
+
+def _copy_opcodes(clock_class: type, operation: str, num_threads: int) -> int:
+    """Bytecodes of one uncounted copy between two clocks that differ in every entry."""
+    context = ClockContext(threads=list(range(num_threads)))
+    source, target = clock_class(context), clock_class(context)
+    for tid in range(num_threads):
+        source.increment(tid, tid + 1)
+    return _opcodes_executed(lambda: getattr(target, operation)(source))
+
+
+@pytest.mark.parametrize("operation", ["copy_from", "monotone_copy", "copy_check_monotone"])
+def test_uncounted_vector_clock_copy_runs_no_per_entry_bytecode(operation: str) -> None:
+    """An uncounted copy executes as many bytecodes at k = 512 as at k = 8.
+
+    Wall-clock gates cannot see a per-entry loop coming back: CI's bench
+    compare allows 200% and its baselines were recorded with the loop.
+    A bytecode count is the same on any machine.  The loop reference
+    shows the count does see one.
+    """
+    assert _copy_opcodes(VectorClock, operation, 8) == _copy_opcodes(VectorClock, operation, 512)
+    loop_small = _copy_opcodes(LoopCopyVectorClock, operation, 8)
+    assert _copy_opcodes(LoopCopyVectorClock, operation, 512) > 10 * loop_small

@@ -1,7 +1,5 @@
 """Unit tests for the work counter / clock context plumbing."""
 
-import pytest
-
 from repro.clocks import ClockContext, TreeClock, VectorClock, WorkCounter, clock_name
 from repro.clocks.base import vt_equal, vt_get, vt_join, vt_leq
 
@@ -48,11 +46,6 @@ class TestClockContext:
     def test_index_of_mapping(self):
         context = ClockContext(threads=[5, 7])
         assert context.index_of == {5: 0, 7: 1}
-
-    def test_require_thread_raises_for_unknown(self):
-        context = ClockContext(threads=[1])
-        with pytest.raises(KeyError):
-            context.require_thread(9)
 
 
 class TestVectorTimeHelpers:

@@ -94,10 +94,11 @@ class TestSuiteRunner:
     def test_measures_the_paper_suite_table2_cases(self, measured_cases):
         config = ExperimentConfig(scale=0.05, repetitions=1, max_profiles=2)
         table2.run(config, SuiteRunner(config))
+        # The timed cells, and the counted cells its decomposition rows read.
         expected = [
             case
-            for case in paper_suite(scale=0.05, max_profiles=2)
-            if case.name.startswith("paper/table2/")
+            for case in paper_suite(scale=0.05, max_profiles=2, scenarios=())
+            if case.name.startswith(("paper/table2/", "paper/work/"))
         ]
         by_name = attrgetter("name")
         assert sorted(measured_cases, key=by_name) == sorted(expected, key=by_name)
@@ -127,8 +128,13 @@ class TestTableRunners:
     def test_table2_shape(self, shared_runner):
         report = table2.run(FAST, shared_runner)
         assert report.headers[0] == "Configuration"
-        assert len(report.rows) == 2
-        assert len(report.rows[0]) == 1 + len(FAST.orders)
+        assert [row[0] for row in report.rows] == [
+            "PO",
+            "PO + Analysis",
+            "Work ratio (VCWork / TCWork)",
+            "Per-entry cost ratio (TC / VC)",
+        ]
+        assert all(len(row) == 1 + len(FAST.orders) for row in report.rows)
 
     def test_table2_includes_paper_reference_values(self, shared_runner):
         report = table2.run(FAST, shared_runner)
@@ -174,18 +180,18 @@ def synthetic_series(ms):
     return [int(ms * 1e6) - 100_000, int(ms * 1e6), int(ms * 1e6) + 500_000]
 
 
-class TestTablesFromKnownTimes:
-    CONFIG = ExperimentConfig(scale=0.05, repetitions=3, max_profiles=2, orders=("HB",))
-    #: Per profile: HB VC / TC / VC+detect / TC+detect medians in ms.
-    TIMES_MS = ((2, 1, 6, 2), (3, 1, 4, 1))
+def cache_table2_cells(runner, times_ms, counts):
+    """Put known ``paper/table2`` times and ``paper/work`` counts in ``runner``'s cache.
 
-    @pytest.fixture
-    def runner(self, monkeypatch):
-        monkeypatch.setattr(bench_runner, "run_case", no_timing)
-        runner = SuiteRunner(self.CONFIG)
-        for profile, times in zip(runner.profiles, self.TIMES_MS):
-            name = table2_case_name(profile.name, "HB")
-            specs = ("hb+vc", "hb+tc", "hb+vc+detect", "hb+tc+detect")
+    ``times_ms[order]`` holds per profile the VC / TC / VC+detect /
+    TC+detect medians in ms, ``counts[order]`` per profile VTWork,
+    VCWork and TCWork.
+    """
+    for order, per_profile in times_ms.items():
+        for profile, times, (vt, vc, tc) in zip(runner.profiles, per_profile, counts[order]):
+            name = table2_case_name(profile.name, order)
+            prefix = order.lower()
+            specs = (f"{prefix}+vc", f"{prefix}+tc", f"{prefix}+vc+detect", f"{prefix}+tc+detect")
             runner.results[name] = BenchCaseResult(
                 name=name,
                 kind="session",
@@ -194,17 +200,83 @@ class TestTablesFromKnownTimes:
                 runs_ns=synthetic_series(sum(times)),
                 sub={spec: synthetic_series(ms) for spec, ms in zip(specs, times)},
             )
+            name = work_case_name(profile.name, order)
+            runner.results[name] = BenchCaseResult(
+                name=name,
+                kind="work",
+                params=runner.cases[name].params,
+                events=50,
+                runs_ns=[1],
+                meta={"threads": 4, "vt_work": vt, "vc_work": vc, "tc_work": tc},
+            )
+
+
+class TestTablesFromKnownTimes:
+    CONFIG = ExperimentConfig(scale=0.05, repetitions=3, max_profiles=2, orders=("HB",))
+    #: Per profile: HB VC / TC / VC+detect / TC+detect medians in ms.
+    TIMES_MS = ((2, 1, 6, 2), (3, 1, 4, 1))
+    #: Per profile: HB VTWork, VCWork, TCWork.
+    COUNTS = ((50, 400, 100), (100, 900, 300))
+
+    @pytest.fixture
+    def runner(self, monkeypatch):
+        monkeypatch.setattr(bench_runner, "run_case", no_timing)
+        runner = SuiteRunner(self.CONFIG)
+        cache_table2_cells(runner, {"HB": self.TIMES_MS}, {"HB": self.COUNTS})
         return runner
 
     def test_table2_cells(self, runner):
         report = table2.run(self.CONFIG, runner)
-        assert report.rows == [["PO", 2.5], ["PO + Analysis", 3.5]]
+        # Work ratios 4 and 3; per-entry cost ratios 4 / 2 and 3 / 3.
+        assert report.rows == [
+            ["PO", 2.5],
+            ["PO + Analysis", 3.5],
+            ["Work ratio (VCWork / TCWork)", 3.5],
+            ["Per-entry cost ratio (TC / VC)", 1.5],
+        ]
 
     def test_figure6_columns(self, runner):
         report = figure6.run(self.CONFIG, runner)
         assert [row[5] for row in report.rows] == [0.002, 0.003, 0.006, 0.004]
         assert [row[6] for row in report.rows] == [0.001, 0.001, 0.002, 0.001]
         assert [row[7] for row in report.rows] == [2.0, 3.0, 3.0, 4.0]
+
+
+class TestTable2DecompositionFromKnownTimesAndCounts:
+    """Table 2's work and per-entry cost rows, per order, from known times and counts."""
+
+    CONFIG = ExperimentConfig(scale=0.05, repetitions=3, max_profiles=2, orders=("SHB", "HB"))
+    #: Per order, per profile: VC / TC / VC+detect / TC+detect medians in ms.
+    TIMES_MS = {
+        "SHB": ((4, 8, 9, 10), (6, 2, 7, 3)),
+        "HB": ((5, 1, 6, 2), (2, 2, 3, 3)),
+    }
+    #: Per order, per profile: VTWork, VCWork, TCWork.
+    COUNTS = {
+        "SHB": ((10, 600, 200), (10, 1000, 100)),
+        "HB": ((10, 800, 100), (10, 300, 300)),
+    }
+
+    @pytest.fixture
+    def report(self, monkeypatch):
+        monkeypatch.setattr(bench_runner, "run_case", no_timing)
+        runner = SuiteRunner(self.CONFIG)
+        cache_table2_cells(runner, self.TIMES_MS, self.COUNTS)
+        return table2.run(self.CONFIG, runner)
+
+    def test_rows_are_means_over_traces(self, report):
+        # SHB: speedups 0.5 and 3, work ratios 3 and 10, cost ratios 6 and 10/3.
+        # HB: speedups 5 and 1, work ratios 8 and 1, cost ratios 1.6 and 1.
+        assert report.headers == ["Configuration", "SHB", "HB"]
+        assert report.rows == [
+            ["PO", 1.75, 3.0],
+            ["PO + Analysis", 1.62, 2.0],
+            ["Work ratio (VCWork / TCWork)", 6.5, 4.5],
+            ["Per-entry cost ratio (TC / VC)", 4.67, 1.3],
+        ]
+
+    def test_notes_define_the_rows(self, report):
+        assert any("work ratio / PO speedup" in note for note in report.notes)
 
 
 def no_timing(case, config=None):

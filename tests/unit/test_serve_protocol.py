@@ -167,7 +167,7 @@ class TestResponses:
         assert response["ok"] is False and response["error"] == "boom"
 
     def test_protocol_version_constant(self):
-        assert PROTOCOL == "repro-serve/1"
+        assert PROTOCOL == "repro-serve/2"
 
 
 class TestParseAddress:

@@ -10,16 +10,21 @@ import os
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 from faults import append_garbage, tear_tail
+from repro.serve.client import ServeClient
+from repro.serve.protocol import encode_message
 from repro.serve.results import (
     LEGACY_RESULTS_SCHEMA,
+    RESULTS_PAGE,
     RESULTS_SCHEMA,
     ResultsStore,
     result_key,
 )
+from repro.serve.server import ServeHandler
 
 DIGESTS = [f"{index:064x}" for index in range(1, 6)]
 
@@ -40,6 +45,11 @@ def payload(seed, races=3):
     }
 
 
+def every_cell(store):
+    """Every live cell by ``digest:spec``, read one ``get`` at a time."""
+    return {key: store.get(*key.partition(":")[::2]) for key in store.keys()}
+
+
 def log_lines(path):
     return path.read_bytes().splitlines()
 
@@ -51,11 +61,11 @@ class TestRestart:
             for index, digest in enumerate(DIGESTS):
                 store.record(digest, "hb+tc+detect", payload(index))
                 store.record(digest, "shb+vc+detect", payload(index + 10))
-            written = canonical(store.all())
+            written = canonical(every_cell(store))
             one = canonical(store.for_trace(DIGESTS[2]))
         with ResultsStore(path) as reopened:
             assert len(reopened) == 2 * len(DIGESTS)
-            assert canonical(reopened.all()) == written
+            assert canonical(every_cell(reopened)) == written
             assert canonical(reopened.for_trace(DIGESTS[2])) == one
         assert all(json.loads(line)["schema"] == RESULTS_SCHEMA for line in log_lines(path))
 
@@ -66,17 +76,17 @@ class TestRestart:
                 store.record(digest, "hb+tc", payload(index))
             store.record(DIGESTS[0], "hb+tc", payload(99))  # supersedes
             store.discard(DIGESTS[1], "hb+tc")  # a tombstone
-            expected = canonical(store.all())
+            expected = canonical(every_cell(store))
         assert len(log_lines(path)) == len(DIGESTS) + 2
         with ResultsStore(path) as reopened:
-            assert canonical(reopened.all()) == expected
+            assert canonical(every_cell(reopened)) == expected
             assert reopened.get(DIGESTS[0], "hb+tc")["events"] == 199
         # one line per live cell, and no temp file left behind
         assert len(log_lines(path)) == len(DIGESTS) - 1
         assert not (tmp_path / "results.jsonl.tmp").exists()
         compacted = path.read_bytes()
         with ResultsStore(path) as third:
-            assert canonical(third.all()) == expected
+            assert canonical(every_cell(third)) == expected
         assert path.read_bytes() == compacted  # a compact log is not rewritten
 
     def test_tombstone_survives_a_restart(self, tmp_path):
@@ -218,7 +228,7 @@ class TestMigration:
         legacy.write_text(json.dumps(document))
         path = tmp_path / "results.jsonl"
         with ResultsStore(path) as store:
-            assert canonical(store.all()) == canonical(document["results"])
+            assert canonical(every_cell(store)) == canonical(document["results"])
             store.record(DIGESTS[2], "hb+tc", payload(2))
         assert not legacy.exists()
         migrated = path.read_bytes()
@@ -236,10 +246,10 @@ class TestMigration:
         path = tmp_path / "results.jsonl"
         with ResultsStore(path) as store:
             store.record(DIGESTS[0], "hb+tc", payload(50))  # newer than the document
-            expected = canonical(store.all())
+            expected = canonical(every_cell(store))
         legacy.write_text(json.dumps(document))  # as if the unlink never happened
         with ResultsStore(path) as store:
-            assert canonical(store.all()) == expected
+            assert canonical(every_cell(store)) == expected
         assert not legacy.exists()
         assert len(log_lines(path)) == 2  # one line per cell, none superseded
 
@@ -280,3 +290,105 @@ class TestMemory:
             assert len(store) == 2000
             assert store.get(f"{1999:064x}", "hb+tc+detect")["race_count"] == 200
         assert grown < 2 * 1024 * 1024, f"the store grew {grown / 2**20:.1f} MB"
+
+
+class TestPagedResults:
+    """The digest-less ``results`` op answers in pages of at most ``RESULTS_PAGE`` cells."""
+
+    CELLS = 2000
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        template = json.dumps(payload(7, races=200))
+        store = ResultsStore(tmp_path_factory.mktemp("paged") / "results.jsonl")
+        for index in range(self.CELLS):
+            store.record(f"{index * 7919 % self.CELLS:064x}", "hb+tc+detect", json.loads(template))
+        yield store
+        store.close()
+
+    @staticmethod
+    def handler(store):
+        handler = ServeHandler.__new__(ServeHandler)
+        handler.server = SimpleNamespace(results=store)
+        return handler
+
+    def test_one_request_peaks_with_the_page_not_the_store(self, store):
+        handler = self.handler(store)
+        tracemalloc.start()
+        try:
+            frame = encode_message(handler._op_results({"op": "results"}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        reply = json.loads(frame)
+        assert reply["count"] == len(reply["results"]) == RESULTS_PAGE
+        # Decoding, dumping and encoding the page peaks near 6x its size;
+        # a whole-store reply of the same cells would be 20 pages.
+        store_bytes = store.path.stat().st_size
+        assert 15 * len(frame) < store_bytes
+        assert peak < 10 * len(frame), (
+            f"one page of {len(frame) / 2**20:.1f} MB peaked at {peak / 2**20:.1f} MB "
+            f"(the store holds {store_bytes / 2**20:.1f} MB)"
+        )
+
+    def test_paging_returns_every_cell_exactly_once(self, store):
+        handler = self.handler(store)
+        keys, merged, request = [], {}, {"op": "results"}
+        while True:
+            reply = handler._op_results(request)
+            assert reply["ok"] and 0 < reply["count"] <= RESULTS_PAGE
+            keys.extend(reply["results"])
+            merged.update(reply["results"])
+            if reply["next"] is None:
+                break
+            assert reply["next"] == keys[-1]
+            request = {"op": "results", "after": reply["next"]}
+        assert len(keys) == len(set(keys)) == self.CELLS
+        assert keys == sorted(keys) == store.keys()
+        assert canonical(merged) == canonical(every_cell(store))
+
+    def test_client_follows_the_cursor_to_the_same_dict(self, store):
+        handler = self.handler(store)
+        client = ServeClient.__new__(ServeClient)
+        sent = []
+
+        def request(payload):
+            sent.append(dict(payload))
+            return handler._op_results(payload)
+
+        client.request = request
+        assert canonical(client.results()) == canonical(every_cell(store))
+        assert sent[0] == {"op": "results"}
+        assert len(sent) == self.CELLS // RESULTS_PAGE
+        assert all(set(message) == {"op", "after"} for message in sent[1:])
+        sent.clear()
+        digest = f"{5:064x}"
+        assert client.results(digest) == store.for_trace(digest)
+        assert sent == [{"op": "results", "digest": digest}]
+
+    def test_a_cursor_outlives_changes_between_pages(self, tmp_path):
+        cells = 2 * RESULTS_PAGE + 5
+        digests = [f"{index:064x}" for index in range(1, cells + 1)]
+        before, at, after = digests[RESULTS_PAGE // 2], digests[RESULTS_PAGE - 1], digests[-3]
+        with ResultsStore(tmp_path / "results.jsonl") as store:
+            for index, digest in enumerate(digests):
+                store.record(digest, "hb+tc", payload(index, races=1))
+            first, cursor = store.page()
+            assert cursor == result_key(at, "hb+tc")
+            store.discard(at, "hb+tc")  # the cursor's own cell
+            store.discard(after, "hb+tc")
+            store.record(before, "shb+tc", payload(0))  # sorts before the cursor
+            store.record(at, "shb+tc", payload(0))  # right after it
+            store.record(digests[-1], "shb+tc", payload(0))
+            keys = list(first)
+            while cursor is not None:
+                page, cursor = store.page(cursor)
+                keys.extend(page)
+        expected = [result_key(digest, "hb+tc") for digest in digests if digest != after]
+        expected.insert(RESULTS_PAGE, result_key(at, "shb+tc"))
+        expected.append(result_key(digests[-1], "shb+tc"))
+        assert keys == expected
+
+    def test_a_bad_cursor_is_an_error(self, store):
+        reply = self.handler(store)._op_results({"op": "results", "after": 3})
+        assert not reply["ok"] and "after" in reply["error"]
