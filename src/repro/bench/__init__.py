@@ -19,7 +19,8 @@ rather than noticed months later.  This package provides exactly that:
   :mod:`repro.experiments` renders its tables from);
 * :mod:`repro.bench.runner` — the measurement discipline (warmup runs,
   N timed repeats, best-of-N as the headline number, the garbage
-  collector on while timing and its time per repeat recorded);
+  collector on while timing and its time per repeat recorded) and the
+  one place a case's trace is generated, once per workload;
 * :mod:`repro.bench.artifact` — the schema-versioned ``BENCH_<suite>.json``
   artifact format (write / load / validate);
 * :mod:`repro.bench.compare` — artifact diffing: compare a current run

@@ -5,7 +5,9 @@ in the interpreter loop, a GC pass landing mid-measurement.  The runner
 therefore applies the standard discipline uniformly to every case:
 
 * the workload is **prepared outside the timed region** (traces
-  generated, op logs recorded, generator sources materialized);
+  generated, op logs recorded), and each trace is generated once:
+  consecutive cases of one workload share it (:func:`case_trace`,
+  :func:`run_suite`);
 * ``warmup`` untimed runs absorb first-touch effects;
 * ``repeats`` timed runs are all recorded in the artifact, with
   **min-of-N** (``best_ns``) as the headline number — the minimum is the
@@ -26,17 +28,23 @@ from __future__ import annotations
 import gc
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from itertools import groupby
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..api import Session
 from ..api.registry import CLOCKS, ORDERS
-from ..api.sources import EventSource, FileSource, GeneratorSource
+from ..api.sources import EventSource, FileSource, TraceSource
 from ..gen.scenarios import SCENARIOS
-from ..gen.suite import BenchmarkProfile, get_profile
+from ..gen.suite import get_profile
 from ..metrics.work import measure_work
+from ..trace.stats import compute_statistics
+from ..trace.trace import Trace
 from .kernels import ClockOpLog, record_clock_ops, replay_clock_ops
 from .suites import BenchCase
+
+#: Generated traces by workload (the keys :func:`case_trace` files them under).
+Traces = Dict[Tuple[object, ...], Trace]
 
 
 @dataclass(frozen=True)
@@ -160,13 +168,48 @@ def _timed_runs(fn: Callable[[], object], config: BenchConfig) -> Tuple[List[int
         gc.callbacks.remove(on_collection)
 
 
-def _scenario_trace(params: Mapping[str, object]):
-    factory = SCENARIOS[str(params["scenario"])]
-    return factory(int(params["threads"]), int(params["events"]), int(params.get("seed", 0)))
+def _workload(params: Mapping[str, object]) -> Optional[Tuple[object, ...]]:
+    """The generator arguments a case's params name, or ``None`` for no one trace.
+
+    A suite profile with its ``events``, or a scenario with its
+    ``threads``, ``events`` and ``seed``.  Cases with equal workloads
+    have equal traces.
+    """
+    if "profile" in params:
+        return (params["profile"], params.get("events"))
+    if "scenario" in params:
+        return (params["scenario"], params["threads"], params["events"], params.get("seed", 0))
+    return None
 
 
-def _run_clock_ops_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
-    trace = _scenario_trace(case.params)
+def case_trace(params: Mapping[str, object], traces: Optional[Traces] = None) -> Trace:
+    """The trace of a case's workload, generated unless ``traces`` holds it.
+
+    The workload is a suite profile, resized to ``events`` when given,
+    or a scalability scenario.  A trace generated here is added to
+    ``traces`` when given.
+    """
+    key = _workload(params)
+    if key is None:
+        raise ValueError(f"case params name no profile or scenario: {dict(params)}")
+    if traces is not None and key in traces:
+        return traces[key]
+    if "profile" in params:
+        profile = get_profile(str(params["profile"]))
+        if params.get("events") is not None:
+            config = replace(profile.config, num_events=int(params["events"]))  # type: ignore[call-overload]
+            profile = replace(profile, config=config)
+        trace = profile.generate()
+    else:
+        scenario, threads, events, seed = key
+        trace = SCENARIOS[str(scenario)](int(threads), int(events), int(seed))  # type: ignore[call-overload]
+    if traces is not None:
+        traces[key] = trace
+    return trace
+
+
+def _run_clock_ops_case(case: BenchCase, config: BenchConfig, traces: Traces) -> BenchCaseResult:
+    trace = case_trace(case.params, traces)
     log: ClockOpLog = record_clock_ops(trace, order=str(case.params.get("order", "hb")))
     clock_class = CLOCKS.get(str(case.params["clock"]))
     runs, gc_ns = _timed_runs(lambda: replay_clock_ops(clock_class, log), config)
@@ -186,46 +229,24 @@ def _run_clock_ops_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult
     )
 
 
-def _profile(params: Mapping[str, object]) -> BenchmarkProfile:
-    """The suite profile a case names, resized to its ``events`` when given."""
-    profile = get_profile(str(params["profile"]))
-    events = params.get("events")
-    if events is None:
-        return profile
-    return BenchmarkProfile(
-        name=profile.name,
-        family=profile.family,
-        config=replace(profile.config, num_events=int(events)),  # type: ignore[arg-type]
-    )
-
-
-def _session_source(params: Mapping[str, object]) -> EventSource:
-    source_kind = str(params.get("source", "scenario"))
-    if source_kind == "scenario":
-        trace = _scenario_trace(params)
-        source = GeneratorSource(lambda: trace, name=trace.name)
-        source.materialize()
-        return source
-    if source_kind == "profile":
-        source = _profile(params).source()
-        source.materialize()
-        return source
-    if source_kind == "file":
+def _session_source(params: Mapping[str, object], traces: Traces) -> EventSource:
+    """A session case's events: its trace file, streamed, or its workload's trace."""
+    if params.get("source") == "file":
         return FileSource(str(params["path"]))
-    raise ValueError(f"unknown session source kind {source_kind!r}")
+    return TraceSource(case_trace(params, traces))
 
 
-def _run_session_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
+def _run_session_case(case: BenchCase, config: BenchConfig, traces: Traces) -> BenchCaseResult:
     specs = [str(spec) for spec in case.params["specs"]]  # type: ignore[index]
-    source = _session_source(case.params)
+    source = _session_source(case.params, traces)
     session = Session(specs)
     sub: Dict[str, List[int]] = {}
-    events = 0
+    events = threads = 0
 
     def one_walk() -> None:
-        nonlocal events
+        nonlocal events, threads
         result = session.run(source)
-        events = result.num_events
+        events, threads = result.num_events, result.primary.num_threads
         for key, analysis_result in result:
             sub.setdefault(key, []).append(analysis_result.elapsed_ns)
 
@@ -243,27 +264,27 @@ def _run_session_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
         meta={
             "specs": specs,
             "source": str(case.params.get("source", "scenario")),
+            "threads": threads,
             "gc_ns": gc_ns,
         },
     )
 
 
-def _run_work_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
+def _run_work_case(case: BenchCase, config: BenchConfig, traces: Traces) -> BenchCaseResult:
     """Counted case: the paper's work metrics of one (trace, order) pair.
 
-    One :func:`~repro.metrics.work.measure_work` call on the case's own
-    generated trace (a profile or a scenario, as for ``session`` cases):
-    one walk with VC and TC work counting, whose ``entries_updated``
-    counts are cross-checked.  ``meta`` records ``threads``,
-    ``vt_work``, ``vc_work`` and ``tc_work``.  The counts are
-    deterministic, so the walk runs once whatever ``config`` says;
-    ``runs_ns`` holds its wall time only because every case carries one.
+    One :func:`~repro.metrics.work.measure_work` call on the case's
+    trace (a profile or a scenario, as for ``session`` cases): a VC and
+    a TC walk with work counting, whose ``entries_updated`` counts are
+    cross-checked.  ``meta`` records ``threads``, ``vt_work``,
+    ``vc_work`` and ``tc_work``, and under ``stats`` the trace's
+    :class:`~repro.trace.stats.TraceStatistics` fields, which Tables 1
+    and 3 read.  The counts are deterministic, so the walks run once
+    whatever ``config`` says; ``runs_ns`` holds their wall time only
+    because every case carries one.
     """
     params = case.params
-    if params.get("source") == "profile":
-        trace = _profile(params).generate()
-    else:
-        trace = _scenario_trace(params)
+    trace = case_trace(params, traces)
     started = time.perf_counter_ns()
     work = measure_work(trace, ORDERS.get(str(params["order"])))
     elapsed = time.perf_counter_ns() - started
@@ -278,11 +299,12 @@ def _run_work_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
             "vt_work": work.vt_work,
             "vc_work": work.vc_work,
             "tc_work": work.tc_work,
+            "stats": asdict(compute_statistics(trace)),
         },
     )
 
 
-def _run_obs_session_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
+def _run_obs_session_case(case: BenchCase, config: BenchConfig, traces: Traces) -> BenchCaseResult:
     """Observability overhead: the same walk with metrics off, then on.
 
     The headline ``runs_ns`` is the *disabled* series — that is the
@@ -297,7 +319,7 @@ def _run_obs_session_case(case: BenchCase, config: BenchConfig) -> BenchCaseResu
     from ..obs import metrics as obs_metrics
 
     specs = [str(spec) for spec in case.params["specs"]]  # type: ignore[index]
-    source = _session_source(case.params)
+    source = _session_source(case.params, traces)
     session = Session(specs)
     events = 0
 
@@ -333,7 +355,7 @@ def _run_obs_session_case(case: BenchCase, config: BenchConfig) -> BenchCaseResu
     )
 
 
-def _run_serve_jobs_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
+def _run_serve_jobs_case(case: BenchCase, config: BenchConfig, traces: Traces) -> BenchCaseResult:
     """End-to-end service throughput: (trace × spec) cells through a worker pool.
 
     One timed repeat = submitting the whole corpus fan-out as a batch and
@@ -353,10 +375,7 @@ def _run_serve_jobs_case(case: BenchCase, config: BenchConfig) -> BenchCaseResul
         corpus = TraceCorpus(Path(tmp) / "corpus")
         entries = []
         for scenario in params["scenarios"]:  # type: ignore[index]
-            trace = SCENARIOS[str(scenario)](
-                int(params["threads"]), int(params["events"]), int(params.get("seed", 0))
-            )
-            entry, _ = corpus.ingest(trace)
+            entry, _ = corpus.ingest(case_trace({**params, "scenario": scenario}))
             entries.append(entry)
         pool = WorkerPool(workers=int(params["workers"])).start()
         batch_index = 0
@@ -401,7 +420,7 @@ def _run_serve_jobs_case(case: BenchCase, config: BenchConfig) -> BenchCaseResul
     )
 
 
-def _run_serve_ingest_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
+def _run_serve_ingest_case(case: BenchCase, config: BenchConfig, traces: Traces) -> BenchCaseResult:
     """Streaming-ingest throughput: STD lines over a live loopback server.
 
     One timed repeat = one full stream (begin, batched feeds, end)
@@ -420,7 +439,7 @@ def _run_serve_ingest_case(case: BenchCase, config: BenchConfig) -> BenchCaseRes
     params = case.params
     specs = [str(spec) for spec in params["specs"]]  # type: ignore[index]
     batch = int(params.get("batch", 32))
-    trace = _scenario_trace(params)
+    trace = case_trace(params, traces)
     lines = [std_line(event) for event in trace]
     with tempfile.TemporaryDirectory(prefix="repro-bench-ingest-") as tmp:
         server = TraceServer(("127.0.0.1", 0), Path(tmp) / "corpus", workers=1)
@@ -459,7 +478,7 @@ def _run_serve_ingest_case(case: BenchCase, config: BenchConfig) -> BenchCaseRes
     )
 
 
-def _run_decode_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
+def _run_decode_case(case: BenchCase, config: BenchConfig, traces: Traces) -> BenchCaseResult:
     """Decode throughput: parse a trace file, chunked vs per-event.
 
     The trace is generated and written to a temp file *outside* the
@@ -486,7 +505,7 @@ def _run_decode_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
     params = case.params
     fmt = str(params.get("fmt", "std"))
     mode = str(params.get("mode", "batched"))
-    trace = _scenario_trace(params)
+    trace = case_trace(params, traces)
     with tempfile.TemporaryDirectory(prefix="repro-bench-decode-") as tmp:
         path = Path(tmp) / f"trace.{fmt}"
         save_trace(trace, path, fmt=fmt)
@@ -532,7 +551,7 @@ def _run_decode_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
     )
 
 
-def _run_pipeline_walk_case(case: BenchCase, config: BenchConfig) -> BenchCaseResult:
+def _run_pipeline_walk_case(case: BenchCase, config: BenchConfig, traces: Traces) -> BenchCaseResult:
     """Multi-spec session walk: full batches (default) vs one-event batches.
 
     All modes drive the identical events through the same specs and
@@ -549,7 +568,7 @@ def _run_pipeline_walk_case(case: BenchCase, config: BenchConfig) -> BenchCaseRe
     params = case.params
     specs = [str(spec) for spec in params["specs"]]  # type: ignore[index]
     mode = str(params.get("mode", "batched"))
-    trace = _scenario_trace(params)
+    trace = case_trace(params, traces)
     session = Session(specs)
 
     if mode == "colf-mmap":
@@ -615,7 +634,7 @@ def _run_pipeline_walk_case(case: BenchCase, config: BenchConfig) -> BenchCaseRe
 
 
 #: Case kind -> measurement procedure.
-_RUNNERS: Dict[str, Callable[[BenchCase, BenchConfig], BenchCaseResult]] = {
+_RUNNERS: Dict[str, Callable[[BenchCase, BenchConfig, Traces], BenchCaseResult]] = {
     "clock_ops": _run_clock_ops_case,
     "session": _run_session_case,
     "work": _run_work_case,
@@ -627,24 +646,41 @@ _RUNNERS: Dict[str, Callable[[BenchCase, BenchConfig], BenchCaseResult]] = {
 }
 
 
-def run_case(case: BenchCase, config: Optional[BenchConfig] = None) -> BenchCaseResult:
-    """Prepare and measure one case under the standard discipline."""
+def run_case(
+    case: BenchCase, config: Optional[BenchConfig] = None, traces: Optional[Traces] = None
+) -> BenchCaseResult:
+    """Prepare and measure one case under the standard discipline.
+
+    The case's trace is taken from ``traces`` when it holds it, and
+    added to it when generated (:func:`case_trace`).
+    """
     runner = _RUNNERS.get(case.kind)
     if runner is None:
         raise ValueError(f"unknown bench case kind {case.kind!r}; expected one of {sorted(_RUNNERS)}")
-    return runner(case, config if config is not None else BenchConfig())
+    return runner(
+        case, config if config is not None else BenchConfig(), {} if traces is None else traces
+    )
 
 
 def run_suite(
     cases: List[BenchCase],
     config: Optional[BenchConfig] = None,
     progress: Optional[Callable[[str], None]] = None,
+    traces: Optional[Traces] = None,
 ) -> List[BenchCaseResult]:
-    """Measure every case of a suite, in declaration order."""
+    """Measure every case of a suite, in declaration order.
+
+    Consecutive cases of one workload share its trace, generated once.
+    Without ``traces`` a trace is dropped when the run moves on to
+    another workload; with it, the traces it holds are used and those
+    the run generates are added to it.
+    """
     resolved = config if config is not None else BenchConfig()
     results: List[BenchCaseResult] = []
-    for case in cases:
-        if progress is not None:
-            progress(case.name)
-        results.append(run_case(case, resolved))
+    for _, group in groupby(cases, key=lambda case: _workload(case.params)):
+        shared = traces if traces is not None else {}
+        for case in group:
+            if progress is not None:
+                progress(case.name)
+            results.append(run_case(case, resolved, shared))
     return results

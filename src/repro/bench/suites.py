@@ -60,8 +60,9 @@ The built-in suites:
     point with ``hb+vc`` and ``hb+tc``.  ``paper/work/<profile>/<ORDER>``
     and ``paper/work/<scenario>-t<k>/HB`` record the same workload's
     VTWork, VCWork and TCWork (Figures 8 and 9, Figure 10's work
-    column).  :mod:`repro.experiments` renders Table 2 and Figures 6–10
-    from these same cases.
+    column) and its trace statistics (Tables 1 and 3).
+    :mod:`repro.experiments` renders every table and figure from these
+    same cases.
 
 Extra session cases over *captured* trace files can be appended with
 ``repro-bench run --trace FILE`` — the file is streamed lazily through a
@@ -349,8 +350,6 @@ def work_case_name(workload: str, order: str) -> str:
 def paper_suite(
     scale: float = 0.1,
     max_profiles: Optional[int] = None,
-    families: Optional[Sequence[str]] = None,
-    orders: Sequence[str] = PAPER_ORDERS,
     events: int = 2000,
     scenarios: Sequence[str] = tuple(SCENARIOS),
     thread_counts: Sequence[int] = DEFAULT_THREAD_COUNTS,
@@ -358,16 +357,16 @@ def paper_suite(
 ) -> List[BenchCase]:
     """The ``paper`` suite: the Table-2 cells and the Figure-10 points.
 
-    ``scale``, ``max_profiles`` and ``families`` select the suite
-    profiles as :func:`repro.gen.suite.default_suite` does; ``events``,
+    ``scale`` and ``max_profiles`` select the suite profiles as
+    :func:`repro.gen.suite.default_suite` does; ``events``,
     ``scenarios``, ``thread_counts`` and ``seed`` size the Figure-10
-    points.  Empty ``orders`` or ``scenarios`` leave out that half.
-    Every timed case is followed by the ``work`` case of its workload.
+    points; empty ``scenarios`` leave them out.  Every timed case is
+    followed by the ``work`` case of its workload.
     """
     cases: List[BenchCase] = []
-    for profile in default_suite(scale=scale, families=families, max_profiles=max_profiles):
+    for profile in default_suite(scale=scale, max_profiles=max_profiles):
         workload = {"source": "profile", "profile": profile.name, "events": profile.config.num_events}
-        for order in orders:
+        for order in PAPER_ORDERS:
             prefix = order.lower()
             cases.append(
                 BenchCase(

@@ -1,7 +1,8 @@
 """Experiment runners reproducing the paper's tables and figures.
 
-Every module exposes a ``run(config, ...) -> ExperimentReport`` function;
-the mapping from paper artifact to module is:
+Every module exposes a ``run(config, runner) -> ExperimentReport``
+function, and one :class:`SuiteRunner` can serve them all; the mapping
+from paper artifact to module is:
 
 ========  ==========================================================
 Artifact  Module

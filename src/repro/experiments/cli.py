@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 from ..cli_util import package_version
 from ..gen.scenarios import DEFAULT_THREAD_COUNTS
 from . import figure6, figure7, figure8, figure9, figure10, table1, table2, table3
-from .figure10 import ScalabilityConfig
 from .runner import DEFAULT_ORDERS, ExperimentConfig, SuiteRunner
 
 #: Experiment name → module with a ``run`` function.
@@ -96,9 +95,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             repetitions=args.repetitions,
             orders=tuple(dict.fromkeys(order.upper() for order in args.orders)),
             max_profiles=args.max_profiles,
-        )
-        scalability = ScalabilityConfig(
-            thread_counts=tuple(dict.fromkeys(args.threads)), num_events=args.events
+            events=args.events,
+            thread_counts=tuple(dict.fromkeys(args.threads)),
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -106,11 +104,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     runner = SuiteRunner(config)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
-        if name == "figure10":
-            report = figure10.run(config, scalability)
-        else:
-            report = EXPERIMENTS[name].run(config, runner)
-        print(report.render())
+        print(EXPERIMENTS[name].run(config, runner).render())
         print()
     return 0
 

@@ -21,64 +21,30 @@ machine-independent work counts per scenario and thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Tuple
 
-from ..bench.runner import BenchConfig, run_suite
-from ..bench.suites import paper_suite, work_case_name
-from ..gen.scenarios import DEFAULT_THREAD_COUNTS, SCENARIOS
+from ..bench.suites import work_case_name
 from .reporting import ExperimentReport
-from .runner import ExperimentConfig, SpeedupSample, case_work, median_seconds
+from .runner import ExperimentConfig, SpeedupSample, SuiteRunner, case_work, median_seconds
 
 
-@dataclass(frozen=True, slots=True)
-class ScalabilityConfig:
-    """Knobs of the Figure-10 sweep (timed ``ExperimentConfig.repetitions`` times).
-
-    Raises :class:`ValueError` for a thread count or ``num_events``
-    below 1.
-    """
-
-    thread_counts: Sequence[int] = DEFAULT_THREAD_COUNTS
-    num_events: int = 10_000
-    scenarios: Sequence[str] = tuple(SCENARIOS)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if any(threads < 1 for threads in self.thread_counts):
-            raise ValueError("threads must be at least 1")
-        if self.num_events < 1:
-            raise ValueError("events must be at least 1")
-
-
-def run(
-    config: ExperimentConfig = ExperimentConfig(),
-    scalability: ScalabilityConfig = ScalabilityConfig(),
-) -> ExperimentReport:
+def run(config: ExperimentConfig = ExperimentConfig(), runner: Optional[SuiteRunner] = None) -> ExperimentReport:
     """Run the scalability sweep behind Figure 10.
 
-    Each point is one ``paper/figure10/<scenario>-t<k>`` bench case of
-    :func:`repro.bench.suites.paper_suite`, timed like the Table-2 cells,
-    and its VCWork/TCWork comes from the ``paper/work/<scenario>-t<k>/HB``
-    case beside it.
+    Each point is one ``paper/figure10/<scenario>-t<k>`` case of the
+    runner's paper suite (``config.events`` events, ``config.thread_counts``
+    threads), timed like the Table-2 cells, and its VCWork/TCWork comes
+    from the ``paper/work/<scenario>-t<k>/HB`` case beside it.  The two
+    cases of a point are measured together, on one trace.
     """
-    cases = paper_suite(
-        orders=(),
-        events=scalability.num_events,
-        scenarios=scalability.scenarios,
-        thread_counts=scalability.thread_counts,
-        seed=scalability.seed,
-    )
-    results = {
-        result.name: result
-        for result in run_suite(cases, BenchConfig(warmup=1, repeats=config.repetitions))
-    }
+    runner = runner or SuiteRunner(config)
     rows = []
-    work_ratios: Dict[str, List[float]] = {}
-    for case in cases:
-        if case.kind != "session":
+    work_ratios: Dict[str, List[Tuple[int, float]]] = {}
+    for case in runner.cases.values():
+        if not case.name.startswith("paper/figure10/"):
             continue
-        result = results[case.name]
+        point = case.name.rsplit("/", 1)[1]
+        result, work_result = runner.measured(case.name, work_case_name(point, "HB"))
         scenario = str(case.params["scenario"])
         num_threads = int(case.params["threads"])  # type: ignore[call-overload]
         timing = SpeedupSample(
@@ -90,7 +56,7 @@ def run(
             vc_seconds=median_seconds(result, "hb+vc"),
             tc_seconds=median_seconds(result, "hb+tc"),
         )
-        work = case_work(results[work_case_name(f"{scenario}-t{num_threads}", "HB")])
+        work = case_work(work_result)
         rows.append(
             [
                 scenario,
@@ -102,15 +68,11 @@ def run(
                 round(work.vc_over_tc, 2),
             ]
         )
-        work_ratios.setdefault(scenario, []).append(work.vc_over_tc)
+        work_ratios.setdefault(scenario, []).append((num_threads, work.vc_over_tc))
     summary = {}
     for scenario, ratios in work_ratios.items():
-        summary[f"{scenario}: VCWork/TCWork at k={scalability.thread_counts[0]}"] = round(
-            ratios[0], 2
-        )
-        summary[f"{scenario}: VCWork/TCWork at k={scalability.thread_counts[-1]}"] = round(
-            ratios[-1], 2
-        )
+        for threads, ratio in (ratios[0], ratios[-1]):
+            summary[f"{scenario}: VCWork/TCWork at k={threads}"] = round(ratio, 2)
     return ExperimentReport(
         experiment="figure10",
         title="Scalability with the number of threads (HB, four lock topologies)",

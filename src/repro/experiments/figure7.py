@@ -13,19 +13,17 @@ the two quantities.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import List, Optional
 
-from ..trace.stats import compute_statistics
 from .reporting import ExperimentReport
 from .runner import ExperimentConfig, SuiteRunner
 
 
 def _rank(values: List[float]) -> List[float]:
-    order = sorted(range(len(values)), key=lambda index: values[index])
-    ranks = [0.0] * len(values)
-    for position, index in enumerate(order):
-        ranks[index] = float(position)
-    return ranks
+    """Ranks from 0; tied values share the mean of the positions they span."""
+    ordered = sorted(values)
+    return [(bisect_left(ordered, value) + bisect_right(ordered, value) - 1) / 2 for value in values]
 
 
 def spearman_correlation(xs: List[float], ys: List[float]) -> float:
@@ -49,8 +47,7 @@ def run(config: ExperimentConfig = ExperimentConfig(), runner: Optional[SuiteRun
     rows = []
     sync_fractions: List[float] = []
     speedups: List[float] = []
-    for profile in runner.profiles:
-        stats = compute_statistics(runner.trace(profile))
+    for profile, stats in zip(runner.profiles, runner.statistics()):
         sample = runner.speedup(profile, "HB", with_analysis=True)
         sync_percent = 100.0 * stats.sync_fraction
         rows.append(

@@ -9,6 +9,7 @@ the two can be compared side by side.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -55,28 +56,22 @@ def histogram_rows(
 ) -> List[List[object]]:
     """Bucket ``values`` into ``[edge_i, edge_{i+1})`` bins and render bar rows.
 
-    The final bin is right-inclusive.  Returns rows of
-    ``[range label, count, bar]``.
+    A value below the first edge or at or above the last counts in a
+    ``[-inf, first)`` or ``[last, inf)`` row, shown only when non-empty.
+    Returns rows of ``[range label, count, bar]``.
     """
     if len(bin_edges) < 2:
         raise ValueError("need at least two bin edges")
-    counts = [0] * (len(bin_edges) - 1)
+    edges = [float("-inf"), *bin_edges, float("inf")]
+    counts = [0] * (len(edges) - 1)
     for value in values:
-        placed = False
-        for index in range(len(counts)):
-            low, high = bin_edges[index], bin_edges[index + 1]
-            last = index == len(counts) - 1
-            if low <= value < high or (last and value == high):
-                counts[index] += 1
-                placed = True
-                break
-        if not placed and value >= bin_edges[-1]:
-            counts[-1] += 1
-    maximum = max(counts) if counts else 0
+        counts[bisect_right(edges, value) - 1] += 1
+    maximum = max(counts)
     rows: List[List[object]] = []
     for index, count in enumerate(counts):
-        label = f"[{bin_edges[index]:g}, {bin_edges[index + 1]:g})"
-        rows.append([label, count, ascii_bar(count, maximum)])
+        if count or 0 < index < len(counts) - 1:
+            label = f"[{edges[index]:g}, {edges[index + 1]:g})"
+            rows.append([label, count, ascii_bar(count, maximum)])
     return rows
 
 

@@ -4,10 +4,10 @@ The paper's evaluation runs every benchmark trace through each of the
 three partial orders with both clock data structures, with and without
 the analysis component (Table 2, Figures 6 and 7), and separately
 measures data-structure work (Figures 8 and 9) and scalability
-(Figure 10).  :class:`ExperimentConfig` captures the knobs shared by all
-of these (suite scale, repetitions, which partial orders to include) and
-:class:`SuiteRunner` caches the generated traces and the measured cases
-so that several experiment runners share one measurement of each.
+(Figure 10).  :class:`ExperimentConfig` captures the knobs of all of
+these (suite scale, repetitions, which partial orders to include, the
+Figure-10 sweep) and :class:`SuiteRunner` caches the measured cases so
+that several experiment runners share one measurement of each.
 
 Every number comes from :mod:`repro.bench`, through the cases of
 :func:`repro.bench.suites.paper_suite`.  The timed cells are the
@@ -17,7 +17,9 @@ Every number comes from :mod:`repro.bench`, through the cases of
 ``repetitions`` timed walks.  A cell's VC or TC time is the median of
 that spec's timed walks.  The work cells are the counted
 ``paper/work/<profile>/<ORDER>`` cases (VTWork, VCWork and TCWork of
-one walk).  ``repro-bench run --suite paper`` measures the same cases.
+one walk per clock), which also record their trace's statistics
+(Tables 1 and 3, Figure 7's sync%).  ``repro-bench run --suite paper``
+measures the same cases.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Type
 
 from ..analysis.engine import PartialOrderAnalysis
 from ..api.registry import ORDERS
-from ..bench.runner import BenchCaseResult, BenchConfig, median_iqr, run_suite
+from ..bench.runner import BenchCaseResult, BenchConfig, Traces, median_iqr, run_suite
 from ..bench.suites import (
     PAPER_ORDERS,
     BenchCase,
@@ -35,10 +37,10 @@ from ..bench.suites import (
     table2_case_name,
     work_case_name,
 )
+from ..gen.scenarios import DEFAULT_THREAD_COUNTS
 from ..gen.suite import BenchmarkProfile, default_suite
 from ..metrics.work import WorkMeasurement
-from ..trace.stats import TraceStatistics, compute_statistics
-from ..trace.trace import Trace
+from ..trace.stats import TraceStatistics
 
 #: The partial orders of the evaluation, in the order the paper lists them.
 DEFAULT_ORDERS = PAPER_ORDERS
@@ -62,18 +64,21 @@ class ExperimentConfig:
         Which partial orders to include.
     max_profiles:
         Optional cap on the number of suite profiles (for quick runs).
-    families:
-        Optional family filter for the suite.
+    events:
+        Events per Figure-10 scalability trace.
+    thread_counts:
+        Thread counts of the Figure-10 sweep.
 
     Raises :class:`ValueError` for a non-positive ``scale``, fewer than
-    one repetition or profile, or an unknown order.
+    one repetition, profile, event or thread, or an unknown order.
     """
 
     scale: float = 1.0
     repetitions: int = 3
     orders: Sequence[str] = DEFAULT_ORDERS
     max_profiles: Optional[int] = None
-    families: Optional[Sequence[str]] = None
+    events: int = 10_000
+    thread_counts: Sequence[int] = DEFAULT_THREAD_COUNTS
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
@@ -82,6 +87,10 @@ class ExperimentConfig:
             raise ValueError("repetitions must be at least 1")
         if self.max_profiles is not None and self.max_profiles < 1:
             raise ValueError("max_profiles must be at least 1")
+        if self.events < 1:
+            raise ValueError("events must be at least 1")
+        if any(threads < 1 for threads in self.thread_counts):
+            raise ValueError("threads must be at least 1")
         self.analysis_classes()
 
     def analysis_classes(self) -> List[Type[PartialOrderAnalysis]]:
@@ -134,12 +143,18 @@ def case_work(result: BenchCaseResult) -> WorkMeasurement:
     )
 
 
-class SuiteRunner:
-    """Generates the benchmark suite once and caches the measured cases.
+def case_statistics(result: BenchCaseResult) -> TraceStatistics:
+    """The trace statistics a ``paper/work`` case recorded."""
+    return TraceStatistics(**result.meta["stats"])  # type: ignore[arg-type]
 
-    :attr:`results` holds the measured ``paper/table2`` and
-    ``paper/work`` cases by name; a case is measured the first time a
-    table or figure asks for one of its cells.
+
+class SuiteRunner:
+    """Measures the cases of the paper suite once and caches them.
+
+    :attr:`results` holds the measured cases by name; a case is measured
+    the first time a table or figure asks for one of its cells.  Only
+    :mod:`repro.bench` generates traces.  Each profile's trace is
+    generated once, for the first of its cases, and kept for the rest.
     """
 
     def __init__(self, config: ExperimentConfig = ExperimentConfig()) -> None:
@@ -147,7 +162,7 @@ class SuiteRunner:
         self.results: Dict[str, BenchCaseResult] = {}
         self._profiles: Optional[List[BenchmarkProfile]] = None
         self._cases: Optional[Dict[str, BenchCase]] = None
-        self._traces: Dict[str, Trace] = {}
+        self._traces: Traces = {}
 
     # -- suite materialization -------------------------------------------------------
 
@@ -156,15 +171,13 @@ class SuiteRunner:
         """The benchmark profiles selected by the configuration."""
         if self._profiles is None:
             self._profiles = default_suite(
-                scale=self.config.scale,
-                families=self.config.families,
-                max_profiles=self.config.max_profiles,
+                scale=self.config.scale, max_profiles=self.config.max_profiles
             )
         return self._profiles
 
     @property
     def cases(self) -> Dict[str, BenchCase]:
-        """The ``paper/table2`` and ``paper/work`` cases of the selected profiles, by name.
+        """The ``paper`` suite's cases for the configuration, by name.
 
         Every order has its cases, so Figure 7 (always HB) and Figure 8
         (HB) work whatever :attr:`ExperimentConfig.orders` selects for the
@@ -176,42 +189,36 @@ class SuiteRunner:
                 for case in paper_suite(
                     scale=self.config.scale,
                     max_profiles=self.config.max_profiles,
-                    families=self.config.families,
-                    scenarios=(),
+                    events=self.config.events,
+                    thread_counts=self.config.thread_counts,
                 )
             }
         return self._cases
 
-    def trace(self, profile: BenchmarkProfile) -> Trace:
-        """The (cached) trace of one profile."""
-        cached = self._traces.get(profile.name)
-        if cached is None:
-            cached = profile.generate()
-            self._traces[profile.name] = cached
-        return cached
+    def measured(self, *names: str) -> List[BenchCaseResult]:
+        """The results of the cases ``names``; those not yet measured run now, together.
 
-    def traces(self) -> List[Trace]:
-        """All traces of the suite, generated lazily and cached."""
-        return [self.trace(profile) for profile in self.profiles]
+        Cases run together share their workload's trace.  Profile traces
+        are also kept for the profile's later cases; a Figure-10 point's
+        trace lives only while its cases run.
+        """
+        todo = [self.cases[name] for name in names if name not in self.results]
+        kept = self._traces if all("profile" in case.params for case in todo) else None
+        config = BenchConfig(warmup=1, repeats=self.config.repetitions)
+        for result in run_suite(todo, config, traces=kept):
+            self.results[result.name] = result
+        return [self.results[name] for name in names]
 
     # -- per-trace measurements ---------------------------------------------------------
 
     def statistics(self) -> List[TraceStatistics]:
-        """Per-trace statistics (Table 3 rows)."""
-        return [compute_statistics(trace) for trace in self.traces()]
-
-    def _measured(self, name: str) -> BenchCaseResult:
-        """The result of one case of :attr:`cases`, measured on first use."""
-        cached = self.results.get(name)
-        if cached is None:
-            config = BenchConfig(warmup=1, repeats=self.config.repetitions)
-            cached = run_suite([self.cases[name]], config)[0]
-            self.results[name] = cached
-        return cached
+        """Per-profile trace statistics (Tables 1 and 3), from the HB work cases."""
+        names = [work_case_name(profile.name, "HB") for profile in self.profiles]
+        return [case_statistics(result) for result in self.measured(*names)]
 
     def result(self, profile: BenchmarkProfile, order: str) -> BenchCaseResult:
         """The timed ``paper/table2`` case of one (profile, order) pair."""
-        return self._measured(table2_case_name(profile.name, order))
+        return self.measured(table2_case_name(profile.name, order))[0]
 
     def speedup(self, profile: BenchmarkProfile, order: str, with_analysis: bool) -> SpeedupSample:
         """The VC-vs-TC timing comparison of one cell (PO or PO + analysis)."""
@@ -222,11 +229,11 @@ class SuiteRunner:
             partial_order=order.upper(),
             with_analysis=with_analysis,
             num_events=result.events,
-            num_threads=self.trace(profile).num_threads,
+            num_threads=int(result.meta["threads"]),  # type: ignore[call-overload]
             vc_seconds=median_seconds(result, f"{order.lower()}+vc{suffix}"),
             tc_seconds=median_seconds(result, f"{order.lower()}+tc{suffix}"),
         )
 
     def work_measurement(self, profile: BenchmarkProfile, order: str) -> WorkMeasurement:
         """The work counts of one (profile, order) pair: its ``paper/work`` case."""
-        return case_work(self._measured(work_case_name(profile.name, order)))
+        return case_work(self.measured(work_case_name(profile.name, order))[0])

@@ -39,17 +39,6 @@ class BenchmarkProfile:
         """Materialize the trace of this profile."""
         return generate_trace(replace(self.config, name=self.name))
 
-    def source(self):
-        """This profile as a lazy :class:`repro.api.GeneratorSource`.
-
-        Lets a profile be handed straight to ``Session.run`` without
-        materializing the trace upfront (generation happens on first
-        use, inside the session's walk setup).
-        """
-        from ..api.sources import GeneratorSource  # local import: api sits above gen
-
-        return GeneratorSource(self)
-
 
 def _profile(
     name: str,

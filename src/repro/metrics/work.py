@@ -89,30 +89,15 @@ def measure_work(
 ) -> WorkMeasurement:
     """Run ``analysis_class`` with both clock data structures and collect work metrics.
 
-    Both clock configurations ride **one** :class:`repro.api.Session`
-    walk over the trace with work counting enabled.  The two analyses
-    compute the same vector times, so their ``entries_updated`` counts
-    agree and give ``VTWork``; their ``entries_processed`` counts give
-    ``VCWork`` and ``TCWork``.
-
-    Classes not reachable through the order registry under their
-    ``PARTIAL_ORDER`` name (the deep-copy ablations shadow "HB"/"SHB")
-    fall back to two independent whole-trace runs.
+    Two whole-trace runs of ``analysis_class`` with work counting
+    enabled, one with vector clocks and one with tree clocks, so any
+    class works, the deep-copy ablations included.  The two runs compute
+    the same vector times, so their ``entries_updated`` counts agree and
+    give ``VTWork``; their ``entries_processed`` counts give ``VCWork``
+    and ``TCWork``.
     """
-    from ..api import ORDERS, AnalysisSpec, Session
-
-    order = analysis_class.PARTIAL_ORDER
-    if order in ORDERS and ORDERS.get(order) is analysis_class:
-        session = Session(
-            AnalysisSpec(order=order, clock=clock, work=True, detect=detect)
-            for clock in ("VC", "TC")
-        )
-        result = session.run(trace)
-        vc_result = result[AnalysisSpec(order=order, clock="VC", work=True, detect=detect)]
-        tc_result = result[AnalysisSpec(order=order, clock="TC", work=True, detect=detect)]
-    else:
-        vc_result = analysis_class(VectorClock, count_work=True, detect=detect).run(trace)
-        tc_result = analysis_class(TreeClock, count_work=True, detect=detect).run(trace)
+    vc_result = analysis_class(VectorClock, count_work=True, detect=detect).run(trace)
+    tc_result = analysis_class(TreeClock, count_work=True, detect=detect).run(trace)
     assert vc_result.work is not None and tc_result.work is not None
     vt_work = vc_result.work.entries_updated
     if tc_result.work.entries_updated != vt_work:

@@ -19,9 +19,9 @@ def measured_cases(monkeypatch):
     measured = []
     real_run_case = bench_runner.run_case
 
-    def recording_run_case(case, config=None):
+    def recording_run_case(case, config=None, traces=None):
         measured.append(case)
-        return real_run_case(case, config)
+        return real_run_case(case, config, traces)
 
     monkeypatch.setattr(bench_runner, "run_case", recording_run_case)
     return measured

@@ -187,8 +187,7 @@ class TestFileSource:
 class TestGeneratorSource:
     def test_profile_and_config_sources(self):
         profile = get_profile("account-like")
-        source = profile.source()
-        assert isinstance(source, GeneratorSource)
+        source = GeneratorSource(profile)
         assert source.name == "account-like"
         result = Session(["hb+tc"]).run(source)
         assert result.num_events == source.events_emitted == len(profile.generate())

@@ -6,6 +6,7 @@ import gc
 import json
 import os
 import platform
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -36,7 +37,7 @@ from repro.clocks import TreeClock, VectorClock
 from repro.clocks.base import WorkCounter
 from repro.gen import SCENARIOS, default_suite
 from repro.metrics import measure_work
-from repro.trace import TraceBuilder
+from repro.trace import TraceBuilder, compute_statistics
 
 
 def small_trace():
@@ -164,6 +165,7 @@ class TestRunnerAndArtifact:
             "vt_work": work.vt_work,
             "vc_work": work.vc_work,
             "tc_work": work.tc_work,
+            "stats": asdict(compute_statistics(trace)),
         }
 
     def test_artifact_roundtrip_and_validation(self, tmp_path):

@@ -1,11 +1,14 @@
 """Unit tests for the experiment runners (small, fast configurations)."""
 
+from collections import Counter
+from dataclasses import replace
 from operator import attrgetter
 
 import pytest
 
 import repro.bench.runner as bench_runner
-from repro.bench.runner import BenchCaseResult
+import repro.gen.suite as gen_suite
+from repro.bench.runner import BenchCaseResult, BenchConfig, run_suite
 from repro.bench.suites import paper_suite, table2_case_name, work_case_name
 from repro.experiments import ExperimentConfig, SuiteRunner
 from repro.experiments import (
@@ -18,9 +21,10 @@ from repro.experiments import (
     table2,
     table3,
 )
+from repro.experiments.cli import EXPERIMENTS
 from repro.experiments.figure7 import spearman_correlation
-from repro.experiments.figure10 import ScalabilityConfig
 from repro.experiments.runner import DEFAULT_ORDERS, SpeedupSample, average_speedup
+from repro.gen import SCENARIOS
 from repro.metrics import is_vt_optimal
 
 
@@ -73,11 +77,6 @@ class TestSpeedupSample:
 class TestSuiteRunner:
     def test_profiles_respect_max(self, shared_runner):
         assert len(shared_runner.profiles) == 5
-
-    def test_traces_are_cached(self, shared_runner):
-        first = shared_runner.traces()
-        second = shared_runner.traces()
-        assert all(a is b for a, b in zip(first, second))
 
     def test_statistics_align_with_profiles(self, shared_runner):
         stats = shared_runner.statistics()
@@ -169,9 +168,9 @@ class TestFigureRunners:
         assert orders_in_rows == {"MAZ", "SHB", "HB"}
 
     def test_figure10_sweep(self):
-        scalability = ScalabilityConfig(thread_counts=(4, 8), num_events=400)
-        report = figure10.run(FAST, scalability)
-        assert len(report.rows) == 2 * len(scalability.scenarios)
+        config = replace(FAST, events=400, thread_counts=(4, 8))
+        report = figure10.run(config, SuiteRunner(config))
+        assert len(report.rows) == 2 * len(SCENARIOS)
         assert report.headers[0] == "Scenario"
 
 
@@ -199,6 +198,7 @@ def cache_table2_cells(runner, times_ms, counts):
                 events=50,
                 runs_ns=synthetic_series(sum(times)),
                 sub={spec: synthetic_series(ms) for spec, ms in zip(specs, times)},
+                meta={"threads": 4},
             )
             name = work_case_name(profile.name, order)
             runner.results[name] = BenchCaseResult(
@@ -279,8 +279,118 @@ class TestTable2DecompositionFromKnownTimesAndCounts:
         assert any("work ratio / PO speedup" in note for note in report.notes)
 
 
-def no_timing(case, config=None):
+def no_timing(case, config=None, traces=None):
     raise AssertionError(f"{case.name} was measured instead of read from the cache")
+
+
+def no_generation(config):
+    raise AssertionError(f"{config.name} was generated instead of read from a case")
+
+
+class TestStatisticsFromKnownCases:
+    """Tables 1 and 3 and Figure 7's sync% read the statistics of the HB work cases."""
+
+    CONFIG = ExperimentConfig(scale=0.05, repetitions=3, max_profiles=2, orders=("HB",))
+    #: Per profile: events, threads, variables, locks, sync events, reads, writes.
+    STATS = ((100, 4, 10, 2, 30, 50, 20), (200, 8, 30, 5, 20, 100, 80))
+
+    @pytest.fixture
+    def runner(self, monkeypatch):
+        monkeypatch.setattr(bench_runner, "run_case", no_timing)
+        monkeypatch.setattr(gen_suite, "generate_trace", no_generation)
+        runner = SuiteRunner(self.CONFIG)
+        cache_table2_cells(
+            runner,
+            {"HB": TestTablesFromKnownTimes.TIMES_MS},
+            {"HB": TestTablesFromKnownTimes.COUNTS},
+        )
+        for profile, (events, threads, variables, locks, sync, reads, writes) in zip(
+            runner.profiles, self.STATS
+        ):
+            runner.results[work_case_name(profile.name, "HB")].meta["stats"] = {
+                "name": profile.name,
+                "num_events": events,
+                "num_threads": threads,
+                "num_variables": variables,
+                "num_locks": locks,
+                "num_sync_events": sync,
+                "num_access_events": reads + writes,
+                "num_read_events": reads,
+                "num_write_events": writes,
+            }
+        return runner
+
+    def test_table1_rows(self, runner):
+        report = table1.run(self.CONFIG, runner)
+        assert report.rows == [
+            ["Threads", 4.0, 8.0, 6.0],
+            ["Locks", 2.0, 5.0, 3.5],
+            ["Variables", 10.0, 30.0, 20.0],
+            ["Events", 100.0, 200.0, 150.0],
+            ["Sync. Events (%)", 10.0, 30.0, 20.0],
+            ["R/W Events (%)", 70.0, 90.0, 80.0],
+        ]
+
+    def test_table3_rows(self, runner):
+        report = table3.run(self.CONFIG, runner)
+        first, second = runner.profiles
+        assert report.rows == [
+            [first.name, first.family, 100, 4, 10, 2, 30.0],
+            [second.name, second.family, 200, 8, 30, 5, 10.0],
+        ]
+
+    def test_figure7_sync_column(self, runner):
+        report = figure7.run(self.CONFIG, runner)
+        first, second = runner.profiles
+        # Sorted by sync%; HB+detect medians 6 / 2 and 4 / 1 ms.
+        assert report.rows == [
+            [second.name, 8, 10.0, 0.004, 0.001, 4.0],
+            [first.name, 4, 30.0, 0.006, 0.002, 3.0],
+        ]
+
+
+class TestOneTracePerWorkload:
+    """Each profile and each Figure-10 point is generated once per run."""
+
+    CONFIG = ExperimentConfig(
+        scale=0.05, repetitions=1, max_profiles=2, events=120, thread_counts=(3, 5)
+    )
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        """Generations by profile name or Figure-10 point."""
+        counts = Counter()
+        real_generate = gen_suite.generate_trace
+
+        def generate_trace(config):
+            counts[config.name] += 1
+            return real_generate(config)
+
+        monkeypatch.setattr(gen_suite, "generate_trace", generate_trace)
+        for scenario, factory in list(SCENARIOS.items()):
+
+            def counted(threads, events, seed=0, scenario=scenario, factory=factory):
+                counts[f"{scenario}-t{threads}"] += 1
+                return factory(threads, events, seed)
+
+            monkeypatch.setitem(SCENARIOS, scenario, counted)
+        return counts
+
+    def expected(self):
+        names = [profile.name for profile in SuiteRunner(self.CONFIG).profiles]
+        names += [f"{scenario}-t{k}" for scenario in SCENARIOS for k in self.CONFIG.thread_counts]
+        return dict.fromkeys(names, 1)
+
+    def test_every_experiment_over_one_runner(self, generated):
+        runner = SuiteRunner(self.CONFIG)
+        for name in sorted(EXPERIMENTS):
+            EXPERIMENTS[name].run(self.CONFIG, runner)
+        assert dict(generated) == self.expected()
+
+    def test_the_paper_suite(self, generated):
+        cases = paper_suite(scale=0.05, max_profiles=2, events=120, thread_counts=(3, 5))
+        run_suite(cases, BenchConfig(warmup=0, repeats=1))
+        assert dict(generated) == self.expected()
 
 
 class TestFiguresFromKnownCounts:
@@ -385,3 +495,7 @@ class TestSpearman:
     def test_degenerate_inputs(self):
         assert spearman_correlation([1], [1]) == 0.0
         assert spearman_correlation([1, 2], [1]) == 0.0
+
+    def test_ties_share_their_average_rank_whatever_the_input_order(self):
+        assert spearman_correlation([1, 1, 2], [1, 2, 3]) == pytest.approx(0.866, abs=1e-3)
+        assert spearman_correlation([1, 1, 2], [2, 1, 3]) == pytest.approx(0.866, abs=1e-3)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import HBAnalysis, MAZAnalysis, SHBAnalysis
+from repro.analysis.ablations import HBDeepCopyAnalysis
 from repro.metrics import WorkMeasurement, is_vt_optimal, measure_work
 from util_traces import make_random_trace
 
@@ -52,4 +53,13 @@ class TestMeasureWork:
     def test_work_measurement_with_detection(self, medium_trace):
         measurement = measure_work(medium_trace, HBAnalysis, detect=True)
         assert measurement.vt_work > 0
+
+    def test_ablation_class_changes_tc_work_only(self, medium_trace):
+        # The deep-copy ablation computes HB's vector times, so VTWork
+        # matches; its unconditional copies cannot process fewer entries.
+        hb = measure_work(medium_trace, HBAnalysis)
+        ablated = measure_work(medium_trace, HBDeepCopyAnalysis)
+        assert ablated.partial_order == "HB"
+        assert ablated.vt_work == hb.vt_work
+        assert ablated.tc_work >= hb.tc_work
 

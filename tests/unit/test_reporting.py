@@ -46,12 +46,17 @@ class TestAsciiBarAndHistogram:
 
     def test_histogram_rows_bucketing(self):
         rows = histogram_rows([1.0, 1.5, 2.5, 10.0], [1, 2, 5, 10])
-        counts = [row[1] for row in rows]
-        assert counts == [2, 1, 1]
+        assert [row[:2] for row in rows] == [
+            ["[1, 2)", 2], ["[2, 5)", 1], ["[5, 10)", 0], ["[10, inf)", 1]
+        ]
 
     def test_histogram_values_beyond_last_edge_land_in_last_bin(self):
         rows = histogram_rows([100.0], [1, 2, 5])
-        assert rows[-1][1] == 1
+        assert rows[-1][:2] == ["[5, inf)", 1]
+
+    def test_histogram_out_of_range_values_get_rows_whose_labels_hold_them(self):
+        rows = histogram_rows([0.5, 2.0, 5.0], [1, 2, 5])
+        assert [row[:2] for row in rows] == [["[-inf, 1)", 1], ["[1, 2)", 0], ["[2, 5)", 1], ["[5, inf)", 1]]
 
     def test_histogram_requires_two_edges(self):
         with pytest.raises(ValueError):
