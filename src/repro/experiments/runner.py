@@ -25,9 +25,8 @@ measures the same cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Optional, Sequence
 
-from ..analysis.engine import PartialOrderAnalysis
 from ..api.registry import ORDERS
 from ..bench.runner import BenchCaseResult, BenchConfig, Traces, median_iqr, run_suite
 from ..bench.suites import (
@@ -91,11 +90,7 @@ class ExperimentConfig:
             raise ValueError("events must be at least 1")
         if any(threads < 1 for threads in self.thread_counts):
             raise ValueError("threads must be at least 1")
-        self.analysis_classes()
-
-    def analysis_classes(self) -> List[Type[PartialOrderAnalysis]]:
-        """The analysis classes selected by :attr:`orders`."""
-        return [ORDERS.get(order) for order in self.orders]
+        list(map(ORDERS.canonical, self.orders))  # an unknown order raises ValueError
 
 
 @dataclass(frozen=True, slots=True)

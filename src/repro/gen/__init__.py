@@ -6,10 +6,8 @@ from .scenarios import (
     DEFAULT_THREAD_COUNTS,
     PAPER_THREAD_COUNTS,
     SCENARIOS,
-    ScalabilityPoint,
     fifty_locks_skewed_trace,
     pairwise_communication_trace,
-    scalability_sweep,
     single_lock_trace,
     star_topology_trace,
 )
@@ -29,7 +27,6 @@ __all__ = [
     "PAPER_THREAD_COUNTS",
     "RandomTraceConfig",
     "SCENARIOS",
-    "ScalabilityPoint",
     "TOPOLOGIES",
     "default_suite",
     "families",
@@ -39,7 +36,6 @@ __all__ = [
     "get_profile",
     "pairwise_communication_trace",
     "profile_names",
-    "scalability_sweep",
     "single_lock_trace",
     "star_topology_trace",
 ]

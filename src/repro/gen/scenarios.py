@@ -22,8 +22,7 @@ preserved and the event count is a parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict
 
 from ..trace.trace import Trace
 from .random_trace import RandomTraceConfig, generate_trace
@@ -111,34 +110,3 @@ SCENARIOS: Dict[str, Callable[..., Trace]] = {
     "star_topology": star_topology_trace,
     "pairwise_communication": pairwise_communication_trace,
 }
-
-
-@dataclass(frozen=True, slots=True)
-class ScalabilityPoint:
-    """One (scenario, thread count) cell of the Figure-10 sweep."""
-
-    scenario: str
-    num_threads: int
-    num_events: int
-    seed: int
-
-    def generate(self) -> Trace:
-        """Materialize the trace for this point."""
-        return SCENARIOS[self.scenario](self.num_threads, self.num_events, self.seed)
-
-
-def scalability_sweep(
-    scenarios: Sequence[str] = tuple(SCENARIOS),
-    thread_counts: Sequence[int] = DEFAULT_THREAD_COUNTS,
-    num_events: int = DEFAULT_EVENTS,
-    seed: int = 0,
-) -> List[ScalabilityPoint]:
-    """The full grid of Figure-10 measurement points."""
-    unknown = [name for name in scenarios if name not in SCENARIOS]
-    if unknown:
-        raise ValueError(f"unknown scenarios {unknown}; expected a subset of {sorted(SCENARIOS)}")
-    return [
-        ScalabilityPoint(scenario=name, num_threads=threads, num_events=num_events, seed=seed)
-        for name in scenarios
-        for threads in thread_counts
-    ]

@@ -22,9 +22,10 @@ seen.  The layering, bottom to top:
 * :class:`TraceServer` / :class:`ServeClient`
   (:mod:`repro.serve.server` / :mod:`repro.serve.client`) — a JSON-lines
   TCP protocol (:mod:`repro.serve.protocol`) supporting whole-trace
-  submission *and* streaming ingest, where each fed batch is analyzed
-  by an incremental :class:`~repro.api.Session` before its reply, so
-  races return while the producer is still sending.
+  submission, whose text streams into the corpus as a chunked body,
+  *and* streaming ingest, where each fed batch is analyzed by an
+  incremental :class:`~repro.api.Session` before its reply, so races
+  return while the producer is still sending.
 
 From the command line: ``repro serve``, ``repro submit``,
 ``repro status`` (:mod:`repro.serve.cli`).

@@ -6,7 +6,9 @@ plus :meth:`wait_idle` polling for batch workflows.  Whole traces are
 normalized client-side: :meth:`submit_file` parses the local STD/CSV
 [.gz] file lazily and re-serializes it to canonical STD text, so the
 bytes on the wire (and therefore the server-side content address) never
-depend on the local file's format or compression.
+depend on the local file's format or compression.  A submitted trace
+travels as the chunked body after its ``submit`` frame, so neither side
+holds more of it than one chunk, whatever its size.
 
 Streaming ingest gets its own small handle::
 
@@ -35,7 +37,7 @@ import random
 import socket
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..obs import context as obs_context
 from ..obs import metrics as obs_metrics
@@ -43,11 +45,39 @@ from ..obs import tracing as obs_tracing
 from ..trace.event import Event
 from ..trace.io import infer_format, iter_trace_file, std_line
 from ..trace.trace import Trace
-from .protocol import DEFAULT_PORT, ProtocolError, read_message, write_message
+from .protocol import (
+    BODY_CHUNK_CHARS,
+    DEFAULT_PORT,
+    ProtocolError,
+    encode_chunks,
+    read_message,
+    write_body,
+    write_message,
+)
+
+#: A request body: called once per attempt, so a retry re-sends it whole.
+Body = Callable[[], Iterable[bytes]]
 
 
 class ServeClientError(RuntimeError):
     """Raised when the server answers with an error (or the link breaks)."""
+
+
+class _SourceFailed(Exception):
+    """A request body's source raised (its ``__cause__``); the socket did not."""
+
+
+def _source_chunks(body: Body) -> Iterator[bytes]:
+    """``body()``'s chunks, with the source's own errors raised as :class:`_SourceFailed`."""
+    try:
+        yield from body()
+    except Exception as error:
+        raise _SourceFailed from error
+
+
+def _std_lines(events: Iterable[Event]) -> Iterable[str]:
+    """The canonical STD lines of ``events``, each with its newline."""
+    return (std_line(event) + "\n" for event in events)
 
 
 #: Errno values treated as transient connection faults worth a retry.
@@ -144,6 +174,11 @@ class ServeClient:
             (self.host, self.port), timeout=self.connect_timeout
         )
         self._socket.settimeout(self.timeout)
+        # A submit is a frame and then its body, in separate writes.  With
+        # Nagle's algorithm on, the body's last small segment waits for
+        # the server to acknowledge the frame, which it delays (~40 ms on
+        # Linux) in the hope of sending a reply it cannot send yet.
+        self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self._socket.makefile("rb")
         self._wfile = self._socket.makefile("wb")
 
@@ -201,14 +236,18 @@ class ServeClient:
 
     # -- plumbing ----------------------------------------------------------------------
 
-    def _roundtrip(self, payload: Dict[str, object]) -> Dict[str, object]:
+    def _roundtrip(
+        self, payload: Dict[str, object], body: Optional[Body] = None
+    ) -> Dict[str, object]:
         if self._wfile is None or self._rfile is None:
             self._connect_once()
         try:
             write_message(self._wfile, payload)
+            if body is not None:
+                write_body(self._wfile, _source_chunks(body))
         except OSError:
             # A server refusing an oversize frame answers, then hangs up
-            # while the frame is still being sent: report its answer.
+            # while the request is still being sent: report its answer.
             try:
                 response = read_message(self._rfile)
             except (ProtocolError, OSError):
@@ -226,14 +265,18 @@ class ServeClient:
             )
         return response
 
-    def request(self, payload: Dict[str, object]) -> Dict[str, object]:
+    def request(
+        self, payload: Dict[str, object], body: Optional[Body] = None
+    ) -> Dict[str, object]:
         """Send one request, read one response; raises on error responses.
 
         The single stamp point for trace propagation: whatever context
         is active (an open client span, or one attached by a submission
         helper) rides out as the message's ``trace`` field.  Transient
         connection faults on :attr:`RETRYABLE_OPS` reconnect and replay
-        under the client's backoff budget.
+        under the client's backoff budget.  ``body`` gives the chunks
+        sent after the frame (``submit``); each attempt calls it anew, and
+        an error reply to it drops the connection.
         """
         obs_context.stamp_message(payload)
         op = payload.get("op")
@@ -242,7 +285,12 @@ class ServeClient:
         retried = False
         while True:
             try:
-                response = self._roundtrip(payload)
+                response = self._roundtrip(payload, body)
+            except _SourceFailed as failure:
+                # The body's own source failed part-way: the server cannot
+                # find the next frame, so this connection is done.
+                self._teardown()
+                raise failure.__cause__  # type: ignore[misc]
             except (ProtocolError, OSError) as error:
                 self._teardown()
                 if not (retryable and attempt < self.retries and _is_transient(error)):
@@ -259,6 +307,11 @@ class ServeClient:
             if retried:
                 self._count_retry("recovered")
             if not response.get("ok"):
+                if body is not None:
+                    # A server that refused the frame may read the body as
+                    # frames (a repro-serve/2 one does); a reconnect loses
+                    # nothing, as a repro-serve/3 one has drained it.
+                    self._teardown()
                 raise ServeClientError(str(response.get("error", "unknown server error")))
             return response
 
@@ -317,22 +370,15 @@ class ServeClient:
         force: bool = False,
     ) -> Dict[str, object]:
         """Submit raw trace text for ingest + analysis."""
-        request: Dict[str, object] = {
-            "op": "submit",
-            "text": text,
-            "fmt": fmt,
-            "specs": list(specs),
-            "tags": list(tags),
-            "force": force,
-        }
-        if name is not None:
-            request["name"] = name
-        ctx = obs_context.active_context() or obs_context.new_context()
-        with obs_context.use_context(ctx):
-            with obs_tracing.span("client.submit", trace=name or "", specs=len(specs)):
-                response = self.request(request)
-        response.setdefault("trace_id", ctx.trace_id)
-        return response
+        step = BODY_CHUNK_CHARS
+        return self._submit(
+            lambda: (text[at : at + step] for at in range(0, len(text), step)),
+            specs,
+            fmt=fmt,
+            name=name,
+            tags=tags,
+            force=force,
+        )
 
     def submit_trace(
         self,
@@ -343,10 +389,8 @@ class ServeClient:
         force: bool = False,
     ) -> Dict[str, object]:
         """Submit an in-memory trace (serialized to canonical STD text)."""
-        text = "\n".join(std_line(event) for event in trace)
-        return self.submit_text(
-            text, specs, fmt="std", name=name or trace.name or None, tags=tags, force=force
-        )
+        name = name or trace.name or None
+        return self._submit(lambda: _std_lines(trace), specs, name=name, tags=tags, force=force)
 
     def analyze(
         self, digest: str, specs: Sequence[str], force: bool = False
@@ -361,12 +405,6 @@ class ServeClient:
         response.setdefault("trace_id", ctx.trace_id)
         return response
 
-    #: Traces whose canonical STD serialization exceeds this many bytes
-    #: are submitted through the streaming path instead of one
-    #: whole-text message, keeping client and server memory bounded
-    #: regardless of trace size (or on-disk compression ratio).
-    STREAM_THRESHOLD_BYTES = 32 * 1024 * 1024
-
     def submit_file(
         self,
         path: Union[str, Path],
@@ -378,48 +416,44 @@ class ServeClient:
         """Submit a local STD/CSV[.gz] trace file.
 
         The file is parsed lazily and re-serialized to canonical STD, so
-        format and compression never leak into the content address.
-        Small traces travel as one ``submit`` message; once the
-        *serialized* size (measured while streaming the file — the
-        on-disk size may be gzip-compressed many times smaller) passes
-        :attr:`STREAM_THRESHOLD_BYTES`, the upload switches to an
-        ingest-only stream followed by an ``analyze`` request, so
-        neither side ever materializes the whole trace.  The response
-        shape is the same either way.
+        format and compression never leak into the content address.  Its
+        lines stream out as the submit body while the file is read, so
+        neither side holds the trace, whatever its size; a retry re-opens
+        the file.
         """
-        resolved_name = name or Path(path).name
-        # One trace context covers the whole upload, whichever path it
-        # takes — the stream ingest and the follow-up analyze must land
-        # in the same distributed trace.
+        return self._submit(
+            lambda: _std_lines(iter_trace_file(path, fmt=infer_format(path))),
+            specs,
+            name=name or Path(path).name,
+            tags=tags,
+            force=force,
+        )
+
+    def _submit(
+        self,
+        pieces: Callable[[], Iterable[str]],
+        specs: Sequence[str],
+        fmt: str = "std",
+        name: Optional[str] = None,
+        tags: Sequence[str] = (),
+        force: bool = False,
+    ) -> Dict[str, object]:
+        """One ``submit``: its frame, then ``pieces()`` of text as the body."""
+        request: Dict[str, object] = {
+            "op": "submit",
+            "fmt": fmt,
+            "specs": list(specs),
+            "tags": list(tags),
+            "force": force,
+        }
+        if name is not None:
+            request["name"] = name
         ctx = obs_context.active_context() or obs_context.new_context()
         with obs_context.use_context(ctx):
-            lines = (std_line(event) for event in iter_trace_file(path, fmt=infer_format(path)))
-            buffered: List[str] = []
-            buffered_bytes = 0
-            overflowed = False
-            for line in lines:
-                buffered.append(line)
-                buffered_bytes += len(line) + 1
-                if buffered_bytes > self.STREAM_THRESHOLD_BYTES:
-                    overflowed = True
-                    break
-            if not overflowed:
-                return self.submit_text(
-                    "\n".join(buffered), specs, fmt="std", name=resolved_name, tags=tags, force=force
-                )
-            stream = self.stream_begin(resolved_name, specs=(), save=True)
-            for start in range(0, len(buffered), 1024):
-                stream.feed_lines(buffered[start : start + 1024])
-            batch: List[str] = []
-            for line in lines:  # continue the same lazy iteration
-                batch.append(line)
-                if len(batch) >= 1024:
-                    stream.feed_lines(batch)
-                    batch = []
-            if batch:
-                stream.feed_lines(batch)
-            final = stream.end(tags=tags or ("uploaded",))
-            return self.analyze(str(final["digest"]), specs, force=force)
+            with obs_tracing.span("client.submit", trace=name or "", specs=len(specs)):
+                response = self.request(request, body=lambda: encode_chunks(pieces()))
+        response.setdefault("trace_id", ctx.trace_id)
+        return response
 
     # -- streaming ingest --------------------------------------------------------------
 
@@ -570,7 +604,11 @@ class StreamHandle:
         return self.feed_lines([std_line(event)])
 
     def feed_events(self, events: Iterable[Event], batch: int = 64) -> List[Dict[str, object]]:
-        """Send many events in batched ``feed`` messages; returns the replies."""
+        """Send many events in batched ``feed`` messages; returns the replies.
+
+        Each batch is one frame, so it must fit the server's
+        ``MAX_REQUEST_BYTES`` (1 MiB).
+        """
         replies: List[Dict[str, object]] = []
         pending: List[str] = []
         for event in events:
@@ -583,7 +621,12 @@ class StreamHandle:
         return replies
 
     def feed_lines(self, lines: Sequence[str]) -> Dict[str, object]:
-        """Send raw STD lines (the wire-level form of :meth:`feed`)."""
+        """Send raw STD lines (the wire-level form of :meth:`feed`).
+
+        The lines travel in one frame, which must fit the server's
+        ``MAX_REQUEST_BYTES`` (1 MiB); a larger one is refused and the
+        server hangs up.
+        """
         request: Dict[str, object] = {"op": "feed", "lines": list(lines)}
         if self._context is not None:
             obs_context.stamp_message(request, self._context)

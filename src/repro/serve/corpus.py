@@ -23,7 +23,7 @@ are gzipped STD under ``<digest>.std.gz``) still load: their entries
 keep ``format: "std.gz"`` and are read through the text decoders.
 
 Ingest is streaming, through one core with two front ends.  STD text
-(the ``submit`` op, stream spools, ``.std``/``.std.gz`` files) goes
+(a ``submit`` body, stream spools, ``.std``/``.std.gz`` files) goes
 line by line; every other source (CSV, colf, a :class:`Trace`, an event
 iterable) goes event by event.  Both store each event as a cached
 *thread record* and *op record*: the canonical line's ``T<tid>|`` and
@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, count, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..api.sources import FileSource
 from ..trace.colfmt import ColfWriter
@@ -191,6 +191,33 @@ _EID = itemgetter(0)
 def _format_eid_line(eid: object) -> bytes:
     """An eid as :func:`std_line` renders it, with the newline, in UTF-8."""
     return f"{eid}\n".encode("utf-8")
+
+
+#: Longest line :meth:`TraceCorpus.ingest_stream` reads, in bytes: the
+#: server's request-frame cap, so no line of a ``submit`` body costs more
+#: than a frame may.
+MAX_LINE_BYTES = 1024 * 1024
+
+
+class _LineBoundedStream(io.RawIOBase):
+    """``raw``'s bytes, refused once more than :data:`MAX_LINE_BYTES` are read past a line break."""
+
+    def __init__(self, raw: BinaryIO) -> None:
+        super().__init__()
+        self._raw = raw
+        self._run = 0  # bytes read since the last line break
+
+    def readable(self) -> bool:
+        return True
+
+    def read(self, size: int = -1) -> bytes:
+        data = self._raw.read(size)
+        # "\r" ends a line too: the text layer reads universal newlines.
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r"))
+        self._run = len(data) - cut - 1 if cut >= 0 else self._run + len(data)
+        if self._run > MAX_LINE_BYTES:
+            raise TraceFormatError(f"a line is longer than {MAX_LINE_BYTES} bytes")
+        return data
 
 
 class _Ingest:
@@ -350,7 +377,10 @@ class TraceCorpus:
 
     Thread-safe: every server handler thread (and the streaming save
     path) shares one corpus, so ingests and index saves are serialized
-    by an internal lock.
+    by an internal lock.  One process writes a corpus directory: the
+    server that owns it.  So an ingest's temp file
+    (``traces/.ingest-*.tmp.colf``) found when the corpus opens was left
+    by a writer that died mid-ingest, and is deleted.
     """
 
     _ingest_counter = count()
@@ -364,6 +394,8 @@ class TraceCorpus:
         # The sum of the entries' event counts, kept on ingest and removal.
         self._total_events = 0
         self._lock = threading.RLock()
+        for stale in self.traces_dir.glob(".ingest-*.tmp.colf"):
+            stale.unlink(missing_ok=True)
         self._load_index()
 
     # -- index persistence -------------------------------------------------------------
@@ -433,32 +465,38 @@ class TraceCorpus:
             fill, name=name if name is not None else default_name, tags=tags, origin=source
         )
 
-    def ingest_text(
+    def ingest_stream(
         self,
-        text: str,
+        stream: BinaryIO,
         fmt: str = "std",
         name: Optional[str] = None,
         tags: Sequence[str] = (),
     ) -> Tuple[CorpusEntry, bool]:
-        """Ingest STD or CSV trace text (the ``submit`` payload).
+        """Ingest STD or CSV trace text read from a binary stream (a ``submit`` body).
 
-        The text is read back through the text layer a file read uses,
-        so it splits into the same lines (universal newlines: ``\\n``,
-        ``\\r\\n`` and ``\\r`` only) and submitting a file's content gives
-        the digest, stats and errors of ingesting the file.
+        The bytes are decoded by the text layer a file read uses, so they
+        split into the same lines (universal newlines: ``\\n``, ``\\r\\n``
+        and ``\\r`` only) and submitting a file's content gives the digest,
+        stats and errors of ingesting the file.  ``surrogatepass`` decodes
+        an encoded lone surrogate, which then fails the line that names
+        it.  The stream is read as the ingest goes, never whole, and is
+        left open.  A read that leaves more than :data:`MAX_LINE_BYTES`
+        past the last line break is refused, so a line never holds more
+        than that and one read.
         """
         if fmt not in ("std", "csv"):
             raise ValueError(f"unknown trace format {fmt!r}; expected 'std' or 'csv'")
-        # UTF-8 bytes are about a quarter of the 4-byte-per-character
-        # buffer io.StringIO would hold.  surrogatepass carries a lone
-        # surrogate (JSON can encode one) to the line that names it.
-        data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
-        lines = io.TextIOWrapper(data, encoding="utf-8", errors="surrogatepass")
+        lines = io.TextIOWrapper(
+            _LineBoundedStream(stream), encoding="utf-8", errors="surrogatepass"
+        )
         if fmt == "std":
             fill: Callable[[_Ingest], None] = lambda ingest: ingest.std_lines(lines)
         else:
             fill = lambda ingest: ingest.events(iter_csv(lines))
-        return self._ingest(fill, name=name or "", tags=tags, origin=None)
+        try:
+            return self._ingest(fill, name=name or "", tags=tags, origin=None)
+        finally:
+            lines.detach()
 
     def _ingest(
         self,

@@ -8,9 +8,10 @@ one :class:`~repro.serve.results.ResultsStore`.
 
 Two ingestion shapes:
 
-* **whole-trace submission** (``submit``) — the trace text is ingested
-  content-addressed into the corpus and (trace × spec) jobs fan out
-  across the worker pool; results are read back with ``results``.
+* **whole-trace submission** (``submit``) — the trace text, read from
+  the chunked body after the request frame, streams content-addressed
+  into the corpus and (trace × spec) jobs fan out across the worker
+  pool; results are read back with ``results``.
 * **streaming ingest** (``stream_begin`` / ``feed`` / ``stream_end``) —
   events arrive one STD line at a time (or batched) and each ``feed``
   is analyzed by an incremental :class:`~repro.api.Session` in the
@@ -59,7 +60,8 @@ from .corpus import CorpusError, TraceCorpus
 from .jobs import Scheduler
 from .protocol import (
     PROTOCOL,
-    MessageTooLarge,
+    BodyReader,
+    FramingError,
     ProtocolError,
     error_response,
     ok_response,
@@ -70,10 +72,10 @@ from .results import ResultsStore
 
 log = get_logger("serve")
 
-#: Largest request frame the server reads, in bytes.  Twice
-#: ``ServeClient.STREAM_THRESHOLD_BYTES``: past that much STD text,
-#: ``submit_file`` already streams instead of sending one frame.
-MAX_REQUEST_BYTES = 64 * 1024 * 1024
+#: Largest request frame the server reads, in bytes.  No frame carries a
+#: trace (a submitted one follows its frame as a chunked body), so the
+#: largest are ``feed`` batches of STD lines: 64 of them by default.
+MAX_REQUEST_BYTES = 1024 * 1024
 
 
 class _StreamState:
@@ -148,8 +150,8 @@ class _StreamState:
                 self._spool = gzip.open(self.spool_path, "wt", encoding="utf-8")
         self._error: Optional[BaseException] = None
         # Ingest-only streams (no specs, save=true) have no session:
-        # events only flow to the spool.  This is the bounded-memory
-        # upload path big `repro submit`s use before `analyze`.
+        # events only flow to the spool, and the stream's end stores them
+        # in the corpus without queuing a job.
         self.session: Optional[Session] = None
         if self.spec_keys:
             self.session = Session(self.spec_keys, on_race=self._races.append)
@@ -344,7 +346,7 @@ class ServeHandler(socketserver.StreamRequestHandler):
         while True:
             try:
                 request = read_message(self.rfile, MAX_REQUEST_BYTES)
-            except MessageTooLarge as error:
+            except FramingError as error:
                 # The rest of the frame is unread: answer, then hang up.
                 try:
                     write_message(self.wfile, error_response(str(error)))
@@ -360,6 +362,7 @@ class ServeHandler(socketserver.StreamRequestHandler):
                 return
             op = request.get("op")
             handler = getattr(self, f"_op_{op}", None) if isinstance(op, str) else None
+            framing_lost = False
             if handler is None:
                 response = error_response(f"unknown op {op!r}")
             else:
@@ -375,6 +378,10 @@ class ServeHandler(socketserver.StreamRequestHandler):
                 try:
                     with obs_tracing.span(f"serve.op.{op}", op=str(op)):
                         response = handler(request)
+                except FramingError as error:
+                    # A malformed or cut-short body: answer, then hang up.
+                    response = error_response(str(error))
+                    framing_lost = True
                 except (CorpusError, TraceFormatError, ValueError) as error:
                     response = error_response(str(error))
                 except Exception as error:  # noqa: BLE001 - keep the server alive
@@ -391,6 +398,8 @@ class ServeHandler(socketserver.StreamRequestHandler):
             try:
                 write_message(self.wfile, response)
             except (ConnectionError, OSError):
+                return
+            if framing_lost:
                 return
             if op == "shutdown" and response.get("ok"):
                 self.server.begin_shutdown()
@@ -502,20 +511,26 @@ class ServeHandler(socketserver.StreamRequestHandler):
     # -- whole-trace submission --------------------------------------------------------
 
     def _op_submit(self, request: Dict[str, object]) -> Dict[str, object]:
-        text = request.get("text")
-        if not isinstance(text, str):
-            return error_response("submit needs the trace content in the 'text' field")
-        fmt = str(request.get("fmt", "std"))
-        if fmt not in ("std", "csv"):
-            return error_response(f"unknown trace format {fmt!r}; expected 'std' or 'csv'")
-        specs = request.get("specs")
-        if not isinstance(specs, list) or not specs:
-            return error_response("submit needs a non-empty 'specs' list")
-        name = str(request.get("name", "")) or None
-        tags = [str(tag) for tag in request.get("tags", [])]
-        # Canonicalize the specs first so a typo fails before ingest.
-        spec_keys = [coerce_spec(str(spec)).key for spec in specs]
-        entry, created = self.server.corpus.ingest_text(text, fmt=fmt, name=name, tags=tags)
+        if "text" in request:
+            # A repro-serve/2 client: its trace rode in the frame, no body follows.
+            return error_response(
+                f"submit takes its trace as a chunked body since {PROTOCOL}, not a 'text' field"
+            )
+        # The body is read to its terminator whatever the answer: the next
+        # frame follows it.
+        body = BodyReader(self.rfile)
+        try:
+            specs = request.get("specs")
+            if not isinstance(specs, list) or not specs:
+                return error_response("submit needs a non-empty 'specs' list")
+            # Canonicalize the specs first so a typo fails before ingest.
+            spec_keys = [coerce_spec(str(spec)).key for spec in specs]
+            fmt = str(request.get("fmt", "std"))
+            name = str(request.get("name", "")) or None
+            tags = [str(tag) for tag in request.get("tags", [])]
+            entry, created = self.server.corpus.ingest_stream(body, fmt, name, tags)
+        finally:
+            body.drain()
         force = bool(request.get("force", False))
         queued, cached, quarantined = self.server.scheduler.submit(
             entry.digest, spec_keys, force=force

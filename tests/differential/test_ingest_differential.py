@@ -8,13 +8,17 @@ counted on its own.  For every source the two must agree on the digest,
 the stored colf bytes, the index statistics and, for bad input, the
 exception type and text.
 
-Sources: STD text (the ``submit`` payload), STD and gzipped STD files,
+Sources: STD text (the ``submit`` body), STD and gzipped STD files,
 CSV text and files, colf files, in-memory :class:`Trace` objects and
-plain event iterators.  Inputs: 30 seeded random traces, hand-written
-STD texts covering the parser's corners (comments, blank lines, CRLF,
-locations, whitespace, ``T03``, fork/join/begin/end, the regex path,
-malformed lines), events whose tids or targets are not plain ints and
-strings, and traces with more distinct tokens than the cache bound.
+plain event iterators.  Every text goes in twice more as a chunked
+``submit`` body read through :class:`BodyReader`, cut into chunks at
+every byte when it is short and at seeded random points, inside
+multi-byte characters and between ``\\r`` and ``\\n`` when it is
+not.  Inputs: 30 seeded random traces, hand-written STD texts covering
+the parser's corners (comments, blank lines, CRLF, locations,
+whitespace, ``T03``, fork/join/begin/end, the regex path, malformed
+lines), events whose tids or targets are not plain ints and strings,
+and traces with more distinct tokens than the cache bound.
 """
 
 from __future__ import annotations
@@ -24,17 +28,19 @@ import hashlib
 import io
 import itertools
 import os
+import random
 import threading
 import time
 import zlib
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import pytest
 
 from repro.serve import corpus as corpus_module
 from repro.serve.corpus import CorpusEntry, CorpusError, TraceCorpus
+from repro.serve.protocol import BodyReader, encode_message, write_body
 from repro.trace import Trace
 from repro.trace import event as ev
 from repro.trace.colfmt import ColfWriter
@@ -154,7 +160,8 @@ def _outcome(corpus: TraceCorpus, ingest) -> Tuple[object, ...]:
     payload = entry.as_dict()
     payload.pop("ingested_unix")
     stored = corpus.trace_path(entry.digest).read_bytes()
-    return ("ok", payload, created, stored)
+    files = sorted(path.name for path in corpus.traces_dir.iterdir())
+    return ("ok", payload, created, stored, files)
 
 
 def assert_same_ingest(tmp_path: Path, new_ingest, reference_ingest) -> Tuple[object, ...]:
@@ -176,13 +183,74 @@ def std_text_lines(text: str):
     return io.StringIO(text, newline=None)
 
 
+def ingest_text(corpus: TraceCorpus, text: str, fmt: str = "std", name: Optional[str] = None):
+    """Ingest ``text`` as the bytes a client sends for it."""
+    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    return corpus.ingest_stream(data, fmt=fmt, name=name)
+
+
+#: Texts of at most this many bytes are sent cut at every byte.
+SHORT_BODY_BYTES = 64
+
+_NEXT_FRAME = encode_message({"op": "ping"})
+
+
+def body_cuts(data: bytes) -> List[List[int]]:
+    """Where to cut ``data`` into body chunks, one list of offsets per body.
+
+    Each body is one whole chunk, then: every single cut of a short
+    text; seeded random cuts of a longer one, plus a cut inside each of
+    its first multi-byte characters and between each of its first
+    ``\\r\\n`` pairs.
+    """
+    cuts: List[List[int]] = [[]]
+    if len(data) <= SHORT_BODY_BYTES:
+        return cuts + [[offset] for offset in range(1, len(data))]
+    rng = random.Random(zlib.crc32(data))
+    cuts += [sorted(rng.sample(range(1, len(data)), count)) for count in (1, 7, 64)]
+    # A continuation byte (0b10xxxxxx) is never the first of a character.
+    inside = [offset for offset in range(1, len(data)) if data[offset] & 0xC0 == 0x80]
+    crlf = [offset + 1 for offset in range(len(data) - 1) if data[offset : offset + 2] == b"\r\n"]
+    return cuts + [sorted(inside[:16] + crlf[:16])]
+
+
+def ingest_body(corpus: TraceCorpus, data: bytes, cuts: Sequence[int], **options):
+    """Ingest ``data`` as a chunked ``submit`` body cut at ``cuts``.
+
+    The body is read the way the server reads it: through a
+    :class:`BodyReader`, drained to its terminator after the ingest,
+    with the next frame left unread.
+    """
+    stream = io.BytesIO()
+    edges = [0, *cuts, len(data)]
+    write_body(stream, [data[start:end] for start, end in zip(edges, edges[1:])])
+    stream.write(_NEXT_FRAME)
+    stream.seek(0)
+    with BodyReader(stream) as body:
+        try:
+            return corpus.ingest_stream(body, **options)
+        finally:
+            body.drain()
+            assert stream.read() == _NEXT_FRAME
+
+
+def check_bodies(tmp_path: Path, text: str, want: Tuple[object, ...], **options) -> None:
+    """``text`` as chunked bodies, each cut its own way, must give ``want``."""
+    data = text.encode("utf-8", "surrogatepass")
+    for cuts in body_cuts(data):
+        corpus = TraceCorpus(tmp_path / f"body-{next(_corpus_ids)}")
+        got = _outcome(corpus, lambda: ingest_body(corpus, data, cuts, **options))
+        assert got == want, f"body cut at {cuts}"
+
+
 def check_std_text(tmp_path: Path, text: str, name: Optional[str] = None) -> Tuple[object, ...]:
     """STD text, as submitted and as a file, against the reference."""
     outcome = assert_same_ingest(
         tmp_path,
-        lambda corpus: corpus.ingest_text(text, fmt="std", name=name),
+        lambda corpus: ingest_text(corpus, text, name=name),
         lambda corpus: corpus.ingest(iter_std(std_text_lines(text)), name=name),
     )
+    check_bodies(tmp_path, text, outcome, name=name)
     path = tmp_path / f"text-{next(_corpus_ids)}.std"
     path.write_text(text, encoding="utf-8", newline="")
     assert_same_ingest(
@@ -210,13 +278,13 @@ def check_every_source(tmp_path: Path, trace: Trace) -> None:
     std_text = dumps_std(trace)
     csv_text = dumps_csv(trace)
     digests.add(check_std_text(tmp_path, std_text)[1]["digest"])
-    digests.add(
-        assert_same_ingest(
-            tmp_path,
-            lambda corpus: corpus.ingest_text(csv_text, fmt="csv"),
-            lambda corpus: corpus.ingest(iter_csv(std_text_lines(csv_text))),
-        )[1]["digest"]
+    csv_outcome = assert_same_ingest(
+        tmp_path,
+        lambda corpus: ingest_text(corpus, csv_text, fmt="csv"),
+        lambda corpus: corpus.ingest(iter_csv(std_text_lines(csv_text))),
     )
+    check_bodies(tmp_path, csv_text, csv_outcome, fmt="csv")
+    digests.add(csv_outcome[1]["digest"])
     for suffix, fmt in ((".std.gz", "std"), (".csv", "csv"), (".csv.gz", "csv"), (".colf", "colf")):
         path = tmp_path / f"{trace.name}-{next(_corpus_ids)}{suffix}"
         save_trace(trace, path, fmt=fmt)
@@ -269,6 +337,9 @@ HAND_WRITTEN = {
     "int-like-targets": "T1|w(5)\nT1|w(05)\nT2|acq(7)\nT2|rel(7)\nT2|r(5)\n",
     "regex-path": "T1|w(x|y)\nT1|w(x|z)\nT2|r(x|y)|loc\nT1 |w(x)\nT1|w(x)|a|b\n",
     "unicode-and-separators": "T1|w(a\x0bb)\nT1|w(x\x85y)\nT2|r( z)|0\nT2|w(é)\n",
+    # Two-, three- and four-byte characters and CRLF in a text long
+    # enough to be cut at random, inside characters and inside CRLFs.
+    "wide-characters": "T1|w(é)\r\nT2|r(€)\r\nT1|w(中文)\nT2|acq(𝄞)\r\nT2|rel(𝄞)\r" * 6,
     "empty": "",
     "only-comments": "# nothing\n\n# here\n",
     "no-trailing-newline": "T1|w(x)\nT2|w(x)",
@@ -370,10 +441,11 @@ def test_unencodable_target_raises_like_the_reference(tmp_path):
     text = "T1|w(x)\nT1|w(\ud800)\nT1|nope\n"
     outcome = assert_same_ingest(
         tmp_path,
-        lambda corpus: corpus.ingest_text(text),
+        lambda corpus: ingest_text(corpus, text),
         lambda corpus: corpus.ingest(iter_std(std_text_lines(text))),
     )
     assert outcome[:2] == ("error", "UnicodeEncodeError")
+    check_bodies(tmp_path, text, outcome)
 
 
 # -- more distinct tokens than the cache bound ------------------------------------------------
@@ -388,10 +460,11 @@ def test_more_distinct_tokens_than_the_cache_bound(tmp_path):
     text = "\n".join(lines) + "\n"
     outcome = assert_same_ingest(
         tmp_path,
-        lambda corpus: corpus.ingest_text(text),
+        lambda corpus: ingest_text(corpus, text),
         lambda corpus: corpus.ingest(iter_std(std_text_lines(text))),
     )
     assert outcome[0] == "ok" and outcome[1]["variables"] == count
+    check_bodies(tmp_path, text, outcome)
     events = list(iter_std(text.splitlines()))
     assert_same_ingest(
         tmp_path,

@@ -17,6 +17,7 @@ server — the "machine lost power" fault, not a polite shutdown.
 import os
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -32,6 +33,7 @@ from repro.serve import ServeClient, TraceServer
 from repro.serve.client import ServeClientError, parse_address
 from repro.serve.corpus import TraceCorpus
 from repro.serve.jobs import job_id_of
+from repro.serve.protocol import encode_message
 from repro.serve.results import ResultsStore
 from repro.trace.io import save_trace, std_line
 
@@ -280,6 +282,44 @@ class TestKill9MidStream:
                     client.stream_resume("never-checkpointed")
         finally:
             server.close()
+
+
+class TestKill9MidSubmitBody:
+    """SIGKILL while a submit body is half sent; the restart sweeps the temp file."""
+
+    def test_restart_deletes_the_half_ingested_temp_file(self, tmp_path):
+        text = "".join(std_line(event) + "\n" for event in racy_trace(rounds=2000))
+        data = text.encode("utf-8")
+        corpus = tmp_path / "corpus"
+        process, host, port = start_serve(corpus)
+        try:
+            with socket.create_connection((host, port), timeout=30) as sock:
+                sock.sendall(encode_message({"op": "submit", "specs": ["hb+tc"]}))
+                half = len(data) // 2
+                sock.sendall(b"%d\n" % half + data[:half])
+                # The ingest is under way once its temp file exists.
+                deadline = time.monotonic() + 30
+                while not list((corpus / "traces").glob(".ingest-*.tmp.colf")):
+                    assert time.monotonic() < deadline, "the ingest never started"
+                    time.sleep(0.01)
+                kill9(process)
+        finally:
+            stop_hard(process)
+        assert list((corpus / "traces").glob(".ingest-*.tmp.colf"))
+
+        process, host, port = start_serve(corpus)
+        try:
+            assert list((corpus / "traces").iterdir()) == []
+            with ServeClient(host, port) as client:
+                response = client.submit_text(text, ["hb+tc"])
+                assert response["created"]
+                client.shutdown()
+            assert process.wait(timeout=60) == 0
+        finally:
+            stop_hard(process)
+        expected, _ = TraceCorpus(tmp_path / "reference").ingest(racy_trace(rounds=2000))
+        assert response["digest"] == expected.digest
+        assert sorted(path.name for path in (corpus / "traces").iterdir()) == [expected.filename]
 
 
 class TestGracefulShutdown:

@@ -23,8 +23,9 @@ from repro.gen.scenarios import SCENARIOS
 from repro.serve import ServeClient, ServeClientError, TraceServer
 from repro.serve import server as server_module
 from repro.serve.cli import main_serve, main_status, main_submit
-from repro.serve.protocol import encode_message, read_message
-from repro.trace.io import save_trace, std_line
+from repro.serve.corpus import MAX_LINE_BYTES, TraceCorpus
+from repro.serve.protocol import encode_message, read_message, write_body, write_message
+from repro.trace.io import TraceFormatError, iter_trace_file, save_trace, std_line
 from repro.api import Session
 
 # Spawns worker processes and subprocesses: runs in the `-m slow` CI lane.
@@ -130,11 +131,9 @@ class TestServerEndToEnd:
         finally:
             server.close()
 
-    def test_large_file_submit_streams_and_analyzes(self, tmp_path, trace_files, capsys, monkeypatch):
-        # Above the size threshold, submit_file must switch to the
-        # bounded-memory upload (ingest-only stream + analyze) and return
-        # the same response shape and results as a whole-text submit.
-        monkeypatch.setattr(ServeClient, "STREAM_THRESHOLD_BYTES", 1)
+    def test_file_submit_streams_and_analyzes(self, tmp_path, trace_files, capsys):
+        # submit_file sends the file's canonical STD lines as the submit
+        # body, whatever the size; a text submit of the same lines dedupes.
         server = TraceServer(("127.0.0.1", 0), tmp_path / "corpus", workers=2)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         host, port = server.address
@@ -149,9 +148,10 @@ class TestServerEndToEnd:
                     count, pairs = analyze_cli_races(trace_files[0], spec, capsys)
                     assert results[spec]["race_count"] == count
                     assert results[spec]["races"] == pairs
-                # dedupe holds across the two upload paths
-                monkeypatch.setattr(ServeClient, "STREAM_THRESHOLD_BYTES", 1 << 40)
-                again = client.submit_file(trace_files[0], SPECS)
+                text = "".join(
+                    std_line(event) + "\n" for event in iter_trace_file(trace_files[0])
+                )
+                again = client.submit_text(text, SPECS)
                 assert again["digest"] == digest and not again["created"]
                 assert len(again["cached"]) == len(SPECS)
         finally:
@@ -230,10 +230,133 @@ class TestRequestFrameLimit:
                     assert read_message(reader) is None  # the server hung up
             with ServeClient(*server.address) as client:
                 assert client.ping()["ok"]
+                # An 8 MB trace is a body, not a frame: the cap does not apply.
+                text = "T1|w(x)\n" * 1_000_000
+                response = client.submit_text(text, ["hb+tc"])
+                path = tmp_path / "big.std"
+                path.write_text(text)
+                expected, _ = TraceCorpus(tmp_path / "reference").ingest(path)
+                assert response["digest"] == expected.digest
+                assert response["events"] == 1_000_000
+                assert client.ping()["ok"]
+                # A feed batch is one frame: past the cap it is refused.
+                stream = client.stream_begin("capped", ["hb+tc"])
+                with pytest.raises(ServeClientError, match="1024-byte frame limit"):
+                    stream.feed_lines(["T1|w(x)"] * 200)
+            with ServeClient(*server.address) as client:
+                stream = client.stream_begin("capped", ["hb+tc"])
                 # Refused mid-send, the client still reports the server's answer.
                 with pytest.raises(ServeClientError, match="1024-byte frame limit"):
-                    client.submit_text("T1|w(x)\n" * 1_000_000, ["hb+tc"])
+                    stream.feed_lines(["T1|w(x)"] * 1_000_000)
+            with ServeClient(*server.address) as client:
                 assert client.ping()["ok"]
+        finally:
+            server.close()
+
+
+class TestSubmitBody:
+    """A submit body that fails mid-way costs that submit, not the connection."""
+
+    @pytest.mark.parametrize(
+        "bad_chunk, error",
+        [
+            (b"T2|w(\xff)\n", "can't decode byte 0xff"),
+            (b"T2|nope\n", "line 1001"),
+            (b"x" * (3 << 20), f"a line is longer than {MAX_LINE_BYTES} bytes"),
+        ],
+        ids=["invalid-utf8", "bad-line", "endless-line"],
+    )
+    def test_failed_body_is_answered_and_the_connection_still_serves(
+        self, tmp_path, bad_chunk, error
+    ):
+        server = TraceServer(("127.0.0.1", 0), tmp_path / "corpus", workers=1)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        chunks = [b"T1|w(x)\n" * 1000, bad_chunk, b"T1|w(x)\n" * 50_000]
+        try:
+            with socket.create_connection(server.address, timeout=30) as sock:
+                with sock.makefile("rb") as reader, sock.makefile("wb") as writer:
+                    write_message(writer, {"op": "submit", "specs": ["hb+tc"]})
+                    write_body(writer, chunks)
+                    response = read_message(reader)
+                    assert not response["ok"] and error in response["error"]
+                    write_message(writer, {"op": "ping"})
+                    assert read_message(reader)["ok"]  # the same connection
+            with ServeClient(*server.address, retries=0) as client:
+                with pytest.raises(ServeClientError, match=error):
+                    client.request(
+                        {"op": "submit", "specs": ["hb+tc"]}, body=lambda: iter(chunks)
+                    )
+                # The client drops a connection whose body was refused.
+                assert client._socket is None
+                assert client.submit_text("T1|w(x)\n", ["hb+tc"])["created"]
+            assert len(server.corpus) == 1
+            assert [path.name for path in server.corpus.traces_dir.iterdir()] == [
+                server.corpus.entries()[0].filename
+            ]
+        finally:
+            server.close()
+
+    def test_a_malformed_chunk_size_is_answered_then_hung_up(self, tmp_path):
+        server = TraceServer(("127.0.0.1", 0), tmp_path / "corpus", workers=1)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            with socket.create_connection(server.address, timeout=30) as sock:
+                # A repro-serve/2 submit has no body: refused, the connection serves on.
+                v2 = {"op": "submit", "text": "T1|w(x)\n", "specs": ["hb+tc"]}
+                sock.sendall(encode_message(v2))
+                sock.sendall(encode_message({"op": "submit", "specs": ["hb+tc"]}))
+                sock.sendall(b"8\nT1|w(x)\nlots\n")
+                with sock.makefile("rb") as reader:
+                    response = read_message(reader)
+                    assert not response["ok"] and "not a 'text' field" in response["error"]
+                    response = read_message(reader)
+                    assert not response["ok"]
+                    assert "malformed body chunk size b'lots\\n'" in response["error"]
+                    assert read_message(reader) is None  # the server hung up
+            with ServeClient(*server.address) as client:
+                assert client.ping()["ok"]
+            assert len(server.corpus) == 0
+            assert list(server.corpus.traces_dir.iterdir()) == []
+        finally:
+            server.close()
+
+    def test_a_small_submit_does_not_wait_for_a_delayed_ack(self, tmp_path):
+        # The frame and the body are separate writes; with Nagle's
+        # algorithm on, each small submit waited ~40 ms for the server to
+        # acknowledge its frame.
+        server = TraceServer(("127.0.0.1", 0), tmp_path / "corpus", workers=1)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            with ServeClient(*server.address) as client:
+                client.submit_text("T1|w(x)\n", ["hb+tc"])
+                took = []
+                for number in range(15):
+                    started = time.perf_counter()
+                    client.submit_text(f"T1|w(x{number})\nT2|w(x{number})\n", ["hb+tc"])
+                    took.append(time.perf_counter() - started)
+            took.sort()
+            assert took[len(took) // 2] < 0.02, took
+        finally:
+            server.close()
+
+    def test_failed_local_file_drops_the_connection_not_the_server(self, tmp_path):
+        # The file turns out malformed after part of it was sent: the
+        # client raises the parse error and hangs up mid-body; the server
+        # drops that ingest and keeps serving.
+        path = tmp_path / "bad.std"
+        path.write_text("T1|w(x)\n" * 20_000 + "T1|nope\n")
+        server = TraceServer(("127.0.0.1", 0), tmp_path / "corpus", workers=1)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            with ServeClient(*server.address) as client:
+                with pytest.raises(TraceFormatError, match="line 20001"):
+                    client.submit_file(path, ["hb+tc"])
+                assert client.ping()["ok"]
+            deadline = time.monotonic() + 10
+            while list(server.corpus.traces_dir.iterdir()) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert list(server.corpus.traces_dir.iterdir()) == []
+            assert len(server.corpus) == 0
         finally:
             server.close()
 

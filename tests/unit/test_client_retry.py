@@ -16,16 +16,21 @@ import pytest
 
 from faults import reset_socket
 from repro.obs import metrics as obs_metrics
+from repro.serve import client as client_module
 from repro.serve.client import ServeClient, ServeClientError, _is_transient
-from repro.serve.protocol import read_message, write_message
+from repro.serve.protocol import BodyReader, read_message, write_message
+from repro.trace.io import iter_trace_file, std_line
 
 
 class FlakyServer:
     """A scripted TCP peer: each accepted connection runs one behavior.
 
-    Behaviors: ``"ok"`` answers every request on the connection;
-    ``"reset"`` reads one request then hard-resets the socket; ``"eof"``
-    reads one request then closes cleanly (the client sees EOF).
+    Behaviors: ``"ok"`` answers every request on the connection, after
+    reading a submit's body into the request's ``body``; ``"reset"``
+    reads one request frame then hard-resets the socket; ``"eof"`` reads
+    one request frame then closes cleanly (the client sees EOF);
+    ``"v2"`` answers every line with an error, as a server that reads a
+    submit body's lines as frames does.
     """
 
     def __init__(self, script):
@@ -60,10 +65,17 @@ class FlakyServer:
                     else:
                         conn.close()
                     continue
+                if behavior == "v2":
+                    for line in rfile:
+                        self.requests.append((behavior, line))
+                        write_message(wfile, {"ok": False, "error": f"bad frame {line!r}"})
+                    continue
                 while True:
                     request = read_message(rfile)
                     if request is None:
                         break
+                    if request.get("op") == "submit":
+                        request["body"] = BodyReader(rfile).read()
                     self.requests.append((behavior, request))
                     write_message(wfile, {"ok": True, "echo": request.get("op")})
             except OSError:
@@ -162,6 +174,46 @@ class TestRequestRetry:
         # exactly one attempt: replaying a feed could double-ingest events
         assert len(server.requests) == 1
         assert retry_counts(metrics_registry) == {}
+
+    def test_a_retried_submit_resends_its_body_and_reopens_its_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "t.std"
+        path.write_text("T1|w(x)\nT2|r(x)\n" * 500)
+        opened = []
+
+        def counting_iter_trace_file(source, fmt=None):
+            opened.append(source)
+            return iter_trace_file(source, fmt=fmt)
+
+        monkeypatch.setattr(client_module, "iter_trace_file", counting_iter_trace_file)
+        server = FlakyServer(["reset", "ok"])
+        try:
+            client = ServeClient(
+                "127.0.0.1", server.port, timeout=5, retries=3, backoff=0.01, retry_seed=0
+            )
+            assert client.submit_file(path, ["hb+tc"])["echo"] == "submit"
+            client.close()
+        finally:
+            server.close()
+        assert [behavior for behavior, _ in server.requests] == ["reset", "ok"]
+        assert opened == [path, path]
+        expected = "".join(std_line(event) + "\n" for event in iter_trace_file(path))
+        assert server.requests[1][1]["body"] == expected.encode("utf-8")
+
+    def test_an_error_reply_to_a_body_drops_the_connection(self):
+        # A server that reads the body's lines as frames answers each; the
+        # next request must not read one of those stale answers.
+        server = FlakyServer(["v2", "ok"])
+        try:
+            client = ServeClient("127.0.0.1", server.port, timeout=5, retries=0)
+            with pytest.raises(ServeClientError, match="bad frame"):
+                client.submit_text("T1|w(x)\nT2|w(x)\n", ["hb+tc"])
+            assert client.ping()["echo"] == "ping"
+            client.close()
+        finally:
+            server.close()
+        assert [behavior for behavior, _ in server.requests][-1] == "ok"
 
     def test_eof_reply_counts_as_a_reset(self):
         # A server that closes gracefully mid-request looks like EOF, not

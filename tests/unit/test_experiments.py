@@ -42,17 +42,12 @@ class TestExperimentConfig:
     def test_default_orders(self):
         assert tuple(DEFAULT_ORDERS) == ("MAZ", "SHB", "HB")
 
-    def test_analysis_classes_resolution(self):
-        classes = FAST.analysis_classes()
-        assert [cls.PARTIAL_ORDER for cls in classes] == ["MAZ", "SHB", "HB"]
+    def test_orders_accept_any_case(self):
+        assert ExperimentConfig(orders=("maz", "Shb", "hb")).orders == ("maz", "Shb", "hb")
 
-    def test_analysis_classes_accept_any_case(self):
-        classes = ExperimentConfig(orders=("maz", "Shb", "hb")).analysis_classes()
-        assert [cls.PARTIAL_ORDER for cls in classes] == ["MAZ", "SHB", "HB"]
-
-    def test_analysis_classes_rejects_unknown_order(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(orders=("HB", "XYZ")).analysis_classes()
+    def test_unknown_order_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown partial order 'XYZ'"):
+            ExperimentConfig(orders=("HB", "XYZ"))
 
 
 class TestSpeedupSample:

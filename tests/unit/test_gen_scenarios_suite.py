@@ -5,7 +5,6 @@ import pytest
 from repro.gen import (
     SCENARIOS,
     BenchmarkProfile,
-    ScalabilityPoint,
     default_suite,
     families,
     fifty_locks_skewed_trace,
@@ -13,7 +12,6 @@ from repro.gen import (
     get_profile,
     pairwise_communication_trace,
     profile_names,
-    scalability_sweep,
     single_lock_trace,
     star_topology_trace,
 )
@@ -58,20 +56,6 @@ class TestScenarios:
     def test_traces_are_deterministic_per_seed(self):
         assert single_lock_trace(6, 300, seed=1) == single_lock_trace(6, 300, seed=1)
         assert single_lock_trace(6, 300, seed=1) != single_lock_trace(6, 300, seed=2)
-
-    def test_scalability_point_generates_named_trace(self):
-        point = ScalabilityPoint("star_topology", num_threads=8, num_events=200, seed=0)
-        trace = point.generate()
-        assert "star-topology" in trace.name
-
-    def test_scalability_sweep_grid(self):
-        points = scalability_sweep(["single_lock"], thread_counts=(4, 8), num_events=100)
-        assert len(points) == 2
-        assert {point.num_threads for point in points} == {4, 8}
-
-    def test_scalability_sweep_rejects_unknown_scenario(self):
-        with pytest.raises(ValueError):
-            scalability_sweep(["bogus"])
 
 
 class TestSuite:

@@ -1,14 +1,18 @@
 """Unit tests for the content-addressed trace corpus (:mod:`repro.serve.corpus`)."""
 
 import hashlib
+import io
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 
+from repro.gen.scenarios import SCENARIOS
 from repro.trace import Trace, TraceBuilder
-from repro.trace.io import save_trace
-from repro.serve.corpus import INDEX_SCHEMA, CorpusError, TraceCorpus
+from repro.trace.io import dumps_std, save_trace
+from repro.serve.corpus import INDEX_SCHEMA, MAX_LINE_BYTES, CorpusError, TraceCorpus
+from repro.serve.protocol import BodyReader, encode_message, write_body
 from repro.serve.server import ServeHandler
 
 
@@ -114,23 +118,41 @@ class TestPinnedDigest:
         )
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.DIGEST
         corpus = TraceCorpus(tmp_path / "corpus")
-        entry, created = corpus.ingest_text(text)
+        entry, created = corpus.ingest_stream(io.BytesIO(text.encode("utf-8")))
         assert created and entry.digest == self.DIGEST
 
 
 class TestSubmittedText:
     """The ``submit`` op splits trace text into lines as a file read does."""
 
-    @staticmethod
-    def submit(corpus, text, fmt="std"):
+    NEXT_FRAME = encode_message({"op": "ping"})
+
+    @classmethod
+    def answer(cls, corpus, body, **request):
+        """``_op_submit``'s answer to ``request`` with ``body`` after it.
+
+        Whatever the answer, the handler must have read the body to its
+        terminator and no further: the next frame is the next thing read.
+        """
         handler = object.__new__(ServeHandler)
         handler.server = SimpleNamespace(
             corpus=corpus,
             scheduler=SimpleNamespace(submit=lambda digest, specs, force: ([], [], [])),
         )
-        response = handler._op_submit(
-            {"op": "submit", "text": text, "fmt": fmt, "specs": ["hb+tc"]}
-        )
+        handler.rfile = io.BytesIO()
+        write_body(handler.rfile, body)
+        handler.rfile.write(cls.NEXT_FRAME)
+        handler.rfile.seek(0)
+        try:
+            return handler._op_submit({"op": "submit", "specs": ["hb+tc"], **request})
+        finally:
+            assert handler.rfile.read() == cls.NEXT_FRAME
+
+    @classmethod
+    def submit(cls, corpus, text, fmt="std"):
+        data = text.encode("utf-8", "surrogatepass")
+        chunks = [data[at : at + 7] for at in range(0, len(data), 7)]
+        response = cls.answer(corpus, chunks, fmt=fmt)
         assert response["ok"], response
         return response
 
@@ -160,7 +182,108 @@ class TestSubmittedText:
     def test_unknown_text_format_rejected(self, tmp_path):
         corpus = TraceCorpus(tmp_path / "corpus")
         with pytest.raises(ValueError, match="unknown trace format"):
-            corpus.ingest_text("T1|w(x)\n", fmt="colf")
+            corpus.ingest_stream(io.BytesIO(b"T1|w(x)\n"), fmt="colf")
+
+    @pytest.mark.parametrize(
+        "request_fields, body",
+        [
+            ({"fmt": "colf"}, [b"T1|w(x)\n"]),
+            ({"specs": []}, [b"T1|w(x)\n"]),
+            ({"specs": ["hb+nope"]}, [b"T1|w(x)\n"]),
+            ({}, [b"T1|w(x)\nT1|bogus\n", b"T2|w(x)\n" * 100]),
+            ({}, [b"T1|w(x)\nT1|w(\xff)\n", b"T2|w(x)\n" * 100]),
+            ({"fmt": "csv"}, [b"eid,tid\n", b"0,1\n" * 100]),
+        ],
+        ids=["format", "no-specs", "bad-spec", "bad-line", "bad-utf8", "bad-csv"],
+    )
+    def test_refused_submit_reads_its_body_to_the_end(self, tmp_path, request_fields, body):
+        corpus = TraceCorpus(tmp_path / "corpus")
+        try:
+            response = self.answer(corpus, body, **request_fields)
+        except ValueError:  # raised errors are the handler loop's to answer
+            pass
+        else:
+            assert not response["ok"]
+        assert len(corpus) == 0
+        assert list(corpus.traces_dir.iterdir()) == []
+
+    def test_lines_ended_by_carriage_returns_alone_pass_the_line_bound(self, tmp_path):
+        corpus = TraceCorpus(tmp_path / "corpus")
+        text = "T1|w(x)\n" * 140_000  # 1.1 MB, more than MAX_LINE_BYTES
+        entry, _ = corpus.ingest_stream(io.BytesIO(text.replace("\n", "\r").encode("utf-8")))
+        assert entry.events == 140_000
+        assert not corpus.ingest_stream(io.BytesIO(text.encode("utf-8")))[1]
+
+    def test_a_version_two_submit_is_refused_without_a_body(self, tmp_path):
+        handler = object.__new__(ServeHandler)
+        handler.rfile = io.BytesIO(self.NEXT_FRAME)
+        response = handler._op_submit({"op": "submit", "text": "T1|w(x)\n", "specs": ["hb+tc"]})
+        assert not response["ok"] and "chunked body" in response["error"]
+        assert handler.rfile.read() == self.NEXT_FRAME
+
+
+class TestStaleIngestFiles:
+    def test_opening_the_corpus_deletes_leftover_ingest_files(self, tmp_path, sample_trace):
+        corpus = TraceCorpus(tmp_path / "corpus")
+        entry, _ = corpus.ingest(sample_trace)
+        leftovers = [
+            corpus.traces_dir / ".ingest-4242-140000-0.tmp.colf",
+            corpus.traces_dir / ".ingest-4242-140000-1.tmp.colf",
+        ]
+        for path in leftovers:
+            path.write_bytes(b"half a colf segment")
+        unrelated = corpus.traces_dir / "notes.tmp"
+        unrelated.write_bytes(b"kept")
+        reopened = TraceCorpus(tmp_path / "corpus")
+        assert sorted(path.name for path in reopened.traces_dir.iterdir()) == sorted(
+            [entry.filename, "notes.tmp"]
+        )
+        assert reopened.trace_path(entry.digest).read_bytes() == corpus.trace_path(
+            entry.digest
+        ).read_bytes()
+
+
+class TestStreamedIngestMemory:
+    """A submit body streams into the ingest: its size does not show in memory."""
+
+    #: The shape of served-corpus's large trace: 40 threads, 100k events.
+    TRACE = dumps_std(SCENARIOS["fifty_locks_skewed"](40, 100_000, 0)).encode("utf-8")
+
+    @staticmethod
+    def traced_ingest(tmp_path, chunks):
+        """``ingest_stream`` of ``chunks`` as one body: its outcome and tracemalloc's peak."""
+        stream = io.BytesIO()
+        write_body(stream, chunks)
+        stream.seek(0)
+        corpus = TraceCorpus(tmp_path / f"corpus-{len(list(tmp_path.iterdir()))}")
+        tracemalloc.start()
+        try:
+            with BodyReader(stream) as body:
+                try:
+                    outcome = corpus.ingest_stream(body)[0]
+                except CorpusError as error:
+                    outcome = error
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return outcome, peak
+
+    def test_four_times_the_events_move_the_peak_by_under_a_quarter_megabyte(self, tmp_path):
+        entry, small = self.traced_ingest(tmp_path, [self.TRACE])
+        assert entry.events == 100_000
+        entry, large = self.traced_ingest(tmp_path, [self.TRACE] * 4)
+        assert entry.events == 400_000
+        assert large - small < 0.25e6, (small, large)
+
+    def test_a_line_without_end_is_refused_at_the_line_bound(self, tmp_path):
+        # 16 MiB and no line break: refused after MAX_LINE_BYTES, not held
+        # whole (the text layer would keep reading until a line break).
+        # The peak stays below the 100k-event TRACE's (2.25 MB).
+        error, peak = self.traced_ingest(tmp_path, [b"T1|w(x)\n"] + [b"x" * (1 << 16)] * 256)
+        assert isinstance(error, CorpusError)
+        assert f"a line is longer than {MAX_LINE_BYTES} bytes" in str(error)
+        assert peak < 2 * MAX_LINE_BYTES, peak
+        assert list((tmp_path / "corpus-0" / "traces").iterdir()) == []
 
 
 class TestEdgeCases:

@@ -8,17 +8,24 @@ import pytest
 from repro.cli import main as repro_main
 from repro.serve.client import ServeClient, parse_address
 from repro.serve.protocol import (
+    BODY_CHUNK_CHARS,
     DEFAULT_PORT,
     PROTOCOL,
+    BodyReader,
+    FramingError,
     MessageTooLarge,
     ProtocolError,
+    encode_chunks,
     encode_message,
     error_response,
     ok_response,
     read_message,
+    write_body,
     write_message,
 )
 from repro.serve.server import MAX_REQUEST_BYTES
+from repro.trace.io import std_line
+from util_traces import make_random_trace
 
 
 class TestFraming:
@@ -38,12 +45,12 @@ class TestFraming:
         assert read_message(stream) is None
 
     def test_newlines_in_payloads_stay_framed(self):
-        # Whole-trace submission ships multi-line trace text in one message.
+        # JSON escapes a string's newlines, so a multi-line field is one frame.
         text = "T1|w(x)|0\nT2|w(x)|1\n"
         stream = io.BytesIO()
-        write_message(stream, {"op": "submit", "text": text})
+        write_message(stream, {"op": "ping", "note": text})
         stream.seek(0)
-        assert read_message(stream)["text"] == text
+        assert read_message(stream)["note"] == text
 
     def test_eof_returns_none(self):
         assert read_message(io.BytesIO(b"")) is None
@@ -143,18 +150,125 @@ class TestFraming:
         assert read_message(stream, limit=len(frame)) is None
 
 
+class TestBody:
+    @staticmethod
+    def framed(chunks, after=b""):
+        stream = io.BytesIO()
+        write_body(stream, chunks)
+        stream.write(after)
+        stream.seek(0)
+        return stream
+
+    def test_round_trip_stops_at_the_terminator(self):
+        frame = encode_message({"op": "ping"})
+        stream = self.framed([b"T1|w(", b"", b"x)\n", b"T2|r(x)\n"], after=frame)
+        assert stream.getvalue().startswith(b"5\nT1|w(3\nx)\n8\n")
+        body = BodyReader(stream)
+        assert body.read() == b"T1|w(x)\nT2|r(x)\n"
+        assert body.read(10) == b""
+        # The next frame is left for the frame reader.
+        assert read_message(stream) == {"op": "ping"}
+
+    def test_an_empty_body_is_its_terminator(self):
+        stream = self.framed([])
+        assert stream.getvalue() == b"0\n"
+        assert BodyReader(stream).read() == b""
+
+    def test_reads_never_exceed_the_callers_buffer(self):
+        stream = self.framed([b"x" * 10_000])
+        body = BodyReader(stream)
+        assert body.read(0) == b"" and stream.tell() == 0
+        assert body.read(100) == b"x" * 100
+        assert stream.tell() == len(b"10000\n") + 100
+
+    def test_drain_reads_to_the_terminator(self):
+        frame = encode_message({"op": "ping"})
+        stream = self.framed([b"a" * 70_000, b"b" * 3], after=frame)
+        body = BodyReader(stream)
+        assert body.read(5) == b"aaaaa"
+        body.drain()
+        body.drain()
+        assert read_message(stream) == {"op": "ping"}
+
+    @pytest.mark.parametrize(
+        "wire",
+        [b"x\n", b"-1\n", b"+1\n", b" 1\n", b"1 \n", b"1_0\n", b"1\r\n", b"0x1\n",
+         b"1" * 19 + b"\n", b"\n", b"3"],
+        ids=repr,
+    )
+    def test_a_malformed_size_line_loses_the_framing(self, wire):
+        body = BodyReader(io.BytesIO(wire + b"abc0\n"))
+        with pytest.raises(FramingError, match="malformed body chunk size|ended before"):
+            body.read()
+        # Every later read fails the same way: nothing past it is trusted.
+        with pytest.raises(FramingError):
+            body.drain()
+
+    @pytest.mark.parametrize("wire", [b"", b"5\nabc", b"3\nabc"])
+    def test_a_body_cut_short_loses_the_framing(self, wire):
+        with pytest.raises(FramingError, match="ended before its terminator"):
+            BodyReader(io.BytesIO(wire)).drain()
+
+    def test_framing_errors_are_protocol_errors(self):
+        assert issubclass(MessageTooLarge, FramingError)
+        assert issubclass(FramingError, ProtocolError)
+
+    def test_encode_chunks_joins_pieces_up_to_the_chunk_size(self):
+        half = BODY_CHUNK_CHARS // 2
+        pieces = ["ab"] * (3 * half + 1)
+        assert list(encode_chunks(pieces)) == [b"ab" * half] * 3 + [b"ab"]
+        assert list(encode_chunks([])) == []
+        text = "é\ud800" * 3
+        assert b"".join(encode_chunks(text)) == text.encode("utf-8", "surrogatepass")
+
+
 class TestRequestCap:
-    def test_cap_fits_the_largest_unstreamed_submission(self):
-        # submit_file sends up to STREAM_THRESHOLD_BYTES of STD text in one
-        # frame.  JSON escapes only the newline of each STD line, so twice
-        # the threshold leaves room for the escapes and the envelope.
-        threshold = ServeClient.STREAM_THRESHOLD_BYTES
-        assert MAX_REQUEST_BYTES == 2 * threshold
-        text = "\n".join(["T1|r(x)"] * 1000)
-        frame = encode_message(
-            {"op": "submit", "text": text, "fmt": "std", "specs": ["hb+tc"], "tags": []}
-        )
-        assert len(frame) / len(text) < MAX_REQUEST_BYTES / threshold
+    """No frame carries a trace, so frames stay far below the 1 MiB cap."""
+
+    @staticmethod
+    def sent_by_submit(text):
+        """The frame ``submit_text`` writes, and the stream its body follows in."""
+        client = object.__new__(ServeClient)
+        client.host, client.port, client.retries = "test", 0, 0
+        client._wfile = io.BytesIO()
+        client._rfile = io.BytesIO(encode_message({"ok": True}))
+        client.submit_text(text, ["hb+tc+detect", "shb+vc+detect"], name="t", tags=["a"])
+        stream = client._wfile
+        stream.seek(0)
+        return stream.readline(), stream
+
+    def test_cap_is_one_mebibyte(self):
+        assert MAX_REQUEST_BYTES == 1024 * 1024
+
+    def test_feed_batches_fit_under_the_cap(self):
+        trace = make_random_trace(3, num_threads=8, num_variables=50, num_events=2000)
+        lines = [std_line(event) for event in trace]
+        # The client's default batch, and the largest the test suites send.
+        for batch in (64, 400):
+            frame = encode_message({"op": "feed", "lines": lines[:batch]})
+            assert len(frame) < MAX_REQUEST_BYTES / 100
+
+    def test_submit_frame_stays_small_whatever_the_trace_size(self):
+        small, stream = self.sent_by_submit("T1|w(x)\n")
+        assert BodyReader(stream).read() == b"T1|w(x)\n"
+        text = "T1|w(x)\nT2|r(x)\n" * 100_000
+        large, stream = self.sent_by_submit(text)
+        assert BodyReader(stream).read() == text.encode("utf-8")
+        assert len(small) < 1024
+        # The stamped trace context differs; nothing else depends on the text.
+        assert len(large) == len(small)
+
+    def test_text_travels_in_bounded_chunks(self):
+        text = "T1|w(x)\n" * 50_000
+        _, stream = self.sent_by_submit(text)
+        sizes = []
+        while True:
+            size = int(stream.readline())
+            if not size:
+                break
+            sizes.append(size)
+            stream.read(size)
+        assert sum(sizes) == len(text) and max(sizes) == BODY_CHUNK_CHARS
 
 
 class TestResponses:
@@ -167,7 +281,7 @@ class TestResponses:
         assert response["ok"] is False and response["error"] == "boom"
 
     def test_protocol_version_constant(self):
-        assert PROTOCOL == "repro-serve/2"
+        assert PROTOCOL == "repro-serve/3"
 
 
 class TestParseAddress:
